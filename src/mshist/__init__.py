@@ -5,7 +5,7 @@ histogram that stays inside a multiscale likelihood-ratio confidence set, so
 every bin boundary it shows is statistically necessary and every feature it
 omits is statistically insignificant at the chosen level.
 """
-from .bounds import FeasibleBand, constraint_interval, feasible_bands, mass_roots
+from .bounds import constraint_table
 from .densities import (
     MetricSet,
     ReferenceDensity,
@@ -16,19 +16,17 @@ from .densities import (
     metrics,
     proposition1_check,
 )
-from .dp import HistogramModel, brute_force_histogram, essential_histogram, segment_cost
+from .dp import HistogramModel, essential_histogram
 from .evaluate import AuditReport, audit, removable_changepoints, violation_intervals
 from .inference import (
     FeatureInterval,
-    confidence_radius,
     lower_bound_modes,
     significant_feature_intervals,
 )
-from .intervals import IntervalSpec, build_interval_system, intervals_within, max_scale
+from .intervals import IntervalSpec, max_scale
 from .multiscale import (
     QuantileTable,
     load_table,
-    local_statistic,
     log_likelihood_ratio,
     lookup_kappa,
     multiscale_statistic,
@@ -36,6 +34,7 @@ from .multiscale import (
     save_table,
     simulate_quantiles,
     simulate_statistics,
+    table_path,
 )
 from .sample import DuplicateValuesError, SortedSample
 
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport",
     "DuplicateValuesError",
-    "FeasibleBand",
     "FeatureInterval",
     "HistogramModel",
     "IntervalSpec",
@@ -54,22 +52,15 @@ __all__ = [
     "SortedSample",
     "audit",
     "benchmark_rows",
-    "brute_force_histogram",
-    "build_interval_system",
     "catalog",
     "classical_histogram",
-    "confidence_radius",
-    "constraint_interval",
+    "constraint_table",
     "essential_histogram",
-    "feasible_bands",
     "get_density",
-    "intervals_within",
     "load_table",
-    "local_statistic",
     "log_likelihood_ratio",
     "lookup_kappa",
     "lower_bound_modes",
-    "mass_roots",
     "max_scale",
     "metrics",
     "multiscale_statistic",
@@ -77,9 +68,9 @@ __all__ = [
     "proposition1_check",
     "removable_changepoints",
     "save_table",
-    "segment_cost",
     "significant_feature_intervals",
     "simulate_quantiles",
     "simulate_statistics",
+    "table_path",
     "violation_intervals",
 ]

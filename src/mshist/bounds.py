@@ -6,66 +6,34 @@ For an interval with empirical mass p the constraint is
 The left side is strictly convex in q with its minimum at q = p, so the
 feasible set is a single mass interval whose endpoints are the two roots of
 a smooth scalar equation; dividing by the interval width turns it into a
-density band.
+density band.  The fit and the audit both read their bands from
+:func:`constraint_table` and test membership with :func:`in_band`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .intervals import IntervalSpec
+from .intervals import interval_arrays
 from .multiscale import log_likelihood_ratio, penalty
 from .sample import SortedSample
 
-#: absolute tolerance of the mass roots
-ROOT_TOL = 1e-10
-#: relative slack for band membership tests downstream (avoids boundary flapping)
+#: relative slack for band membership tests (avoids boundary flapping)
 BAND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class FeasibleBand:
-    """Feasible constant-density band [lower, upper] of one interval.
+def in_band(mu, lo, hi):
+    """Whether density ``mu`` lies in the band [lo, hi], up to BAND_SLACK.
 
-    ``empty`` marks an unsatisfiable constraint (kappa below the negated
-    penalty); lower/upper are then meaningless and set to +inf/-inf so any
-    accidental membership test fails.
+    An empty band (lo = +inf, hi = -inf) admits nothing.  Vectorized.
     """
-
-    interval: IntervalSpec
-    lower: float
-    upper: float
-    empty: bool = False
-
-    def contains(self, mu: float) -> bool:
-        if self.empty:
-            return False
-        return self.lower * (1.0 - BAND_SLACK) <= mu <= self.upper * (1.0 + BAND_SLACK)
+    return (mu >= lo * (1.0 - BAND_SLACK)) & (mu <= hi * (1.0 + BAND_SLACK))
 
 
-def _gap(q: float, p_hat: float, kappa: float, n: int) -> float:
-    return 2.0 * log_likelihood_ratio(p_hat, q, n) - (penalty(p_hat) + kappa) ** 2
-
-
-def mass_roots(p_hat: float, kappa: float, n: int) -> tuple[float, float]:
-    """The two hypothesized-mass roots around p_hat, or (nan, nan) when the
-    constraint is unsatisfiable."""
-    if kappa <= -penalty(p_hat):
-        return (np.nan, np.nan)
-    tiny = 1e-300
-    lo = brentq(_gap, tiny, p_hat, args=(p_hat, kappa, n), xtol=ROOT_TOL)
-    hi = brentq(_gap, p_hat, 1.0 - 1e-16, args=(p_hat, kappa, n), xtol=ROOT_TOL)
-    return (float(lo), float(hi))
-
-
-def mass_roots_batch(p_hat: np.ndarray, kappa: float, n: int, iters: int = 64):
-    """Vectorized bisection for the mass roots of many empirical masses.
-
-    Same equation as :func:`mass_roots`; used where one dataset needs bands
-    for thousands of intervals at once.  Unsatisfiable entries come back nan.
-    """
+def mass_roots_batch(p_hat: np.ndarray, kappa: float, n: int):
+    """Vectorized bisection for the two hypothesized-mass roots around each
+    empirical mass.  Unsatisfiable entries come back nan."""
     p = np.asarray(p_hat, dtype=float)
     root_level = penalty(p) + kappa
     target = root_level**2
@@ -78,7 +46,7 @@ def mass_roots_batch(p_hat: np.ndarray, kappa: float, n: int, iters: int = 64):
         else:
             a = p.copy()
             b = np.full_like(p, 1.0 - 1e-16)
-        for _ in range(iters):
+        for _ in range(64):
             mid = 0.5 * (a + b)
             g = 2.0 * log_likelihood_ratio(p, mid, n) - target
             # on the lower side g decreases in q, on the upper side it increases
@@ -96,29 +64,31 @@ def mass_roots_batch(p_hat: np.ndarray, kappa: float, n: int, iters: int = 64):
     return lo, hi
 
 
-def constraint_interval(
-    interval: IntervalSpec, sample: SortedSample, kappa: float
-) -> FeasibleBand:
-    """Feasible density band of one interval at threshold ``kappa``.
+@dataclass(frozen=True)
+class ConstraintTable:
+    """Density bands of every system interval for one dataset, in system
+    order (ascending right endpoint)."""
 
-    The band always contains the interval's own empirical average density;
-    an unsatisfiable constraint is returned as an explicit empty marker, not
-    an error.
-    """
-    p_hat = interval.count / sample.n
-    q_lo, q_hi = mass_roots(p_hat, kappa, sample.n)
-    if np.isnan(q_lo):
-        return FeasibleBand(interval, np.inf, -np.inf, empty=True)
+    a: np.ndarray  # left indices
+    b: np.ndarray  # right indices, ascending
+    lo: np.ndarray  # density lower bounds (+inf when the band is empty)
+    hi: np.ndarray  # density upper bounds (-inf when the band is empty)
+    start: np.ndarray  # start[i] .. start[i+1] rows have right endpoint i
+
+
+def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
+    """Feasible density band of every system interval at threshold ``kappa``."""
+    n = sample.n
+    j, k, _ = interval_arrays(n)
     x = sample.values
-    width = x[interval.k - 1] - x[interval.j - 1]
-    return FeasibleBand(interval, q_lo / width, q_hi / width)
-
-
-def feasible_bands(sample: SortedSample, kappa: float) -> list[FeasibleBand]:
-    """Bands for every interval of the system, in system order."""
-    from .intervals import build_interval_system
-
-    return [
-        constraint_interval(iv, sample, kappa)
-        for iv in build_interval_system(sample.n)
-    ]
+    counts = k - j
+    uniq, inv = np.unique(counts, return_inverse=True)
+    q_lo, q_hi = mass_roots_batch(uniq / n, kappa, n)
+    width = x[k - 1] - x[j - 1]
+    lo = q_lo[inv] / width
+    hi = q_hi[inv] / width
+    empty = np.isnan(lo)
+    lo = np.where(empty, np.inf, lo)
+    hi = np.where(empty, -np.inf, hi)
+    start = np.searchsorted(k, np.arange(n + 2))
+    return ConstraintTable(a=j, b=k, lo=lo, hi=hi, start=start)

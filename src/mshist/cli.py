@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import densities, evaluate, inference, io, multiscale
 from .dp import essential_histogram
-from .intervals import interval_arrays
+from .intervals import interval_arrays, max_scale
 from .sample import DuplicateValuesError
 
 EXIT_OK = 0
@@ -40,22 +40,19 @@ def _alpha_list(args) -> list[float]:
 
 
 def _get_table(n: int, args) -> multiscale.QuantileTable:
-    cache_dir = Path(args.cache_dir) if args.cache_dir else multiscale.default_cache_dir()
-    n_capped = min(n, multiscale.TABLE_N_CAP)
-    path = multiscale._cache_path(cache_dir, n_capped, args.reps, args.seed)
+    path = multiscale.table_path(n, args.reps, args.seed, args.cache_dir)
     if not path.exists():
         _warn(
-            f"no calibrated thresholds for n={n_capped} in {cache_dir}; "
+            f"no calibrated thresholds at {path}; "
             f"simulating now ({args.reps} replications) -- this can take a while"
         )
     return multiscale.simulate_quantiles(
-        n, reps=args.reps, seed=args.seed, cache_dir=cache_dir
+        n, reps=args.reps, seed=args.seed, cache_dir=args.cache_dir
     )
 
 
 def cmd_quantile(args) -> int:
-    jj, _, _ = interval_arrays(min(args.n, multiscale.TABLE_N_CAP))
-    if jj.size == 0:
+    if max_scale(args.n) < 2:  # the system has no level, so no intervals
         print(f"error: no calibration intervals exist for n={args.n}", file=sys.stderr)
         return EXIT_DATA
     table = _get_table(args.n, args)
@@ -90,12 +87,7 @@ def cmd_fit(args) -> int:
         table = _get_table(sample.n, args)
     many = len(alphas) > 1
     for alpha in alphas:
-        if small:
-            from .dp import _single_bin
-
-            fit = _single_bin(sample)
-        else:
-            fit = essential_histogram(sample, alpha, table)
+        fit = essential_histogram(sample, alpha, table)
         doc = io.histogram_document(fit, alpha)
         out = _out_path(args.out, alpha, many)
         io.write_json(doc, out)

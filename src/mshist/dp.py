@@ -13,11 +13,10 @@ maximal likelihood.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .bounds import BAND_SLACK, FeasibleBand, mass_roots_batch
+from .bounds import BAND_SLACK, ConstraintTable, constraint_table, in_band
 from .intervals import interval_arrays
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
@@ -117,131 +116,13 @@ class HistogramModel:
 
 
 # ---------------------------------------------------------------------------
-# constraint preparation
+# Bellman solver
 
 
-@dataclass(frozen=True)
-class _ConstraintTable:
-    """Dataset-specific band arrays of the interval system, grouped by right
-    endpoint for the sweep."""
-
-    a: np.ndarray  # left indices
-    b: np.ndarray  # right indices, ascending
-    lo: np.ndarray  # density lower bounds (+inf when the band is empty)
-    hi: np.ndarray  # density upper bounds (-inf when the band is empty)
-    start: np.ndarray  # start[i] .. start[i+1] rows have right endpoint i
-
-
-def _constraint_table(sample: SortedSample, kappa: float) -> _ConstraintTable:
-    n = sample.n
-    j, k, _ = interval_arrays(n)
-    x = sample.values
-    counts = k - j
-    uniq, inv = np.unique(counts, return_inverse=True)
-    q_lo, q_hi = mass_roots_batch(uniq / n, kappa, n)
-    width = x[k - 1] - x[j - 1]
-    lo = q_lo[inv] / width
-    hi = q_hi[inv] / width
-    empty = np.isnan(lo)
-    lo = np.where(empty, np.inf, lo)
-    hi = np.where(empty, -np.inf, hi)
-    start = np.searchsorted(k, np.arange(n + 2))
-    return _ConstraintTable(a=j, b=k, lo=lo, hi=hi, start=start)
-
-
-def segment_cost(
-    j: int, i: int, sample: SortedSample, bands: list[FeasibleBand]
-) -> float:
-    """Cost of block (j, i], or +inf when some contained interval's band
-    excludes the block's average density.
-
-    Exhaustive containment semantics; the DP sweep reproduces this exactly.
-    """
-    if not 0 <= j < i <= sample.n:
-        raise ValueError("need 0 <= j < i <= n")
-    x = sample.values
-    if j == 0:
-        count = i
-        width = x[i - 1] - x[0]
-    else:
-        count = i - j
-        width = x[i - 1] - x[j - 1]
-    if width <= 0.0:
-        return np.inf
-    mu = count / (sample.n * width)
-    for band in bands:
-        if band.interval.j >= max(j, 1) and band.interval.k <= i:
-            if not band.contains(mu):
-                return np.inf
-    return -count * np.log(mu)
-
-
-# ---------------------------------------------------------------------------
-# Bellman solvers
-
-
-def _block_geometry(x: np.ndarray, n: int, i: int):
-    """counts and widths of blocks (j, i] for j = 0 .. i-1."""
-    counts = np.empty(i, dtype=np.int64)
-    counts[0] = i
-    counts[1:] = i - np.arange(1, i)
-    left = np.empty(i)
-    left[0] = x[0]
-    left[1:] = x[: i - 1]
-    widths = x[i - 1] - left
-    return counts, widths
-
-
-def _feasible_mask(mu: np.ndarray, slo: np.ndarray, shi: np.ndarray) -> np.ndarray:
-    return (mu >= slo * (1.0 - BAND_SLACK)) & (mu <= shi * (1.0 + BAND_SLACK))
-
-
-def _bellman_unpruned(sample: SortedSample, table: _ConstraintTable):
-    """Plain recursion over all predecessors; reference for the pruned solver."""
-    x = sample.values
-    n = sample.n
-    big = n + 2
-    K = np.full(n + 1, big, dtype=np.int64)
-    V = np.full(n + 1, np.inf)
-    pred = np.full(n + 1, -1, dtype=np.int64)
-    K[0] = 0
-    V[0] = 0.0
-    # lmax[a] / umin[a]: tightest band among processed intervals with left
-    # endpoint a; suffix aggregation over a >= j gives the block constraint
-    lmax = np.full(n + 1, -np.inf)
-    umin = np.full(n + 1, np.inf)
-    for i in range(1, n + 1):
-        for r in range(table.start[i], table.start[i + 1]):
-            a = table.a[r]
-            if table.lo[r] > lmax[a]:
-                lmax[a] = table.lo[r]
-            if table.hi[r] < umin[a]:
-                umin[a] = table.hi[r]
-        # slo[j], shi[j] for j = 0..i-1 (j = 0 aggregates a >= 1, same as j = 1)
-        slo = np.maximum.accumulate(lmax[i - 1 :: -1])[::-1]
-        shi = np.minimum.accumulate(umin[i - 1 :: -1])[::-1]
-        slo[0] = slo[1] if i > 1 else lmax[0]
-        shi[0] = shi[1] if i > 1 else umin[0]
-        counts, widths = _block_geometry(x, n, i)
-        with np.errstate(divide="ignore"):
-            mu = counts / (n * widths)
-        feas = _feasible_mask(mu, slo, shi) & (widths > 0.0) & (K[:i] < big)
-        if not feas.any():
-            continue
-        kmin = K[:i][feas].min() + 1
-        cand = feas & (K[:i] == kmin - 1)
-        cost = V[:i] - counts * np.log(mu)
-        cost = np.where(cand, cost, np.inf)
-        jbest = int(np.argmin(cost))  # argmin takes the smallest index on ties
-        K[i] = kmin
-        V[i] = cost[jbest]
-        pred[i] = jbest
-    return K, V, pred
-
-
-def _bellman_pruned(sample: SortedSample, table: _ConstraintTable):
+def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
     """Round-based recursion with search-set restriction and the empty-band
-    stopping rule; output-identical to the unpruned recursion."""
+    stopping rule; output-identical to the plain recursion over all
+    predecessors (kept in tests/reference.py)."""
     x = sample.values
     n = sample.n
     big = n + 2
@@ -289,7 +170,7 @@ def _bellman_pruned(sample: SortedSample, table: _ConstraintTable):
             counts = np.where(usable == 0, i, i - usable)
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu = counts / (n * widths)
-            feas = (widths > 0.0) & _feasible_mask(mu, slo_a, shi_a)
+            feas = (widths > 0.0) & in_band(mu, slo_a, shi_a)
             if not feas.any():
                 continue
             cost = v_active[: usable.size] - counts * np.log(mu)
@@ -346,77 +227,19 @@ def _model_from_cuts(sample: SortedSample, cuts: list[int]) -> HistogramModel:
     )
 
 
-def _single_bin(sample: SortedSample) -> HistogramModel:
-    return _model_from_cuts(sample, [0, sample.n])
-
-
 def essential_histogram(
-    sample: SortedSample,
-    alpha: float,
-    table: QuantileTable,
-    *,
-    pruned: bool = True,
+    sample: SortedSample, alpha: float, table: QuantileTable | None
 ) -> HistogramModel:
     """The fewest-bins histogram whose every constant stretch passes the
     local constraints at level alpha; ties resolved by maximal likelihood.
 
     Falls back to a single bin when the interval system is empty (sample too
-    small for multiscale calibration).
+    small for multiscale calibration); ``table`` is not read then.
     """
     n = sample.n
     j, _, _ = interval_arrays(n)
     if j.size == 0:
-        return _single_bin(sample)
+        return _model_from_cuts(sample, [0, n])
     kappa = lookup_kappa(table, alpha, n)
-    ctab = _constraint_table(sample, kappa)
-    solver = _bellman_pruned if pruned else _bellman_unpruned
-    K, V, pred = solver(sample, ctab)
-    cuts = _backtrack(pred, n)
-    return _model_from_cuts(sample, cuts)
-
-
-def brute_force_histogram(
-    sample: SortedSample, alpha: float, table: QuantileTable
-) -> HistogramModel:
-    """Exhaustive-search oracle over all segmentations; n <= 16.
-
-    Ties: minimal block count, then minimal total cost, then the
-    lexicographically smallest breakpoint index sequence.
-    """
-    n = sample.n
-    if n > 16:
-        raise ValueError("brute force limited to n <= 16")
-    j, _, _ = interval_arrays(n)
-    if j.size == 0:
-        return _single_bin(sample)
-    from .bounds import feasible_bands
-
-    kappa = lookup_kappa(table, alpha, n)
-    bands = feasible_bands(sample, kappa)
-    cost = np.full((n + 1, n + 1), np.inf)
-    for jj in range(0, n):
-        for ii in range(jj + 1, n + 1):
-            cost[jj, ii] = segment_cost(jj, ii, sample, bands)
-    best = None  # (nblocks, total_cost, cuts)
-    interior = range(2, n)  # a cut at 1 would leave a zero-width first block
-    for r in range(0, n - 1):
-        for combo in combinations(interior, r):
-            nodes = (0,) + combo + (n,)
-            total = 0.0
-            ok = True
-            for a, b in zip(nodes, nodes[1:]):
-                c = cost[a, b]
-                if not np.isfinite(c):
-                    ok = False
-                    break
-                total += c
-            if not ok:
-                continue
-            key = (len(nodes) - 1, total, combo)
-            if best is None or key < best:
-                best = key
-        if best is not None and best[0] == r + 1:
-            break  # minimal block count found; larger r only adds blocks
-    if best is None:
-        raise RuntimeError("no feasible segmentation found (should be impossible)")
-    return _model_from_cuts(sample, [0, *best[2], n])
+    _, _, pred = _bellman_pruned(sample, constraint_table(sample, kappa))
+    return _model_from_cuts(sample, _backtrack(pred, n))

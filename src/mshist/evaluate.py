@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import ConstraintTable, constraint_table, in_band
 from .dp import HistogramModel
 from .intervals import IntervalSpec, interval_arrays
-from .multiscale import QuantileTable, log_likelihood_ratio, lookup_kappa, penalty
+from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
 #: longest run of adjacent segments considered when counting merges
@@ -58,31 +59,19 @@ def violation_intervals(
     table: QuantileTable,
 ) -> list[IntervalSpec]:
     """System intervals inside one constant piece of the estimator whose
-    value the local constraint rejects at level alpha.
+    value lies outside the interval's feasible band at level alpha.
 
-    A piece of height c over interval I is rejected when
-    sqrt(2*logLR(F_n(I), c*|I|)) - penalty(F_n(I)) > kappa, or outright when
-    c*|I| leaves (0, 1) (e.g. zero-height pieces covering sample points).
+    The bands and their slack are the ones the fit obeys, so a zero-height
+    piece over sample points, for instance, is always flagged.
     """
     n = sample.n
     j, k, scale = interval_arrays(n)
     if j.size == 0:
         return []
-    kappa = lookup_kappa(table, alpha, n)
+    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
     x = sample.values
-    lo, hi = x[j - 1], x[k - 1]
-    c = _piece_values(estimator, lo, hi)
-    applicable = ~np.isnan(c)
-    p_hat = (k - j) / n
-    p0 = c * (hi - lo)
-    bad = applicable & ((p0 <= 0.0) | (p0 >= 1.0))
-    check = applicable & ~bad
-    stat = np.full(j.size, -np.inf)
-    if check.any():
-        stat[check] = np.sqrt(
-            2.0 * log_likelihood_ratio(p_hat[check], p0[check], n)
-        ) - penalty(p_hat[check])
-    viol = bad | (stat > kappa)
+    c = _piece_values(estimator, x[j - 1], x[k - 1])
+    viol = ~np.isnan(c) & ~in_band(c, ctab.lo, ctab.hi)
     return [
         IntervalSpec(int(a), int(b), int(s))
         for a, b, s in zip(j[viol], k[viol], scale[viol])
@@ -94,10 +83,10 @@ def _merge_admissible(
     estimator: HistogramModel,
     first: int,
     last: int,
-    kappa: float,
+    ctab: ConstraintTable,
 ) -> bool:
     """True when segments first..last (inclusive) pooled into one constant
-    block satisfy every contained system constraint."""
+    block lie in the band of every system interval inside the block."""
     n = sample.n
     x = sample.values
     breaks = estimator.breaks
@@ -110,19 +99,14 @@ def _merge_admissible(
         )
         if first == 0:
             count += int(np.sum(x == lo_v))
-    width = hi_v - lo_v
-    mu = count / (n * width)
-    j, k, _ = interval_arrays(n)
-    xl, xr = x[j - 1], x[k - 1]
-    inside = (xl >= lo_v) & (xr <= hi_v)
-    if not inside.any():
-        return True
-    p0 = mu * (xr[inside] - xl[inside])
-    if np.any((p0 <= 0.0) | (p0 >= 1.0)):
-        return False
-    p_hat = (k[inside] - j[inside]) / n
-    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, p0, n)) - penalty(p_hat)
-    return bool(np.all(stat <= kappa))
+    mu = count / (n * (hi_v - lo_v))
+    # rows (a, b] with x[a-1] >= lo_v and x[b-1] <= hi_v: the first
+    # start[b_max + 1] rows end by b_max, and of those the left end decides
+    a_min = np.searchsorted(x, lo_v, side="left") + 1
+    b_max = np.searchsorted(x, hi_v, side="right")
+    rows = slice(0, ctab.start[b_max + 1])
+    inside = ctab.a[rows] >= a_min
+    return bool(np.all(in_band(mu, ctab.lo[rows][inside], ctab.hi[rows][inside])))
 
 
 def removable_changepoints(
@@ -130,15 +114,14 @@ def removable_changepoints(
     estimator: HistogramModel,
     alpha: float,
     table: QuantileTable,
-    *,
-    window: int = MERGE_WINDOW,
 ) -> list[tuple[int, int]]:
     """Change-points of the estimator that the data do not require.
 
     A change-point is removable when pooling its two adjacent segments into
     one constant block passes all contained constraints; its multiplicity
-    counts every admissible contiguous merge of 2..window segments covering
-    it.  Returned as (breakpoint index into estimator.breaks, multiplicity).
+    counts every admissible contiguous merge of 2..MERGE_WINDOW segments
+    covering it.  Returned as (breakpoint index into estimator.breaks,
+    multiplicity).
     """
     if estimator.nbins < 2:
         return []
@@ -146,13 +129,13 @@ def removable_changepoints(
     j, _, _ = interval_arrays(n)
     if j.size == 0:
         return []
-    kappa = lookup_kappa(table, alpha, n)
+    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
     nb = estimator.nbins
     admissible = {}
     for first in range(nb):
-        for last in range(first + 1, min(first + window, nb)):
+        for last in range(first + 1, min(first + MERGE_WINDOW, nb)):
             admissible[(first, last)] = _merge_admissible(
-                sample, estimator, first, last, kappa
+                sample, estimator, first, last, ctab
             )
     out = []
     for cp in range(1, nb):  # interior breakpoints
@@ -172,16 +155,11 @@ def audit(
     estimator: HistogramModel,
     alpha: float,
     table: QuantileTable,
-    *,
-    window: int = MERGE_WINDOW,
 ) -> AuditReport:
     """Full audit: violation intervals plus removable change-points."""
-    kappa = lookup_kappa(table, alpha, sample.n)
     return AuditReport(
         violations=violation_intervals(sample, estimator, alpha, table),
-        removable=removable_changepoints(
-            sample, estimator, alpha, table, window=window
-        ),
+        removable=removable_changepoints(sample, estimator, alpha, table),
         alpha=alpha,
-        kappa=kappa,
+        kappa=lookup_kappa(table, alpha, sample.n),
     )

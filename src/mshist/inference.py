@@ -36,24 +36,13 @@ class FeatureInterval:
             raise ValueError("margin must be strictly positive")
 
 
-def confidence_radius(
-    interval: IntervalSpec, sample: SortedSample, kappa: float
-) -> float:
-    """Simultaneous confidence radius of one interval's average density.
+def _radii(sample: SortedSample, kappa: float):
+    """Simultaneous confidence radii of the system intervals' average
+    densities, with those densities and the intervals' endpoints.
 
-    With p the interval's empirical mass and c = penalty(p) + kappa:
+    With p an interval's empirical mass and c = penalty(p) + kappa:
     r = (2c/width) * (sqrt(p*(1-p)/n) + c/(2n)).
     """
-    n = sample.n
-    x = sample.values
-    p = interval.count / n
-    c = penalty(p) + kappa
-    width = x[interval.k - 1] - x[interval.j - 1]
-    return (2.0 * c / width) * (np.sqrt(p * (1.0 - p) / n) + c / (2.0 * n))
-
-
-def _radii(sample: SortedSample, kappa: float):
-    """Vectorized radii, densities and endpoints for the whole system."""
     n = sample.n
     j, k, _ = interval_arrays(n)
     x = sample.values

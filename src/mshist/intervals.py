@@ -35,24 +35,20 @@ class IntervalSpec:
         return self.k - self.j
 
 
-def max_scale(n: int, *, log_base: str = "natural") -> int:
-    """Deepest dyadic level; ``log_base`` selects how the inner log of
-    n/log(n) is read ("natural" default, "base2" shrinks by <= 1 level)."""
+def max_scale(n: int) -> int:
+    """Deepest dyadic level, floor(log2(n / log(n)))."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    inner = math.log(n) if log_base == "natural" else math.log2(n)
-    if inner <= 0 or n / inner <= 1:
-        return 0
-    return int(math.floor(math.log2(n / inner)))
+    return int(math.floor(math.log2(n / math.log(n))))
 
 
 @lru_cache(maxsize=64)
-def interval_arrays(n: int, log_base: str = "natural"):
+def interval_arrays(n: int):
     """(j, k, scale) index arrays of the full system, sorted by (k, j).
 
     Cached per n; arrays are read-only.
     """
-    lmax = max_scale(n, log_base=log_base)
+    lmax = max_scale(n)
     js, ks, ls = [], [], []
     for lev in range(2, lmax + 1):
         m = n * 2.0 ** (-lev)
@@ -82,21 +78,3 @@ def interval_arrays(n: int, log_base: str = "natural"):
     for a in (j, k, lev):
         a.flags.writeable = False
     return j, k, lev
-
-
-def build_interval_system(n: int, *, log_base: str = "natural") -> list[IntervalSpec]:
-    """All intervals of the system for sample size n, sorted by right index
-    then left index.  Empty when no level >= 2 exists (small n)."""
-    j, k, lev = interval_arrays(n, log_base)
-    return [IntervalSpec(int(a), int(b), int(s)) for a, b, s in zip(j, k, lev)]
-
-
-def intervals_within(system: list[IntervalSpec], j: int, k: int) -> list[IntervalSpec]:
-    """Members of ``system`` contained in the index range (j, k].
-
-    Index containment (j <= I.j and I.k <= k) is equivalent to set
-    containment of the half-open value intervals.
-    """
-    if not 0 <= j < k:
-        raise ValueError("need 0 <= j < k")
-    return [iv for iv in system if j <= iv.j and iv.k <= k]

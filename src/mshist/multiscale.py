@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .intervals import interval_arrays, IntervalSpec
+from .intervals import interval_arrays
 from .sample import SortedSample
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
@@ -51,45 +52,17 @@ def penalty(p_hat):
     return out if out.ndim else float(out)
 
 
-def local_statistic(interval: IntervalSpec, mu: float, sample: SortedSample) -> float:
-    """Penalized root-LR statistic of one interval against the constant
-    density candidate ``mu``.
-
-    Raises ValueError when ``mu * |I|`` leaves (0, 1), which signals an
-    infeasible candidate (callers treat it as an infinite violation).
-    """
-    x = sample.values
-    width = x[interval.k - 1] - x[interval.j - 1]
-    p0 = mu * width
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"candidate mass mu*|I| = {p0} outside (0, 1)")
-    p_hat = interval.count / sample.n
-    return float(
-        np.sqrt(2.0 * log_likelihood_ratio(p_hat, p0, sample.n)) - penalty(p_hat)
-    )
-
-
-def multiscale_statistic(sample: SortedSample, true_mass=None, *, cdf=None) -> float:
+def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     """Global statistic: the maximum over the interval system of the
-    penalized root-LR deviation between the true interval mass and the
-    empirical one.
-
-    ``true_mass`` maps an IntervalSpec to its mass under the true
-    distribution; alternatively pass a vectorized ``cdf`` for speed.
+    penalized root-LR deviation between the true interval mass, given by the
+    vectorized true ``cdf``, and the empirical one.
     """
     n = sample.n
     j, k, _ = interval_arrays(n)
     if j.size == 0:
         raise ValueError(f"interval system empty for n={n}; sample too small")
-    if cdf is not None:
-        x = sample.values
-        p0 = cdf(x[k - 1]) - cdf(x[j - 1])
-    elif true_mass is not None:
-        from .intervals import build_interval_system
-
-        p0 = np.array([true_mass(iv) for iv in build_interval_system(n)])
-    else:
-        raise ValueError("provide true_mass or cdf")
+    x = sample.values
+    p0 = cdf(x[k - 1]) - cdf(x[j - 1])
     p_hat = (k - j) / n
     stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, p0, n)) - penalty(p_hat)
     return float(stat.max())
@@ -181,13 +154,16 @@ class QuantileTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantileTable":
+        if d.get("version") != TABLE_VERSION:
+            raise ValueError(
+                f"table format version {d.get('version')!r}, expected {TABLE_VERSION}"
+            )
         return cls(
             n=int(d["n"]),
             alphas=tuple(float(a) for a in d["alphas"]),
             kappas=tuple(float(k) for k in d["kappas"]),
             reps=int(d["reps"]),
             seed=int(d["seed"]),
-            version=int(d["version"]),
         )
 
 
@@ -198,8 +174,12 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "mshist"
 
 
-def _cache_path(cache_dir: Path, n: int, reps: int, seed: int) -> Path:
-    return cache_dir / f"kappa_v{TABLE_VERSION}_n{n}_reps{reps}_seed{seed}.json"
+def table_path(n: int, reps: int, seed: int, cache_dir=None) -> Path:
+    """Cache file of the table serving sample size n; sizes above the cap
+    share the capped table."""
+    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    n_capped = min(n, TABLE_N_CAP)
+    return cache_dir / f"kappa_v{TABLE_VERSION}_n{n_capped}_reps{reps}_seed{seed}.json"
 
 
 def simulate_quantiles(
@@ -216,16 +196,17 @@ def simulate_quantiles(
 
     Sample sizes above the cap share one table (the statistic's distribution
     has visibly converged there).  Tables are cached as write-once JSON files
-    keyed by (capped n, reps, seed, format version).
+    keyed by (capped n, reps, seed, format version): an existing file is
+    never replaced, so a request for another alpha grid is simulated afresh
+    and returned without being cached.
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
     n_capped = min(n, TABLE_N_CAP)
     alphas = tuple(float(a) for a in alphas)
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    path = _cache_path(cache_dir, n_capped, reps, seed)
+    path = table_path(n, reps, seed, cache_dir)
     if use_cache and path.exists():
-        table = QuantileTable.from_dict(json.loads(path.read_text()))
+        table = load_table(path)
         if table.alphas == alphas:
             return table
     t = simulate_statistics(n_capped, reps, seed, workers=workers)
@@ -234,11 +215,16 @@ def simulate_quantiles(
     table = QuantileTable(
         n=n_capped, alphas=alphas, kappas=kappas, reps=reps, seed=seed
     )
-    if use_cache:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(table.to_dict()))
-        os.replace(tmp, path)
+    if use_cache and not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(json.dumps(table.to_dict()))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return table
 
 

@@ -11,12 +11,10 @@ os.environ.setdefault("MSHIST_CACHE_DIR", str(TABLES_DIR))
 
 def table_for(n: int):
     """Committed calibration table for one of the pre-simulated sizes."""
-    from mshist import simulate_quantiles
+    from mshist import simulate_quantiles, table_path
 
     reps = 5000 if n in (500, 1000, 3000) else 2000
-    from mshist.multiscale import _cache_path
-
-    path = _cache_path(TABLES_DIR, n, reps, SEED)
+    path = table_path(n, reps, SEED, TABLES_DIR)
     assert path.exists(), f"missing committed table {path}"
     return simulate_quantiles(n, reps=reps, seed=SEED, cache_dir=TABLES_DIR)
 

@@ -1,0 +1,244 @@
+"""Reference implementations the library is checked against.
+
+Plain and exhaustive versions of what ``mshist`` computes faster: the
+scalar brentq band solver, the per-interval bands built on it, the list form
+of the interval system, the plain Bellman recursion over all predecessors,
+and the exhaustive-search oracle.  The oracle solves its own bands, so it
+shares only the membership test :func:`mshist.bounds.in_band` with the fit.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
+from scipy.optimize import brentq
+
+from mshist.bounds import ConstraintTable, constraint_table, in_band
+from mshist.dp import HistogramModel, _backtrack, _model_from_cuts
+from mshist.intervals import IntervalSpec, interval_arrays
+from mshist.multiscale import QuantileTable, log_likelihood_ratio, lookup_kappa, penalty
+from mshist.sample import SortedSample
+
+#: absolute tolerance of the mass roots
+ROOT_TOL = 1e-10
+
+
+def build_interval_system(n: int) -> list[IntervalSpec]:
+    """All intervals of the system for sample size n, sorted by right index
+    then left index.  Empty when no level >= 2 exists (small n)."""
+    j, k, lev = interval_arrays(n)
+    return [IntervalSpec(int(a), int(b), int(s)) for a, b, s in zip(j, k, lev)]
+
+
+# ---------------------------------------------------------------------------
+# scalar bands
+
+
+@dataclass(frozen=True)
+class FeasibleBand:
+    """Feasible constant-density band [lower, upper] of one interval.
+
+    ``empty`` marks an unsatisfiable constraint (kappa below the negated
+    penalty); lower/upper are then meaningless and set to +inf/-inf so any
+    accidental membership test fails.
+    """
+
+    interval: IntervalSpec
+    lower: float
+    upper: float
+    empty: bool = False
+
+    def contains(self, mu: float) -> bool:
+        if self.empty:
+            return False
+        return bool(in_band(mu, self.lower, self.upper))
+
+
+def _gap(q: float, p_hat: float, kappa: float, n: int) -> float:
+    return 2.0 * log_likelihood_ratio(p_hat, q, n) - (penalty(p_hat) + kappa) ** 2
+
+
+def mass_roots(p_hat: float, kappa: float, n: int) -> tuple[float, float]:
+    """The two hypothesized-mass roots around p_hat, or (nan, nan) when the
+    constraint is unsatisfiable."""
+    if kappa <= -penalty(p_hat):
+        return (np.nan, np.nan)
+    tiny = 1e-300
+    lo = brentq(_gap, tiny, p_hat, args=(p_hat, kappa, n), xtol=ROOT_TOL)
+    hi = brentq(_gap, p_hat, 1.0 - 1e-16, args=(p_hat, kappa, n), xtol=ROOT_TOL)
+    return (float(lo), float(hi))
+
+
+def constraint_interval(
+    interval: IntervalSpec, sample: SortedSample, kappa: float
+) -> FeasibleBand:
+    """Feasible density band of one interval at threshold ``kappa``.
+
+    The band always contains the interval's own empirical average density;
+    an unsatisfiable constraint is returned as an explicit empty marker, not
+    an error.
+    """
+    p_hat = interval.count / sample.n
+    q_lo, q_hi = mass_roots(p_hat, kappa, sample.n)
+    if np.isnan(q_lo):
+        return FeasibleBand(interval, np.inf, -np.inf, empty=True)
+    x = sample.values
+    width = x[interval.k - 1] - x[interval.j - 1]
+    return FeasibleBand(interval, q_lo / width, q_hi / width)
+
+
+def feasible_bands(sample: SortedSample, kappa: float) -> list[FeasibleBand]:
+    """Bands for every interval of the system, in system order."""
+    return [
+        constraint_interval(iv, sample, kappa)
+        for iv in build_interval_system(sample.n)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# plain recursion
+
+
+def _block_geometry(x: np.ndarray, n: int, i: int):
+    """counts and widths of blocks (j, i] for j = 0 .. i-1."""
+    counts = np.empty(i, dtype=np.int64)
+    counts[0] = i
+    counts[1:] = i - np.arange(1, i)
+    left = np.empty(i)
+    left[0] = x[0]
+    left[1:] = x[: i - 1]
+    widths = x[i - 1] - left
+    return counts, widths
+
+
+def _bellman_unpruned(sample: SortedSample, table: ConstraintTable):
+    """Plain recursion over all predecessors; reference for the pruned solver."""
+    x = sample.values
+    n = sample.n
+    big = n + 2
+    K = np.full(n + 1, big, dtype=np.int64)
+    V = np.full(n + 1, np.inf)
+    pred = np.full(n + 1, -1, dtype=np.int64)
+    K[0] = 0
+    V[0] = 0.0
+    # lmax[a] / umin[a]: tightest band among processed intervals with left
+    # endpoint a; suffix aggregation over a >= j gives the block constraint
+    lmax = np.full(n + 1, -np.inf)
+    umin = np.full(n + 1, np.inf)
+    for i in range(1, n + 1):
+        for r in range(table.start[i], table.start[i + 1]):
+            a = table.a[r]
+            if table.lo[r] > lmax[a]:
+                lmax[a] = table.lo[r]
+            if table.hi[r] < umin[a]:
+                umin[a] = table.hi[r]
+        # slo[j], shi[j] for j = 0..i-1 (j = 0 aggregates a >= 1, same as j = 1)
+        slo = np.maximum.accumulate(lmax[i - 1 :: -1])[::-1]
+        shi = np.minimum.accumulate(umin[i - 1 :: -1])[::-1]
+        slo[0] = slo[1] if i > 1 else lmax[0]
+        shi[0] = shi[1] if i > 1 else umin[0]
+        counts, widths = _block_geometry(x, n, i)
+        with np.errstate(divide="ignore"):
+            mu = counts / (n * widths)
+        feas = in_band(mu, slo, shi) & (widths > 0.0) & (K[:i] < big)
+        if not feas.any():
+            continue
+        kmin = K[:i][feas].min() + 1
+        cand = feas & (K[:i] == kmin - 1)
+        cost = V[:i] - counts * np.log(mu)
+        cost = np.where(cand, cost, np.inf)
+        jbest = int(np.argmin(cost))  # argmin takes the smallest index on ties
+        K[i] = kmin
+        V[i] = cost[jbest]
+        pred[i] = jbest
+    return K, V, pred
+
+
+def unpruned_histogram(
+    sample: SortedSample, alpha: float, table: QuantileTable
+) -> HistogramModel:
+    """:func:`mshist.essential_histogram` with the plain recursion."""
+    n = sample.n
+    j, _, _ = interval_arrays(n)
+    if j.size == 0:
+        return _model_from_cuts(sample, [0, n])
+    kappa = lookup_kappa(table, alpha, n)
+    _, _, pred = _bellman_unpruned(sample, constraint_table(sample, kappa))
+    return _model_from_cuts(sample, _backtrack(pred, n))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive oracle
+
+
+def segment_cost(
+    j: int, i: int, sample: SortedSample, bands: list[FeasibleBand]
+) -> float:
+    """Cost of block (j, i], or +inf when some contained interval's band
+    excludes the block's average density.
+
+    Exhaustive containment semantics; the DP sweep reproduces this exactly.
+    """
+    if not 0 <= j < i <= sample.n:
+        raise ValueError("need 0 <= j < i <= n")
+    x = sample.values
+    if j == 0:
+        count = i
+        width = x[i - 1] - x[0]
+    else:
+        count = i - j
+        width = x[i - 1] - x[j - 1]
+    if width <= 0.0:
+        return np.inf
+    mu = count / (sample.n * width)
+    for band in bands:
+        if band.interval.j >= max(j, 1) and band.interval.k <= i:
+            if not band.contains(mu):
+                return np.inf
+    return -count * np.log(mu)
+
+
+def brute_force_histogram(
+    sample: SortedSample, alpha: float, table: QuantileTable
+) -> HistogramModel:
+    """Exhaustive-search oracle over all segmentations; n <= 16.
+
+    Ties: minimal block count, then minimal total cost, then the
+    lexicographically smallest breakpoint index sequence.
+    """
+    n = sample.n
+    if n > 16:
+        raise ValueError("brute force limited to n <= 16")
+    j, _, _ = interval_arrays(n)
+    if j.size == 0:
+        return _model_from_cuts(sample, [0, n])
+    kappa = lookup_kappa(table, alpha, n)
+    bands = feasible_bands(sample, kappa)
+    cost = np.full((n + 1, n + 1), np.inf)
+    for jj in range(0, n):
+        for ii in range(jj + 1, n + 1):
+            cost[jj, ii] = segment_cost(jj, ii, sample, bands)
+    best = None  # (nblocks, total_cost, cuts)
+    interior = range(2, n)  # a cut at 1 would leave a zero-width first block
+    for r in range(0, n - 1):
+        for combo in combinations(interior, r):
+            nodes = (0,) + combo + (n,)
+            total = 0.0
+            ok = True
+            for a, b in zip(nodes, nodes[1:]):
+                c = cost[a, b]
+                if not np.isfinite(c):
+                    ok = False
+                    break
+                total += c
+            if not ok:
+                continue
+            key = (len(nodes) - 1, total, combo)
+            if best is None or key < best:
+                best = key
+        if best is not None and best[0] == r + 1:
+            break  # minimal block count found; larger r only adds blocks
+    if best is None:
+        raise RuntimeError("no feasible segmentation found (should be impossible)")
+    return _model_from_cuts(sample, [0, *best[2], n])

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from mshist.densities import count_extrema, get_density, proposition1_check
-from mshist.dp import brute_force_histogram, essential_histogram
+from mshist.dp import essential_histogram
 from mshist.evaluate import audit
 from mshist.intervals import interval_arrays
 from mshist.multiscale import (
@@ -21,6 +21,7 @@ from mshist.multiscale import (
 from mshist.sample import SortedSample
 
 from conftest import SEED, table_for
+from reference import brute_force_histogram, unpruned_histogram
 
 DENSITY_CYCLE = ("uniform", "claw", "exponential")
 
@@ -74,8 +75,8 @@ def test_criterion_02_conservative_pruning():
         table = QuantileTable(
             n=n, alphas=(0.1,), kappas=(kap,), reps=100, seed=0
         )
-        a = essential_histogram(sample, 0.1, table, pruned=True)
-        b = essential_histogram(sample, 0.1, table, pruned=False)
+        a = essential_histogram(sample, 0.1, table)
+        b = unpruned_histogram(sample, 0.1, table)
         if a.cut_indices != b.cut_indices or not np.array_equal(
             a.heights, b.heights
         ):

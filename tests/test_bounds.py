@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from mshist.bounds import (
-    FeasibleBand,
-    constraint_interval,
-    feasible_bands,
-    mass_roots,
-    mass_roots_batch,
-)
-from mshist.intervals import build_interval_system
+from mshist.bounds import constraint_table, in_band, mass_roots_batch
 from mshist.multiscale import log_likelihood_ratio, penalty
 from mshist.sample import SortedSample
+
+from reference import build_interval_system, constraint_interval, mass_roots
 
 
 def gap_oracle(q, p_hat, kappa, n):
     return math.sqrt(2 * log_likelihood_ratio(p_hat, q, n)) - penalty(p_hat) - kappa
+
+
+def roots(p_hat, kappa, n):
+    lo, hi = mass_roots_batch(np.array([p_hat]), kappa, n)
+    return float(lo[0]), float(hi[0])
 
 
 class TestMassRoots:
@@ -25,23 +25,23 @@ class TestMassRoots:
         [(0.5, 2.0, 10), (0.5, 1.0, 500), (0.1, 0.5, 100), (0.9, 3.0, 40), (0.02, 1.5, 1000)],
     )
     def test_roots_solve_defining_equation(self, p_hat, kappa, n):
-        lo, hi = mass_roots(p_hat, kappa, n)
+        lo, hi = roots(p_hat, kappa, n)
         assert 0.0 < lo < p_hat < hi < 1.0
         assert gap_oracle(lo, p_hat, kappa, n) == pytest.approx(0.0, abs=1e-7)
         assert gap_oracle(hi, p_hat, kappa, n) == pytest.approx(0.0, abs=1e-7)
 
     def test_band_widens_with_kappa(self):
-        lo1, hi1 = mass_roots(0.5, 1.0, 100)
-        lo2, hi2 = mass_roots(0.5, 2.0, 100)
+        lo1, hi1 = roots(0.5, 1.0, 100)
+        lo2, hi2 = roots(0.5, 2.0, 100)
         assert lo2 < lo1 and hi2 > hi1
 
     def test_band_narrows_with_n(self):
-        lo1, hi1 = mass_roots(0.5, 1.0, 100)
-        lo2, hi2 = mass_roots(0.5, 1.0, 1000)
+        lo1, hi1 = roots(0.5, 1.0, 100)
+        lo2, hi2 = roots(0.5, 1.0, 1000)
         assert lo2 > lo1 and hi2 < hi1
 
     def test_unsatisfiable_returns_nan(self):
-        lo, hi = mass_roots(0.5, -penalty(0.5) - 0.1, 100)
+        lo, hi = roots(0.5, -penalty(0.5) - 0.1, 100)
         assert math.isnan(lo) and math.isnan(hi)
 
     def test_batch_matches_scalar(self):
@@ -64,41 +64,44 @@ class TestConstraintInterval:
     def test_band_contains_empirical_density(self):
         rng = np.random.default_rng(1)
         sample = SortedSample(rng.random(64))
-        for iv in build_interval_system(64)[::5]:
-            band = constraint_interval(iv, sample, 1.0)
-            x = sample.values
-            mu = iv.count / (64 * (x[iv.k - 1] - x[iv.j - 1]))
-            assert not band.empty
-            assert band.lower < mu < band.upper
-            assert band.contains(mu)
+        t = constraint_table(sample, 1.0)
+        x = sample.values
+        mu = (t.b - t.a) / (64 * (x[t.b - 1] - x[t.a - 1]))
+        assert np.all((t.lo < mu) & (mu < t.hi))
+        assert np.all(in_band(mu, t.lo, t.hi))
 
     def test_density_units_scale_with_width(self):
         x1 = SortedSample(np.linspace(0.0, 1.0, 32))
         x2 = SortedSample(np.linspace(0.0, 2.0, 32))
-        iv = build_interval_system(32)[0]
-        b1 = constraint_interval(iv, x1, 1.0)
-        b2 = constraint_interval(iv, x2, 1.0)
-        assert b2.lower == pytest.approx(b1.lower / 2.0, rel=1e-12)
-        assert b2.upper == pytest.approx(b1.upper / 2.0, rel=1e-12)
+        t1 = constraint_table(x1, 1.0)
+        t2 = constraint_table(x2, 1.0)
+        np.testing.assert_allclose(t2.lo, t1.lo / 2.0, rtol=1e-12)
+        np.testing.assert_allclose(t2.hi, t1.hi / 2.0, rtol=1e-12)
 
     def test_empty_band_marker(self):
         sample = SortedSample(np.linspace(0.0, 1.0, 32))
         iv = build_interval_system(32)[0]
         kappa = -penalty(iv.count / 32) - 1.0
-        band = constraint_interval(iv, sample, kappa)
-        assert band.empty
-        assert not band.contains(0.5)
+        t = constraint_table(sample, kappa)
+        assert t.lo[0] == np.inf and t.hi[0] == -np.inf
+        assert not in_band(0.5, t.lo[0], t.hi[0])
+        assert constraint_interval(iv, sample, kappa).empty
 
     def test_feasible_bands_covers_system(self):
+        # the table holds the reference's brentq band of every system interval
         sample = SortedSample(np.random.default_rng(2).random(50))
-        bands = feasible_bands(sample, 1.0)
-        assert [b.interval for b in bands] == build_interval_system(50)
+        t = constraint_table(sample, 1.0)
+        system = build_interval_system(50)
+        assert [(iv.j, iv.k) for iv in system] == list(zip(t.a, t.b))
+        bands = [constraint_interval(iv, sample, 1.0) for iv in system]
+        np.testing.assert_allclose(t.lo, [b.lower for b in bands], rtol=1e-8)
+        np.testing.assert_allclose(t.hi, [b.upper for b in bands], rtol=1e-8)
 
 
 class TestFeasibleBand:
     def test_membership_slack(self):
-        band = FeasibleBand(None, 1.0, 2.0)
-        assert band.contains(1.0 - 5e-10)
-        assert band.contains(2.0 + 1e-9)
-        assert not band.contains(0.999)
-        assert not band.contains(2.001)
+        assert in_band(1.0 - 5e-10, 1.0, 2.0)
+        assert in_band(2.0 + 1e-9, 1.0, 2.0)
+        assert not in_band(0.999, 1.0, 2.0)
+        assert not in_band(2.001, 1.0, 2.0)
+        assert not in_band(1.5, np.inf, -np.inf)

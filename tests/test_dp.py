@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from mshist.bounds import feasible_bands
-from mshist.dp import (
-    HistogramModel,
-    brute_force_histogram,
-    essential_histogram,
-    segment_cost,
-)
+from mshist.dp import HistogramModel, essential_histogram
+from mshist.intervals import IntervalSpec
 from mshist.multiscale import QuantileTable, lookup_kappa
 from mshist.sample import SortedSample
+
+from reference import (
+    FeasibleBand,
+    brute_force_histogram,
+    feasible_bands,
+    segment_cost,
+    unpruned_histogram,
+)
 
 ALPHAS = (0.05, 0.1, 0.3, 0.5, 0.9)
 
@@ -65,9 +68,6 @@ class TestSegmentCost:
         costs = [segment_cost(0, 16, sample, bands)]
         assert math.inf in costs or np.isfinite(costs[0])
         # with an empty band everything containing it is infeasible
-        from mshist.bounds import FeasibleBand
-        from mshist.intervals import IntervalSpec
-
         dead = FeasibleBand(IntervalSpec(2, 8, 2), math.inf, -math.inf, empty=True)
         assert segment_cost(0, 16, sample, [dead]) == math.inf
         assert segment_cost(8, 16, sample, [dead]) < math.inf
@@ -124,8 +124,8 @@ class TestEssentialHistogram:
 
         for seed in range(10):
             sample = get_density("exponential").sampler(seed, 150)
-            a = essential_histogram(sample, 0.1, tables(150), pruned=True)
-            b = essential_histogram(sample, 0.1, tables(150), pruned=False)
+            a = essential_histogram(sample, 0.1, tables(150))
+            b = unpruned_histogram(sample, 0.1, tables(150))
             assert a.cut_indices == b.cut_indices
             assert np.array_equal(a.breaks, b.breaks)
             assert np.array_equal(a.heights, b.heights)

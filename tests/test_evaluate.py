@@ -1,6 +1,6 @@
 import numpy as np
-import pytest
 
+from mshist.bounds import in_band
 from mshist.densities import get_density
 from mshist.dp import HistogramModel, essential_histogram
 from mshist.evaluate import (
@@ -8,9 +8,9 @@ from mshist.evaluate import (
     removable_changepoints,
     violation_intervals,
 )
-from mshist.intervals import build_interval_system
-from mshist.multiscale import local_statistic, lookup_kappa
-from mshist.sample import SortedSample
+from mshist.multiscale import lookup_kappa
+
+from reference import build_interval_system, mass_roots
 
 
 def single_bin(sample):
@@ -39,11 +39,13 @@ def halves(sample):
 
 class TestViolations:
     def test_self_audit_is_clean(self, tables):
-        for seed, density in enumerate(["uniform", "claw", "exponential"]):
-            sample = get_density(density).sampler(seed, 300)
-            fit = essential_histogram(sample, 0.1, tables(300))
-            report = audit(sample, fit, 0.1, tables(300))
-            assert report.clean
+        cases = [(0, "uniform", 300), (1, "claw", 300), (2, "exponential", 300),
+                 (0, "claw", 3000), (1, "harp", 3000)]
+        for seed, density, n in cases:
+            sample = get_density(density).sampler(seed, n)
+            fit = essential_histogram(sample, 0.1, tables(n))
+            report = audit(sample, fit, 0.1, tables(n))
+            assert report.clean, (density, n)
 
     def test_single_bin_on_bimodal_fails(self, tables):
         sample = get_density("bimodal").sampler(7, 500)
@@ -57,9 +59,14 @@ class TestViolations:
         mu = float(est.heights[0])
         v = violation_intervals(sample, est, 0.1, tables(500))
         flagged = {(iv.j, iv.k) for iv in v}
+        x = sample.values
+        roots = {}  # the reference band of an interval depends on its count only
         for iv in build_interval_system(500):
-            stat = local_statistic(iv, mu, sample)
-            assert ((iv.j, iv.k) in flagged) == (stat > kappa)
+            if iv.count not in roots:
+                roots[iv.count] = mass_roots(iv.count / 500, kappa, 500)
+            lo, hi = roots[iv.count]
+            width = x[iv.k - 1] - x[iv.j - 1]
+            assert ((iv.j, iv.k) in flagged) == (not in_band(mu, lo / width, hi / width))
 
     def test_zero_height_piece_with_mass_is_flagged(self, tables):
         # estimator support misses the sample's right half entirely
@@ -105,10 +112,12 @@ class TestRemovable:
         assert removable_changepoints(sample, single_bin(sample), 0.1, tables(300)) == []
 
     def test_essential_fit_has_none(self, tables):
-        for seed in range(5):
-            sample = get_density("claw").sampler(seed, 500)
-            fit = essential_histogram(sample, 0.1, tables(500))
-            assert removable_changepoints(sample, fit, 0.1, tables(500)) == []
+        cases = [(seed, "claw", 500) for seed in range(5)]
+        cases += [(0, "claw", 3000), (1, "harp", 3000)]
+        for seed, density, n in cases:
+            sample = get_density(density).sampler(seed, n)
+            fit = essential_histogram(sample, 0.1, tables(n))
+            assert removable_changepoints(sample, fit, 0.1, tables(n)) == [], (density, n)
 
     def test_multiplicity_counts_covering_merges(self, tables):
         # four equal bins on uniform data: every contiguous merge is feasible
@@ -128,20 +137,3 @@ class TestRemovable:
         mult = dict(rem)
         assert mult[2] >= mult[1] - 1  # central points covered at least as much
         assert all(m >= 1 for m in mult.values())
-
-    def test_window_cap(self, tables):
-        sample = get_density("uniform").sampler(4, 500)
-        x = sample.values
-        q = np.quantile(x, np.linspace(0, 1, 9))
-        q[0], q[-1] = x[0], x[-1]
-        idx = np.searchsorted(x, q[1:-1])
-        q = np.concatenate([[x[0]], x[idx], [x[-1]]])
-        counts = np.diff(np.searchsorted(x, q, side="right"))
-        counts[0] += 1
-        est = HistogramModel(
-            breaks=q, heights=counts / (500 * np.diff(q)), n=500, counts=counts
-        )
-        small = removable_changepoints(sample, est, 0.1, tables(500), window=2)
-        large = removable_changepoints(sample, est, 0.1, tables(500), window=5)
-        assert dict(small).keys() == dict(large).keys()
-        assert all(dict(large)[cp] >= dict(small)[cp] for cp, _ in small)

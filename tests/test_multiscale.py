@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from mshist.intervals import build_interval_system
 from mshist.multiscale import (
     DEFAULT_ALPHAS,
     QuantileTable,
     load_table,
-    local_statistic,
     log_likelihood_ratio,
     lookup_kappa,
     multiscale_statistic,
@@ -19,6 +17,8 @@ from mshist.multiscale import (
     simulate_statistics,
 )
 from mshist.sample import SortedSample
+
+from reference import build_interval_system
 
 
 def loglr_oracle(p_hat, p0, n):
@@ -85,25 +85,6 @@ class TestPenalty:
 
 
 class TestStatistics:
-    def test_local_statistic_matches_formula(self):
-        sample = SortedSample(np.linspace(0.0, 1.0, 20))
-        iv = build_interval_system(20)[0]
-        x = sample.values
-        width = x[iv.k - 1] - x[iv.j - 1]
-        mu = 0.8
-        got = local_statistic(iv, mu, sample)
-        p_hat = iv.count / 20
-        expect = math.sqrt(2 * loglr_oracle(p_hat, mu * width, 20)) - penalty(p_hat)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_local_statistic_rejects_infeasible_mass(self):
-        sample = SortedSample(np.linspace(0.0, 1.0, 20))
-        iv = build_interval_system(20)[0]
-        with pytest.raises(ValueError):
-            local_statistic(iv, 0.0, sample)
-        with pytest.raises(ValueError):
-            local_statistic(iv, 1e9, sample)
-
     def test_global_statistic_is_max_over_system(self):
         rng = np.random.default_rng(3)
         sample = SortedSample(rng.random(60))
@@ -154,12 +135,30 @@ class TestQuantileTable:
         save_table(t, tmp_path / "t.json")
         assert load_table(tmp_path / "t.json") == t
 
+    def test_rejects_other_format_version(self):
+        d = QuantileTable(10, (0.1, 0.5), (2.0, 1.0), 100, 0).to_dict()
+        for version in (0, 2, None):
+            with pytest.raises(ValueError):
+                QuantileTable.from_dict({**d, "version": version})
+
     def test_cache_hit_is_exact(self, tmp_path):
         t1 = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
         files = list(tmp_path.iterdir())
         t2 = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
         assert t1 == t2
         assert list(tmp_path.iterdir()) == files
+
+    def test_cache_file_is_write_once(self, tmp_path):
+        t1 = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        before = path.read_bytes()
+        t2 = simulate_quantiles(
+            20, alphas=(0.1, 0.5), reps=150, seed=9, cache_dir=tmp_path
+        )
+        assert t2.alphas == (0.1, 0.5)
+        assert t2.kappas == (t1.kappas[2], t1.kappas[5])
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
 
     def test_cache_file_content(self, tmp_path):
         t = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
