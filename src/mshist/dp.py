@@ -9,6 +9,26 @@ the feasible band of every system interval it contains; its cost is the
 negative log-likelihood contribution -count*log(count / (n*width)), so among
 all segmentations with minimal block count the solver returns the one of
 maximal likelihood.
+
+The solver works in rounds, as SMUCE does (Frick, Munk & Sieling, JRSSB
+2014): round k starts only from the nodes that round k - 1 reached first
+and reaches every node that k blocks reach but k - 1 do not.  A round
+sweeps the nodes left to right in chunks of CHUNK columns, with array
+operations on (column x candidate) grids and no loop over single nodes or
+table rows.  Its invariants:
+
+- the band of block (t, i] is the tightest over the system intervals [a, b]
+  with a >= t and b <= i, so it only narrows as i grows or as t falls;
+- so a candidate with an empty band stays dead for the rest of the round,
+  and the dead candidates are a prefix of the sorted active nodes: the live
+  ones are a suffix;
+- a round stops only when no live candidate is left, or at n.  Candidates
+  right of the sweep are live: K is not monotone in the node index, so they
+  may reach further than those already dead.
+
+Node n needs only the bands of the blocks (t, n], taken over the whole
+table once, so each round first tries to reach n and sweeps only if it
+cannot.
 """
 from __future__ import annotations
 
@@ -118,11 +138,88 @@ class HistogramModel:
 # ---------------------------------------------------------------------------
 # Bellman solver
 
+#: columns (right-end nodes) one step of a round's sweep handles at once
+CHUNK = 64
+
+
+def _block_cost(edge, V, n, t, i, lo, hi):
+    """Cost V[t] - count*log(mu) of blocks (t, i] (broadcast over t and i);
+    +inf where the block has no width or its density mu leaves [lo, hi]."""
+    w = edge[i] - edge[t]
+    counts = i - t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = counts / (n * w)
+        cost = V[t] - counts * np.log(mu)
+    return np.where((w > 0.0) & in_band(mu, lo, hi), cost, np.inf)
+
+
+def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
+    """One round: every node not reached yet that a feasible block from an
+    active node reaches gets K = k, its cost and its predecessor.  Returns
+    those nodes, ascending."""
+    n = edge.size - 1
+    big = n + 2
+    live = active
+    lo_t = np.full(live.size, -np.inf)  # band of blocks (t, i0 - 1], t in live
+    hi_t = np.full(live.size, np.inf)
+    reached = []
+    i0 = 1
+    while live.size:
+        i0 = max(i0, int(live[0]) + 1)  # no block ends at or before live[0]
+        if i0 > n:
+            break
+        i1 = min(i0 + CHUNK, n + 1)
+        todo = i0 + np.flatnonzero(K[i0:i1] == big)  # columns not reached yet
+        # one bucket per such column, and the chunk's last column for the
+        # death test
+        cols = np.append(todo, i1 - 1)
+        # blocks from nodes at or right of i1 - 1 end past this chunk and
+        # hold no table row yet: their band stays (-inf, inf)
+        m = int(np.searchsorted(live, i1 - 1))
+        lv = live[:m]
+        rows = slice(table.start[i0], table.start[i1])
+        g = np.searchsorted(lv, table.a[rows], "right") - 1
+        keep = g >= 0  # rows left of every live node bound none of them
+        cell = np.searchsorted(cols, table.b[rows][keep]) * m + g[keep]
+        L = np.full((cols.size, m), -np.inf)
+        H = np.full((cols.size, m), np.inf)
+        np.fmax.at(L.reshape(-1), cell, table.lo[rows][keep])
+        np.fmin.at(H.reshape(-1), cell, table.hi[rows][keep])
+        np.fmax(L[0], lo_t[:m], out=L[0])
+        np.fmin(H[0], hi_t[:m], out=H[0])
+        # prefix over columns, then suffix over nodes: the band of (t, i] is
+        # the tightest over rows with a >= t and b <= i
+        np.fmax.accumulate(L, axis=0, out=L)
+        np.fmin.accumulate(H, axis=0, out=H)
+        L = np.fmax.accumulate(L[:, ::-1], axis=1)[:, ::-1]
+        H = np.fmin.accumulate(H[:, ::-1], axis=1)[:, ::-1]
+        if todo.size:
+            cost = _block_cost(
+                edge, V, n, lv, todo[:, None], L[: todo.size], H[: todo.size]
+            )
+            pos = np.argmin(cost, axis=1)  # first index on ties
+            best = cost[np.arange(todo.size), pos]
+            hit = best < np.inf
+            got = todo[hit]
+            K[got] = k
+            V[got] = best[hit]
+            pred[got] = lv[pos[hit]]
+            reached.append(got)
+        lo_t[:m] = L[-1]
+        hi_t[:m] = H[-1]
+        # an empty band stays empty as i grows (L never falls, H never
+        # rises) and empties every longer block too: the dead are a prefix
+        alive = lo_t * (1.0 - BAND_SLACK) <= hi_t * (1.0 + BAND_SLACK)
+        live, lo_t, hi_t = live[alive], lo_t[alive], hi_t[alive]
+        i0 = i1
+    return np.concatenate(reached) if reached else np.empty(0, dtype=np.int64)
+
 
 def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
-    """Round-based recursion with search-set restriction and the empty-band
-    stopping rule; output-identical to the plain recursion over all
-    predecessors (kept in tests/reference.py)."""
+    """K (fewest blocks), V (cost) and pred (predecessor) of every node, by
+    rounds; identical at node n to the plain recursion over all predecessors
+    (kept in tests/reference.py).  Nodes that only the last round would
+    reach are left unset: the last round reaches n without a sweep."""
     x = sample.values
     n = sample.n
     big = n + 2
@@ -131,60 +228,28 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
     pred = np.full(n + 1, -1, dtype=np.int64)
     K[0] = 0
     V[0] = 0.0
-    active = np.array([0], dtype=np.int64)
+    # block (t, i] spans [edge[t], edge[i]] and holds i - t points; t = 0
+    # is the virtual left edge at X_(1)
+    edge = np.concatenate((x[:1], x))
+    # bands of the blocks (t, n]
+    lo_n = np.full(n + 1, -np.inf)
+    hi_n = np.full(n + 1, np.inf)
+    np.fmax.at(lo_n, table.a, table.lo)
+    np.fmin.at(hi_n, table.a, table.hi)
+    lo_n = np.fmax.accumulate(lo_n[::-1])[::-1]
+    hi_n = np.fmin.accumulate(hi_n[::-1])[::-1]
+    active = np.zeros(1, dtype=np.int64)
     k = 1
-    while K[n] == big:
-        base = int(active[0])  # smallest candidate left endpoint
-        lmax = np.full(n + 1, -np.inf)
-        umin = np.full(n + 1, np.inf)
-        v_active = V[active]
-        assigned = []
-        for i in range(base + 1, n + 1):
-            for r in range(table.start[i], table.start[i + 1]):
-                a = table.a[r]
-                if table.lo[r] > lmax[a]:
-                    lmax[a] = table.lo[r]
-                if table.hi[r] < umin[a]:
-                    umin[a] = table.hi[r]
-            lo_sl = lmax[base : i]
-            hi_sl = umin[base : i]
-            slo = np.maximum.accumulate(lo_sl[::-1])[::-1]
-            shi = np.minimum.accumulate(hi_sl[::-1])[::-1]
-            if base == 0:
-                # the virtual node aggregates a >= 1 like node 1 does
-                if i - base > 1:
-                    slo[0] = slo[1]
-                    shi[0] = shi[1]
-            usable = active[active < i]
-            slo_a = slo[usable - base]
-            shi_a = shi[usable - base]
-            if np.all(slo_a * (1.0 - BAND_SLACK) > shi_a * (1.0 + BAND_SLACK)):
-                break  # no constant density fits any candidate block anymore
-            if K[i] < big:
-                continue
-            if usable.size == 0:
-                continue
-            xi = x[i - 1]
-            left = np.where(usable == 0, x[0], x[np.maximum(usable, 1) - 1])
-            widths = xi - left
-            counts = np.where(usable == 0, i, i - usable)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mu = counts / (n * widths)
-            feas = (widths > 0.0) & in_band(mu, slo_a, shi_a)
-            if not feas.any():
-                continue
-            cost = v_active[: usable.size] - counts * np.log(mu)
-            cost = np.where(feas, cost, np.inf)
-            pos = int(np.argmin(cost))
-            K[i] = k
-            V[i] = cost[pos]
-            pred[i] = usable[pos]
-            assigned.append(i)
-        if not assigned:
+    while True:
+        cost = _block_cost(edge, V, n, active, n, lo_n[active], hi_n[active])
+        pos = int(np.argmin(cost))
+        if cost[pos] < np.inf:
+            K[n], V[n], pred[n] = k, cost[pos], active[pos]
+            return K, V, pred
+        active = _sweep(table, edge, K, V, pred, active, k)
+        if not active.size:
             raise RuntimeError("dynamic program stalled; constraint table inconsistent")
-        active = np.asarray(assigned, dtype=np.int64)
         k += 1
-    return K, V, pred
 
 
 def _backtrack(pred: np.ndarray, n: int) -> list[int]:

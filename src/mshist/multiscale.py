@@ -197,8 +197,8 @@ def simulate_quantiles(
     Sample sizes above the cap share one table (the statistic's distribution
     has visibly converged there).  Tables are cached as write-once JSON files
     keyed by (capped n, reps, seed, format version): an existing file is
-    never replaced, so a request for another alpha grid is simulated afresh
-    and returned without being cached.
+    never replaced, not even by a concurrent writer, so a request for another
+    alpha grid is simulated afresh and returned without being cached.
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
@@ -221,10 +221,14 @@ def simulate_quantiles(
         try:
             with os.fdopen(fd, "w") as f:
                 f.write(json.dumps(table.to_dict()))
-            os.replace(tmp, path)
-        except BaseException:
+            # unlike a rename, a hard link never replaces a file that
+            # appeared since the check: of two first writers, the earlier
+            # one's file stays
+            os.link(tmp, path)
+        except FileExistsError:
+            pass
+        finally:
             os.unlink(tmp)
-            raise
     return table
 
 

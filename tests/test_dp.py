@@ -3,13 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from mshist.dp import HistogramModel, essential_histogram
+from mshist.bounds import constraint_table
+from mshist.densities import get_density
+from mshist.dp import (
+    CHUNK,
+    HistogramModel,
+    _backtrack,
+    _bellman_pruned,
+    _model_from_cuts,
+    essential_histogram,
+)
 from mshist.intervals import IntervalSpec
 from mshist.multiscale import QuantileTable, lookup_kappa
 from mshist.sample import SortedSample
 
 from reference import (
     FeasibleBand,
+    _bellman_unpruned,
     brute_force_histogram,
     feasible_bands,
     segment_cost,
@@ -21,6 +31,22 @@ ALPHAS = (0.05, 0.1, 0.3, 0.5, 0.9)
 
 def synthetic_table(n, kappas=(2.0, 1.6, 1.0, 0.6, 0.1)):
     return QuantileTable(n=n, alphas=ALPHAS, kappas=kappas, reps=100, seed=0)
+
+
+def gapped_sample(seed, n=100):
+    """Spacings spread over five orders of magnitude: the reached-in-k-blocks
+    count K is far from monotone in the node index on such data."""
+    rng = np.random.default_rng(seed)
+    return SortedSample(
+        np.cumsum(rng.exponential(size=n) * 10.0 ** rng.choice([-3, 0, 2], n))
+    )
+
+
+def solve(solver, sample, kappa):
+    """Fit, V[n] and K[n] of one Bellman solver at threshold kappa."""
+    K, V, pred = solver(sample, constraint_table(sample, kappa))
+    n = sample.n
+    return _model_from_cuts(sample, _backtrack(pred, n)), V[n], K[n]
 
 
 class TestHistogramModel:
@@ -129,6 +155,39 @@ class TestEssentialHistogram:
             assert a.cut_indices == b.cut_indices
             assert np.array_equal(a.breaks, b.breaks)
             assert np.array_equal(a.heights, b.heights)
+
+    def test_round_continues_past_dead_usable_candidates(self):
+        # round 4 starts from nodes 24-29 and 44-55; the blocks from 24-29
+        # are all dead at node 44, but node 55 still reaches n in one block
+        sample = gapped_sample(4)
+        table = QuantileTable(n=100, alphas=(0.1,), kappas=(0.5,), reps=100, seed=0)
+        fit = essential_histogram(sample, 0.1, table)
+        assert fit.cut_indices == (0, 34, 39, 55, 100)
+        assert fit.cut_indices == unpruned_histogram(sample, 0.1, table).cut_indices
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 1.5])
+    def test_pruned_equals_unpruned_on_gapped_data(self, kappa):
+        for seed in range(60):
+            sample = gapped_sample(seed)
+            a, va, ka = solve(_bellman_pruned, sample, kappa)
+            b, vb, kb = solve(_bellman_unpruned, sample, kappa)
+            assert a.cut_indices == b.cut_indices, seed
+            assert np.array_equal(a.heights, b.heights), seed
+            assert (va, ka) == (vb, kb), seed
+
+    @pytest.mark.parametrize("family", ["claw", "harp"])
+    def test_many_chunks_and_rounds_match_reference(self, family):
+        n = 1500
+        assert n > 20 * CHUNK
+        for seed in range(2):
+            sample = get_density(family).sampler(seed, n)
+            for kappa in (0.5, 1.2):
+                a, va, ka = solve(_bellman_pruned, sample, kappa)
+                b, vb, kb = solve(_bellman_unpruned, sample, kappa)
+                assert ka >= 8  # rounds
+                assert a.cut_indices == b.cut_indices
+                assert np.array_equal(a.heights, b.heights)
+                assert (va, ka) == (vb, kb)
 
     def test_affine_equivariance(self, tables):
         rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mshist.multiscale import (
     save_table,
     simulate_quantiles,
     simulate_statistics,
+    table_path,
 )
 from mshist.sample import SortedSample
 
@@ -159,6 +161,22 @@ class TestQuantileTable:
         assert t2.kappas == (t1.kappas[2], t1.kappas[5])
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
+
+    def test_concurrent_first_writer_keeps_its_file(self, tmp_path, monkeypatch):
+        path = table_path(20, 150, 9, tmp_path)
+        rival = b'{"written": "by the first writer"}'
+        mkstemp = tempfile.mkstemp
+
+        def rival_writes_first(*args, **kwargs):
+            # another process creates the file after the exists check
+            path.write_bytes(rival)
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", rival_writes_first)
+        t = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
+        assert path.read_bytes() == rival
+        assert list(tmp_path.iterdir()) == [path]
+        assert t == simulate_quantiles(20, reps=150, seed=9, use_cache=False)
 
     def test_cache_file_content(self, tmp_path):
         t = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
