@@ -10,11 +10,30 @@ import numpy as np
 
 import mshist
 
+
+def exponential_statistics(n, reps, seed):
+    """The statistic under the exponential law, with the per-replication
+    streams ``simulate_statistics`` draws its uniform samples from."""
+    out = []
+    for rep in range(reps):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        x = np.sort(rng.exponential(size=n))
+        out.append(
+            mshist.multiscale_statistic(
+                mshist.SortedSample(x), cdf=lambda v: -np.expm1(-v)
+            )
+        )
+    return np.array(out)
+
+
 n = 500
 
 # the statistic simulated under two very different truths
-for dist in ("uniform", "exponential"):
-    stats = mshist.simulate_statistics(n, reps=1000, seed=3, distribution=dist)
+for dist, stats in (
+    ("uniform", mshist.simulate_statistics(n, reps=1000, seed=3)),
+    ("exponential", exponential_statistics(n, reps=1000, seed=3)),
+):
     q = {a: float(np.quantile(stats, 1 - a)) for a in (0.1, 0.5)}
     print(f"{dist:>12}: 90% quantile {q[0.1]:.4f}, median {q[0.5]:.4f}")
 

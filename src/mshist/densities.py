@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .dp import HistogramModel
 from .sample import SortedSample
@@ -43,10 +42,15 @@ def _rng(seed: int) -> np.random.Generator:
 # gaussian mixtures
 
 
+def _normal_pdf(x, mu=0.0, sd=1.0):
+    z = (x - mu) / sd
+    return np.exp(-(z**2) / 2.0) / math.sqrt(2.0 * math.pi) / sd
+
+
 def _gm_pdf(w, mu, sd):
     def pdf(x):
         x = np.asarray(x, dtype=float)[..., None]
-        return np.sum(w * norm.pdf(x, loc=mu, scale=sd), axis=-1)
+        return np.sum(w * _normal_pdf(x, mu, sd), axis=-1)
 
     return pdf
 
@@ -54,7 +58,7 @@ def _gm_pdf(w, mu, sd):
 def _gm_cdf(w, mu, sd):
     def cdf(x):
         x = np.asarray(x, dtype=float)[..., None]
-        return np.sum(w * norm.cdf(x, loc=mu, scale=sd), axis=-1)
+        return np.sum(w * ndtr((x - mu) / sd), axis=-1)
 
     return cdf
 
@@ -79,7 +83,7 @@ def _gm_pdf_sq_integral(w, mu, sd) -> float:
     var = np.asarray(sd) ** 2
     d = mu[:, None] - mu[None, :]
     v = var[:, None] + var[None, :]
-    return float(np.sum(w[:, None] * w[None, :] * norm.pdf(d, scale=np.sqrt(v))))
+    return float(np.sum(w[:, None] * w[None, :] * _normal_pdf(d, sd=np.sqrt(v))))
 
 
 def _gm_skewness(w, mu, sd) -> float:
@@ -315,19 +319,23 @@ def count_extrema(heights: np.ndarray) -> tuple[int, int]:
 def _quantile_grid(truth: ReferenceDensity, size: int = 4096):
     """Monotone (x, F(x)) grid covering all but 1e-7 of the truth's mass,
     equally spaced in mass so heavy tails stay resolved."""
-    lo = brentq(lambda v: float(truth.cdf(v)) - 1e-7, -1e12, 1e12)
-    hi = brentq(lambda v: float(truth.cdf(v)) - (1.0 - 1e-7), -1e12, 1e12)
     u = np.linspace(1e-7, 1.0 - 1e-7, size)
-    a = np.full(size, lo)
-    b = np.full(size, hi)
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        high = np.asarray(truth.cdf(mid), dtype=float) > u
-        b = np.where(high, mid, b)
-        a = np.where(high, a, mid)
-    x = 0.5 * (a + b)
+    lo, hi = _invert_cdf(truth.cdf, u[[0, -1]], -1e12, 1e12, steps=100)
+    x = _invert_cdf(truth.cdf, u, lo, hi, steps=60)
     F = np.asarray(truth.cdf(x), dtype=float)
     return x, F
+
+
+def _invert_cdf(cdf, u, lo, hi, steps):
+    """Bisection for cdf(x) = u, vectorized over u, inside [lo, hi]."""
+    a = np.full(u.size, lo, dtype=float)
+    b = np.full(u.size, hi, dtype=float)
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        high = np.asarray(cdf(mid), dtype=float) > u
+        b = np.where(high, mid, b)
+        a = np.where(high, a, mid)
+    return 0.5 * (a + b)
 
 
 def standardized_mass_error(

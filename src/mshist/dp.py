@@ -50,8 +50,10 @@ class HistogramModel:
     """Histogram density: ascending breakpoints and per-bin heights.
 
     The first bin is closed on the left, all bins are right-closed.  Heights
-    integrate to one; adjacent heights differ (equal-height neighbors are
-    merged at construction when counts are available).
+    integrate to one.  The model holds read-only copies of the arrays it is
+    given, so neither it nor its caller can change the other's.  Fits from
+    ``essential_histogram`` have no equal-height neighbors: the model builder
+    merges them before construction.
     """
 
     breaks: np.ndarray
@@ -61,8 +63,8 @@ class HistogramModel:
     cut_indices: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        breaks = np.asarray(self.breaks, dtype=float)
-        heights = np.asarray(self.heights, dtype=float)
+        breaks = np.array(self.breaks, dtype=float)
+        heights = np.array(self.heights, dtype=float)
         if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0):
             raise ValueError("breaks must be strictly increasing, length >= 2")
         if heights.size != breaks.size - 1 or np.any(heights < 0):
@@ -72,9 +74,10 @@ class HistogramModel:
             raise ValueError(f"density must integrate to 1, got {total!r}")
         counts = self.counts
         if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
+            counts = np.array(counts, dtype=np.int64)
             if counts.size != heights.size:
                 raise ValueError("counts must match bins")
+            counts.flags.writeable = False
         for a in (breaks, heights):
             a.flags.writeable = False
         object.__setattr__(self, "breaks", breaks)

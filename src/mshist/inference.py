@@ -121,7 +121,6 @@ def significant_feature_intervals(
                 margin = float(thr[b] - vals[a])
                 hulls.append((float(x[j[a] - 1]), float(x[k[b] - 1]), margin, a, b))
         # keep only hulls minimal under set inclusion
-        hulls.sort(key=lambda h: (h[0], -h[1]))
         kept = []
         min_right = np.inf
         for lo_v, hi_v, margin, a, b in sorted(hulls, key=lambda h: (-h[0], h[1])):

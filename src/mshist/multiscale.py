@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,53 +67,24 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     return float(stat.max())
 
 
-def _replication_statistic(n: int, seed: int, rep: int, distribution: str) -> float:
+def _replication_statistic(n: int, seed: int, rep: int) -> float:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
     rng = np.random.Generator(np.random.Philox(ss))
-    if distribution == "uniform":
-        x = np.sort(rng.random(n))
-        cdf = lambda v: v
-    elif distribution == "exponential":
-        x = np.sort(rng.exponential(size=n))
-        cdf = lambda v: -np.expm1(-v)
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    return multiscale_statistic(SortedSample(x), cdf=cdf)
+    return multiscale_statistic(SortedSample(np.sort(rng.random(n))), cdf=lambda v: v)
 
 
-def _replication_block(args):
-    n, seed, reps_slice, distribution = args
-    return [_replication_statistic(n, seed, r, distribution) for r in reps_slice]
+def simulate_statistics(n: int, reps: int, seed: int = 0) -> np.ndarray:
+    """``reps`` independent draws of the global statistic for sample size n
+    under the uniform law; the statistic is distribution-free, so these
+    calibrate every continuous truth.
 
-
-def simulate_statistics(
-    n: int,
-    reps: int,
-    seed: int = 0,
-    *,
-    distribution: str = "uniform",
-    workers: int = 1,
-) -> np.ndarray:
-    """``reps`` independent draws of the global statistic for sample size n.
-
-    Each replication has its own counter-derived RNG stream, so the result
-    is identical for any degree of parallelism.
+    Replication ``rep`` draws from its own counter-derived RNG stream, so a
+    value depends only on (n, seed, rep).
     """
     jj, _, _ = interval_arrays(n)
     if jj.size == 0:
         raise ValueError(f"interval system empty for n={n}; cannot calibrate")
-    if workers <= 1:
-        out = [_replication_statistic(n, seed, r, distribution) for r in range(reps)]
-    else:
-        blocks = [
-            (n, seed, range(w, reps, workers), distribution) for w in range(workers)
-        ]
-        out = [np.nan] * reps
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for block, vals in zip(blocks, ex.map(_replication_block, blocks)):
-                for r, v in zip(block[2], vals):
-                    out[r] = v
-    return np.asarray(out, dtype=float)
+    return np.array([_replication_statistic(n, seed, r) for r in range(reps)])
 
 
 @dataclass(frozen=True)
@@ -183,52 +153,40 @@ def table_path(n: int, reps: int, seed: int, cache_dir=None) -> Path:
 
 
 def simulate_quantiles(
-    n: int,
-    alphas=DEFAULT_ALPHAS,
-    reps: int = DEFAULT_REPS,
-    seed: int = 0,
-    *,
-    workers: int = 1,
-    cache_dir=None,
-    use_cache: bool = True,
+    n: int, reps: int = DEFAULT_REPS, seed: int = 0, *, cache_dir=None
 ) -> QuantileTable:
-    """Calibrate thresholds for sample size n on an alpha grid.
+    """Calibrate thresholds for sample size n on the ``DEFAULT_ALPHAS`` grid.
 
     Sample sizes above the cap share one table (the statistic's distribution
     has visibly converged there).  Tables are cached as write-once JSON files
     keyed by (capped n, reps, seed, format version): an existing file is
-    never replaced, not even by a concurrent writer, so a request for another
-    alpha grid is simulated afresh and returned without being cached.
+    returned as it is and never replaced, not even by a concurrent writer.
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    n_capped = min(n, TABLE_N_CAP)
-    alphas = tuple(float(a) for a in alphas)
     path = table_path(n, reps, seed, cache_dir)
-    if use_cache and path.exists():
-        table = load_table(path)
-        if table.alphas == alphas:
-            return table
-    t = simulate_statistics(n_capped, reps, seed, workers=workers)
+    if path.exists():
+        return load_table(path)
+    n_capped = min(n, TABLE_N_CAP)
+    t = simulate_statistics(n_capped, reps, seed)
     t.sort()
-    kappas = tuple(float(np.quantile(t, 1.0 - a)) for a in alphas)
+    kappas = tuple(float(np.quantile(t, 1.0 - a)) for a in DEFAULT_ALPHAS)
     table = QuantileTable(
-        n=n_capped, alphas=alphas, kappas=kappas, reps=reps, seed=seed
+        n=n_capped, alphas=DEFAULT_ALPHAS, kappas=kappas, reps=reps, seed=seed
     )
-    if use_cache and not path.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(table.to_dict()))
-            # unlike a rename, a hard link never replaces a file that
-            # appeared since the check: of two first writers, the earlier
-            # one's file stays
-            os.link(tmp, path)
-        except FileExistsError:
-            pass
-        finally:
-            os.unlink(tmp)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(table.to_dict()))
+        # unlike a rename, a hard link never replaces a file that
+        # appeared since the check: of two first writers, the earlier
+        # one's file stays
+        os.link(tmp, path)
+    except FileExistsError:
+        pass
+    finally:
+        os.unlink(tmp)
     return table
 
 

@@ -74,6 +74,19 @@ class TestHistogramModel:
         )
         assert HistogramModel.from_dict(m.to_dict()) == m
 
+    def test_freezes_copies_not_the_callers_arrays(self):
+        b = np.array([0.0, 1.0])
+        h = np.array([1.0])
+        c = np.array([2])
+        m = HistogramModel(b, h, n=2, counts=c)
+        b[0], h[0], c[0] = -1.0, 3.0, 7  # the caller's arrays stay writable
+        assert m.breaks.tolist() == [0.0, 1.0]
+        assert m.heights.tolist() == [1.0]
+        assert m.counts.tolist() == [2]
+        for a in (m.breaks, m.heights, m.counts):
+            with pytest.raises(ValueError):
+                a[0] = 99
+
 
 class TestSegmentCost:
     def test_degenerate_first_block_is_infeasible(self):

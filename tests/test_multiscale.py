@@ -20,6 +20,7 @@ from mshist.multiscale import (
 )
 from mshist.sample import SortedSample
 
+from conftest import SEED, TABLES_DIR
 from reference import build_interval_system
 
 
@@ -105,11 +106,6 @@ class TestStatistics:
         with pytest.raises(ValueError):
             multiscale_statistic(SortedSample([0.1, 0.5, 0.9]), cdf=lambda v: v)
 
-    def test_simulation_parallelism_invariant(self):
-        a = simulate_statistics(30, 40, seed=5, workers=1)
-        b = simulate_statistics(30, 40, seed=5, workers=3)
-        assert np.array_equal(a, b)
-
     def test_simulation_seeded(self):
         a = simulate_statistics(30, 20, seed=5)
         b = simulate_statistics(30, 20, seed=5)
@@ -151,14 +147,11 @@ class TestQuantileTable:
         assert list(tmp_path.iterdir()) == files
 
     def test_cache_file_is_write_once(self, tmp_path):
-        t1 = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
-        (path,) = tmp_path.iterdir()
+        path = table_path(20, 150, 9, tmp_path)
+        kept = QuantileTable(20, DEFAULT_ALPHAS, tuple(np.linspace(3, 1, 8)), 150, 9)
+        save_table(kept, path)
         before = path.read_bytes()
-        t2 = simulate_quantiles(
-            20, alphas=(0.1, 0.5), reps=150, seed=9, cache_dir=tmp_path
-        )
-        assert t2.alphas == (0.1, 0.5)
-        assert t2.kappas == (t1.kappas[2], t1.kappas[5])
+        assert simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path) == kept
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
 
@@ -176,24 +169,33 @@ class TestQuantileTable:
         t = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
         assert path.read_bytes() == rival
         assert list(tmp_path.iterdir()) == [path]
-        assert t == simulate_quantiles(20, reps=150, seed=9, use_cache=False)
+        assert t == simulate_quantiles(
+            20, reps=150, seed=9, cache_dir=tmp_path / "fresh"
+        )
 
     def test_cache_file_content(self, tmp_path):
         t = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
         raw = json.loads(next(tmp_path.glob("*.json")).read_text())
         assert QuantileTable.from_dict(raw) == t
 
-    def test_reps_floor(self):
+    def test_reps_floor(self, tmp_path):
         with pytest.raises(ValueError):
-            simulate_quantiles(20, reps=50, use_cache=False)
+            simulate_quantiles(20, reps=50, cache_dir=tmp_path / "fresh")
+        assert list(tmp_path.iterdir()) == []
 
     def test_quantiles_match_simulated_statistics(self, tmp_path):
-        t = simulate_quantiles(
-            25, alphas=(0.1, 0.5), reps=200, seed=4, cache_dir=tmp_path
-        )
+        t = simulate_quantiles(25, reps=200, seed=4, cache_dir=tmp_path)
         stats = simulate_statistics(25, 200, seed=4)
-        assert t.kappas[0] == pytest.approx(np.quantile(stats, 0.9))
-        assert t.kappas[1] == pytest.approx(np.quantile(stats, 0.5))
+        assert t.alphas == DEFAULT_ALPHAS
+        for a, k in zip(t.alphas, t.kappas):
+            assert k == pytest.approx(np.quantile(stats, 1 - a))
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_committed_tables_reproduce(self, n, tmp_path):
+        committed = table_path(n, 2000, SEED, TABLES_DIR)
+        got = simulate_quantiles(n, reps=2000, seed=SEED, cache_dir=tmp_path)
+        assert got == load_table(committed)
+        assert table_path(n, 2000, SEED, tmp_path).read_bytes() == committed.read_bytes()
 
 
 class TestLookup:

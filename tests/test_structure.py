@@ -1,6 +1,11 @@
-"""Package structure: modules reach each other only through public names, and
-the reference implementations stay out of the public API."""
+"""Package structure: modules reach each other only through public names,
+the reference implementations stay out of the public API, the demos call
+only what the public API takes, and importing the package stays light."""
 import ast
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +15,7 @@ import mshist
 SRC = Path(mshist.__file__).resolve().parent
 MODULES = {p.stem for p in SRC.glob("*.py")}
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _private(name: str) -> bool:
@@ -65,3 +71,57 @@ def test_reference_names_not_exported():
     }
     assert "brute_force_histogram" in defined
     assert defined.isdisjoint(mshist.__all__)
+
+
+def unknown_keywords(source: str) -> list[str]:
+    """Calls ``mshist.<name>(...)`` in ``source`` that name a missing public
+    callable or pass a keyword its signature does not take."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "mshist"
+        ):
+            continue
+        target = getattr(mshist, func.attr, None)
+        if target is None:
+            found.append(f"mshist.{func.attr}")
+            continue
+        params = inspect.signature(target).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        found += [
+            f"{func.attr}({kw.arg}=)"
+            for kw in node.keywords
+            if kw.arg is not None and kw.arg not in params
+        ]
+    return found
+
+
+def test_checker_flags_unknown_keywords():
+    bad = "import mshist\nmshist.simulate_statistics(9, 100, distribution='x')"
+    assert unknown_keywords(bad) == ["simulate_statistics(distribution=)"]
+    assert unknown_keywords("mshist.no_such_function(1)") == ["mshist.no_such_function"]
+    good = "mshist.simulate_quantiles(9, reps=100, seed=1)\nnp.sort(x, kind='stable')"
+    assert unknown_keywords(good) == []
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
+def test_demos_call_the_public_api(path):
+    assert unknown_keywords(path.read_text()) == []
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "import sys, mshist; "
+        "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
