@@ -7,7 +7,9 @@ The left side is strictly convex in q with its minimum at q = p, so the
 feasible set is a single mass interval whose endpoints are the two roots of
 a smooth scalar equation; dividing by the interval width turns it into a
 density band.  The fit and the audit both read their bands from
-:func:`constraint_table` and test membership with :func:`in_band`.
+:func:`constraint_table` and test membership with :func:`in_band`; the fit's
+last round and the audit's merge test take the band of a block from
+:func:`block_band`.
 """
 from __future__ import annotations
 
@@ -92,3 +94,29 @@ def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
     hi = np.where(empty, -np.inf, hi)
     start = np.searchsorted(k, np.arange(n + 2))
     return ConstraintTable(a=j, b=k, lo=lo, hi=hi, start=start)
+
+
+def block_band(table: ConstraintTable, t, i):
+    """Band (lo, hi) of each block (t, i]: the tightest over the table rows
+    (a, b] with a >= t and b <= i, or (-inf, inf) when no row lies inside.
+
+    Vectorized over ``t`` and ``i``, broadcast together; t may be n + 1.
+    The rows are read once, in order of b: at each distinct end the new rows
+    are scattered into per-left-end arrays, whose suffix max/min is read at t.
+    """
+    ends = np.unique(i)
+    t, i = np.broadcast_arrays(t, i)
+    lo = np.empty(t.shape)
+    hi = np.empty(t.shape)
+    lmax = np.full(table.start.size, -np.inf)  # per left end, over the rows read
+    umin = np.full(table.start.size, np.inf)
+    done = 0
+    for end in ends:
+        rows = slice(done, table.start[end + 1])  # b in (previous end, end]
+        done = rows.stop
+        np.fmax.at(lmax, table.a[rows], table.lo[rows])
+        np.fmin.at(umin, table.a[rows], table.hi[rows])
+        q = i == end
+        lo[q] = np.fmax.accumulate(lmax[::-1])[::-1][t[q]]
+        hi[q] = np.fmin.accumulate(umin[::-1])[::-1][t[q]]
+    return lo, hi

@@ -149,11 +149,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="mshist", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, cache=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        if cache:
-            sp.add_argument("--cache-dir", default=None)
-            sp.add_argument("--reps", type=int, default=multiscale.DEFAULT_REPS)
+        sp.add_argument("--cache-dir", default=None)
+        sp.add_argument("--reps", type=int, default=multiscale.DEFAULT_REPS)
 
     q = sub.add_parser("quantile", help="calibrate and cache thresholds")
     q.add_argument("--n", type=int, required=True)

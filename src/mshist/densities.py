@@ -13,7 +13,10 @@ from scipy.special import ndtr
 from .dp import HistogramModel
 from .sample import SortedSample
 
+#: interval masses p of the standardized interval-mass errors in ``metrics``
 DEFAULT_P_GRID = (0.01, 0.05, 0.1, 0.25)
+#: points of the quantile grid the interval-mass errors interpolate on
+QUANTILE_GRID_SIZE = 4096
 #: locations scanned when approximating the standardized interval-mass error
 DP_GRID_SIZE = 2048
 
@@ -93,8 +96,7 @@ def _gm_skewness(w, mu, sd) -> float:
     m1 = np.sum(w * mu)
     m2 = np.sum(w * (mu**2 + var))
     m3 = np.sum(w * (mu**3 + 3 * mu * var))
-    v = m2 - m1**2
-    return float((m3 - 3 * m1 * v - m1**3) / v**1.5)
+    return float(_skewness(m1, m2, m3))
 
 
 def _gaussian_mixture(name, w, mu, sd, modes) -> ReferenceDensity:
@@ -119,9 +121,6 @@ def _piecewise(name, breaks, heights, modes) -> ReferenceDensity:
         heights=np.asarray(heights, dtype=float),
         n=2,
     )
-    m1, m2, m3 = (_hist_raw_moment(model, r) for r in (1, 2, 3))
-    v = m2 - m1**2
-    skew = (m3 - 3 * m1 * v - m1**3) / v**1.5
 
     def sampler(seed: int, n: int) -> SortedSample:
         rng = _rng(seed)
@@ -138,7 +137,7 @@ def _piecewise(name, breaks, heights, modes) -> ReferenceDensity:
         sampler=sampler,
         true_mode_count=modes,
         pdf_sq_integral=float(np.sum(model.heights**2 * np.diff(model.breaks))),
-        true_skewness=float(skew),
+        true_skewness=float(histogram_skewness(model)),
     )
 
 
@@ -300,7 +299,11 @@ def _hist_raw_moment(fit: HistogramModel, r: int) -> float:
 
 
 def histogram_skewness(fit: HistogramModel) -> float:
-    m1, m2, m3 = (_hist_raw_moment(fit, r) for r in (1, 2, 3))
+    return _skewness(*(_hist_raw_moment(fit, r) for r in (1, 2, 3)))
+
+
+def _skewness(m1, m2, m3) -> float:
+    """Skewness from the first three raw moments; 0 without spread."""
     v = m2 - m1**2
     if v <= 0:
         return 0.0
@@ -316,10 +319,11 @@ def count_extrema(heights: np.ndarray) -> tuple[int, int]:
     return modes, troughs
 
 
-def _quantile_grid(truth: ReferenceDensity, size: int = 4096):
-    """Monotone (x, F(x)) grid covering all but 1e-7 of the truth's mass,
-    equally spaced in mass so heavy tails stay resolved."""
-    u = np.linspace(1e-7, 1.0 - 1e-7, size)
+def _quantile_grid(truth: ReferenceDensity):
+    """Monotone (x, F(x)) grid of QUANTILE_GRID_SIZE points covering all but
+    1e-7 of the truth's mass, equally spaced in mass so heavy tails stay
+    resolved."""
+    u = np.linspace(1e-7, 1.0 - 1e-7, QUANTILE_GRID_SIZE)
     lo, hi = _invert_cdf(truth.cdf, u[[0, -1]], -1e12, 1e12, steps=100)
     x = _invert_cdf(truth.cdf, u, lo, hi, steps=60)
     F = np.asarray(truth.cdf(x), dtype=float)
@@ -353,14 +357,10 @@ def standardized_mass_error(
     return float(np.max(np.abs(mass - p)) / math.sqrt(p * (1.0 - p)))
 
 
-def metrics(
-    fit: HistogramModel,
-    truth: ReferenceDensity,
-    p_grid: Sequence[float] = DEFAULT_P_GRID,
-) -> MetricSet:
+def metrics(fit: HistogramModel, truth: ReferenceDensity) -> MetricSet:
     """Evaluate one fit against the truth: integrated squared error,
     sup-CDF distance, shape statistics, and standardized interval-mass
-    errors on a grid of masses."""
+    errors at the masses of DEFAULT_P_GRID."""
     b = fit.breaks
     w = np.diff(b)
     F = np.asarray(truth.cdf(b), dtype=float)
@@ -378,9 +378,7 @@ def metrics(
     ks = max(ks, float(F[0]), float(1.0 - F[-1]))
     modes, troughs = count_extrema(fit.heights)
     grid = _quantile_grid(truth)
-    d_p = {
-        float(p): standardized_mass_error(fit, truth, float(p), grid) for p in p_grid
-    }
+    d_p = {p: standardized_mass_error(fit, truth, p, grid) for p in DEFAULT_P_GRID}
     return MetricSet(
         mise_component=mise,
         mise_defined=truth.mise_defined,

@@ -27,16 +27,16 @@ table rows.  Its invariants:
   may reach further than those already dead.
 
 Node n needs only the bands of the blocks (t, n], taken over the whole
-table once, so each round first tries to reach n and sweeps only if it
-cannot.
+table once by ``bounds.block_band``, so each round first tries to reach n
+and sweeps only if it cannot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BAND_SLACK, ConstraintTable, constraint_table, in_band
+from .bounds import BAND_SLACK, ConstraintTable, block_band, constraint_table, in_band
 from .intervals import interval_arrays
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
@@ -60,7 +60,7 @@ class HistogramModel:
     heights: np.ndarray
     n: int
     counts: np.ndarray | None = None
-    cut_indices: tuple[int, ...] | None = field(default=None, compare=False)
+    cut_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         breaks = np.array(self.breaks, dtype=float)
@@ -234,13 +234,7 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
     # block (t, i] spans [edge[t], edge[i]] and holds i - t points; t = 0
     # is the virtual left edge at X_(1)
     edge = np.concatenate((x[:1], x))
-    # bands of the blocks (t, n]
-    lo_n = np.full(n + 1, -np.inf)
-    hi_n = np.full(n + 1, np.inf)
-    np.fmax.at(lo_n, table.a, table.lo)
-    np.fmin.at(hi_n, table.a, table.hi)
-    lo_n = np.fmax.accumulate(lo_n[::-1])[::-1]
-    hi_n = np.fmin.accumulate(hi_n[::-1])[::-1]
+    lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # blocks (t, n]
     active = np.zeros(1, dtype=np.int64)
     k = 1
     while True:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConstraintTable, constraint_table, in_band
+from .bounds import block_band, constraint_table, in_band
 from .dp import HistogramModel
 from .intervals import IntervalSpec, interval_arrays
 from .multiscale import QuantileTable, lookup_kappa
@@ -78,37 +78,6 @@ def violation_intervals(
     ]
 
 
-def _merge_admissible(
-    sample: SortedSample,
-    estimator: HistogramModel,
-    first: int,
-    last: int,
-    ctab: ConstraintTable,
-) -> bool:
-    """True when segments first..last (inclusive) pooled into one constant
-    block lie in the band of every system interval inside the block."""
-    n = sample.n
-    x = sample.values
-    breaks = estimator.breaks
-    lo_v, hi_v = breaks[first], breaks[last + 1]
-    if estimator.counts is not None:
-        count = int(estimator.counts[first : last + 1].sum())
-    else:
-        count = int(
-            np.searchsorted(x, hi_v, side="right") - np.searchsorted(x, lo_v, side="right")
-        )
-        if first == 0:
-            count += int(np.sum(x == lo_v))
-    mu = count / (n * (hi_v - lo_v))
-    # rows (a, b] with x[a-1] >= lo_v and x[b-1] <= hi_v: the first
-    # start[b_max + 1] rows end by b_max, and of those the left end decides
-    a_min = np.searchsorted(x, lo_v, side="left") + 1
-    b_max = np.searchsorted(x, hi_v, side="right")
-    rows = slice(0, ctab.start[b_max + 1])
-    inside = ctab.a[rows] >= a_min
-    return bool(np.all(in_band(mu, ctab.lo[rows][inside], ctab.hi[rows][inside])))
-
-
 def removable_changepoints(
     sample: SortedSample,
     estimator: HistogramModel,
@@ -120,34 +89,39 @@ def removable_changepoints(
     A change-point is removable when pooling its two adjacent segments into
     one constant block passes all contained constraints; its multiplicity
     counts every admissible contiguous merge of 2..MERGE_WINDOW segments
-    covering it.  Returned as (breakpoint index into estimator.breaks,
-    multiplicity).
+    covering it.  As in the fit, a pooled block's density counts the sample
+    (a model's ``counts`` play no part).  Returned as (breakpoint index into
+    estimator.breaks, multiplicity).
     """
-    if estimator.nbins < 2:
+    nb = estimator.nbins
+    if nb < 2:
         return []
     n = sample.n
     j, _, _ = interval_arrays(n)
     if j.size == 0:
         return []
     ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
-    nb = estimator.nbins
-    admissible = {}
-    for first in range(nb):
-        for last in range(first + 1, min(first + MERGE_WINDOW, nb)):
-            admissible[(first, last)] = _merge_admissible(
-                sample, estimator, first, last, ctab
-            )
-    out = []
-    for cp in range(1, nb):  # interior breakpoints
-        if not admissible[(cp - 1, cp)]:
-            continue
-        mult = sum(
-            1
-            for (first, last), ok in admissible.items()
-            if ok and first < cp <= last
-        )
-        out.append((cp, mult))
-    return out
+    # every run of segments first..last, 2..MERGE_WINDOW long
+    first = np.repeat(np.arange(nb), MERGE_WINDOW - 1)
+    last = first + np.tile(np.arange(1, MERGE_WINDOW), nb)
+    keep = last < nb
+    first, last = first[keep], last[keep]
+    x = sample.values
+    lo_v, hi_v = estimator.breaks[first], estimator.breaks[last + 1]
+    left = np.searchsorted(x, lo_v, side="left")
+    b_max = np.searchsorted(x, hi_v, side="right")
+    count = b_max - np.where(first == 0, left, np.searchsorted(x, lo_v, side="right"))
+    mu = count / (n * (hi_v - lo_v))
+    # the system intervals inside the block are the rows (a, b] with
+    # x[a-1] >= lo_v and x[b-1] <= hi_v
+    ok = in_band(mu, *block_band(ctab, left + 1, b_max))
+    # merges covering change-point cp: first < cp <= last
+    cover = np.cumsum(
+        np.bincount(first[ok] + 1, minlength=nb + 1)
+        - np.bincount(last[ok] + 1, minlength=nb + 1)
+    )
+    cps = last[ok & (last == first + 1)]
+    return list(zip(cps.tolist(), cover[cps].tolist()))
 
 
 def audit(

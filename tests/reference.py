@@ -3,8 +3,9 @@
 Plain and exhaustive versions of what ``mshist`` computes faster: the
 scalar brentq band solver, the per-interval bands built on it, the list form
 of the interval system, the plain Bellman recursion over all predecessors,
-and the exhaustive-search oracle.  The oracle solves its own bands, so it
-shares only the membership test :func:`mshist.bounds.in_band` with the fit.
+the exhaustive-search oracle, and the audit's merge test one window at a
+time.  The oracle solves its own bands, so it shares only the membership
+test :func:`mshist.bounds.in_band` with the fit.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from scipy.optimize import brentq
 
 from mshist.bounds import ConstraintTable, constraint_table, in_band
 from mshist.dp import HistogramModel, _backtrack, _model_from_cuts
+from mshist.evaluate import MERGE_WINDOW
 from mshist.intervals import IntervalSpec, interval_arrays
 from mshist.multiscale import QuantileTable, log_likelihood_ratio, lookup_kappa, penalty
 from mshist.sample import SortedSample
@@ -242,3 +244,64 @@ def brute_force_histogram(
     if best is None:
         raise RuntimeError("no feasible segmentation found (should be impossible)")
     return _model_from_cuts(sample, [0, *best[2], n])
+
+
+# ---------------------------------------------------------------------------
+# merge test of the audit
+
+
+def _merge_admissible(sample, estimator, first, last, ctab) -> bool:
+    """True when segments first..last (inclusive), pooled into one block
+    whose density is the sample's count over it, lie in the band of every
+    system interval inside the block."""
+    n = sample.n
+    x = sample.values
+    lo_v, hi_v = estimator.breaks[first], estimator.breaks[last + 1]
+    count = int(
+        np.searchsorted(x, hi_v, side="right") - np.searchsorted(x, lo_v, side="right")
+    )
+    if first == 0:
+        count += int(np.sum(x == lo_v))
+    mu = count / (n * (hi_v - lo_v))
+    # rows (a, b] with x[a-1] >= lo_v and x[b-1] <= hi_v: the first
+    # start[b_max + 1] rows end by b_max, and of those the left end decides
+    a_min = np.searchsorted(x, lo_v, side="left") + 1
+    b_max = np.searchsorted(x, hi_v, side="right")
+    rows = slice(0, ctab.start[b_max + 1])
+    inside = ctab.a[rows] >= a_min
+    return bool(np.all(in_band(mu, ctab.lo[rows][inside], ctab.hi[rows][inside])))
+
+
+def removable_reference(
+    sample: SortedSample,
+    estimator: HistogramModel,
+    alpha: float,
+    table: QuantileTable,
+) -> list[tuple[int, int]]:
+    """:func:`mshist.evaluate.removable_changepoints` one merge window and
+    one system row at a time, with multiplicities by a scan of all windows."""
+    nb = estimator.nbins
+    if nb < 2:
+        return []
+    n = sample.n
+    j, _, _ = interval_arrays(n)
+    if j.size == 0:
+        return []
+    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
+    admissible = {}
+    for first in range(nb):
+        for last in range(first + 1, min(first + MERGE_WINDOW, nb)):
+            admissible[(first, last)] = _merge_admissible(
+                sample, estimator, first, last, ctab
+            )
+    out = []
+    for cp in range(1, nb):  # interior breakpoints
+        if not admissible[(cp - 1, cp)]:
+            continue
+        mult = sum(
+            1
+            for (first, last), ok in admissible.items()
+            if ok and first < cp <= last
+        )
+        out.append((cp, mult))
+    return out

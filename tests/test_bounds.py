@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mshist.bounds import constraint_table, in_band, mass_roots_batch
+from mshist.bounds import block_band, constraint_table, in_band, mass_roots_batch
 from mshist.multiscale import log_likelihood_ratio, penalty
 from mshist.sample import SortedSample
 
@@ -105,3 +105,29 @@ class TestFeasibleBand:
         assert not in_band(0.999, 1.0, 2.0)
         assert not in_band(2.001, 1.0, 2.0)
         assert not in_band(1.5, np.inf, -np.inf)
+
+
+def masked_band(tab, t, i):
+    """Tightest band over the rows inside each block (t, i], row by row."""
+    inside = [(tab.a >= tt) & (tab.b <= ii) for tt, ii in zip(t, i)]
+    return (
+        np.array([np.max(tab.lo[m], initial=-np.inf) for m in inside]),
+        np.array([np.min(tab.hi[m], initial=np.inf) for m in inside]),
+    )
+
+
+class TestBlockBand:
+    @pytest.mark.parametrize("kappa", [1.0, -2.3])  # -2.3 leaves some bands empty
+    def test_block_band_matches_rows(self, kappa):
+        n = 80
+        rng = np.random.default_rng(3)
+        tab = constraint_table(SortedSample(rng.random(n)), kappa)
+        assert np.isinf(tab.lo).any() == (kappa < 0)
+        t = np.concatenate(([0, n + 1, 0, n + 1, 5], rng.integers(0, n + 2, 300)))
+        i = np.concatenate(([0, 0, n, n, n], rng.integers(0, n + 1, 300)))
+        for got, want in zip(block_band(tab, t, i), masked_band(tab, t, i)):
+            assert np.array_equal(got, want)
+        # one end for every start, as the fit's last round asks
+        t = np.arange(n + 2)
+        for got, want in zip(block_band(tab, t, n), masked_band(tab, t, [n] * t.size)):
+            assert np.array_equal(got, want)

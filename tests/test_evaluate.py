@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from mshist.bounds import in_band
-from mshist.densities import get_density
+from mshist.densities import classical_histogram, get_density
 from mshist.dp import HistogramModel, essential_histogram
 from mshist.evaluate import (
     audit,
@@ -10,7 +11,7 @@ from mshist.evaluate import (
 )
 from mshist.multiscale import lookup_kappa
 
-from reference import build_interval_system, mass_roots
+from reference import build_interval_system, mass_roots, removable_reference
 
 
 def single_bin(sample):
@@ -137,3 +138,71 @@ class TestRemovable:
         mult = dict(rem)
         assert mult[2] >= mult[1] - 1  # central points covered at least as much
         assert all(m >= 1 for m in mult.values())
+
+
+def random_histograms(sample, rng, count):
+    """Histograms with breaks at sample points, between them, or reaching
+    past the data on both sides; half carry counts that are not the
+    sample's."""
+    x = sample.values
+    span = x[-1] - x[0]
+    out = []
+    for r in range(count):
+        nb = int(rng.integers(2, 20))
+        kind = r % 3
+        if kind == 0:
+            breaks = rng.choice(x, nb + 1, replace=False)
+        elif kind == 1:
+            idx = rng.choice(np.arange(1, x.size), nb + 1, replace=False)
+            breaks = 0.5 * (x[idx - 1] + x[idx])
+        else:
+            inner = rng.uniform(x[0], x[-1], nb - 1)
+            pad = rng.uniform(0.0, 0.1, 2) * span
+            breaks = np.concatenate((inner, [x[0] - pad[0], x[-1] + pad[1]]))
+        breaks = np.unique(breaks)
+        heights = rng.random(breaks.size - 1) + 0.01
+        heights /= np.sum(heights * np.diff(breaks))
+        counts = rng.integers(0, 60, breaks.size - 1) if r % 2 else None
+        out.append(HistogramModel(breaks, heights, sample.n, counts))
+    return out
+
+
+class TestRemovableMatchesReference:
+    @pytest.mark.parametrize("density", ["claw", "harp", "uniform"])
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_fits_and_classical_rules(self, tables, density, n):
+        sample = get_density(density).sampler(11, n)
+        rules = [
+            classical_histogram(sample, r) for r in ("sturges", "scott_width", "scott_area")
+        ]
+        other = get_density(density).sampler(12, n)
+        for alpha in (0.1, 0.5, 0.9):
+            fits = [essential_histogram(s, alpha, tables(n)) for s in (sample, other)]
+            for est in fits + rules:
+                got = removable_changepoints(sample, est, alpha, tables(n))
+                assert got == removable_reference(sample, est, alpha, tables(n))
+
+    @pytest.mark.parametrize("density", ["claw", "harp", "uniform"])
+    def test_random_histograms(self, tables, density):
+        rng = np.random.default_rng(5)
+        for n in (300, 500):
+            sample = get_density(density).sampler(13, n)
+            for est in random_histograms(sample, rng, 12):
+                alpha = float(rng.choice([0.1, 0.5, 0.9]))
+                got = removable_changepoints(sample, est, alpha, tables(n))
+                assert got == removable_reference(sample, est, alpha, tables(n))
+
+    def test_counts_do_not_change_the_merge_test(self, tables):
+        # a fit to one sample, audited against another: its document's counts
+        # are the fitted sample's, and the audit counts the audited one
+        table = tables(500)
+        claw = get_density("claw")
+        cases = ((5, [(4, 1)]), (7, [(5, 1), (6, 1)]), (3, [(4, 1), (7, 1)]))
+        for fit_seed, expect in cases:
+            fit = essential_histogram(claw.sampler(fit_seed, 500), 0.5, table)
+            sample = claw.sampler(fit_seed + 1, 500)
+            doc = HistogramModel.from_dict(fit.to_dict())
+            bare = HistogramModel(fit.breaks, fit.heights, 500)
+            assert doc.counts is not None
+            assert removable_changepoints(sample, doc, 0.5, table) == expect
+            assert removable_changepoints(sample, bare, 0.5, table) == expect

@@ -1,9 +1,12 @@
 """Package structure: modules reach each other only through public names,
-the reference implementations stay out of the public API, the demos call
-only what the public API takes, and importing the package stays light."""
+the reference implementations stay out of the public API, the demos and the
+README examples call only what the public API and the CLI take, and
+importing the package stays light."""
 import ast
 import inspect
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +14,13 @@ from pathlib import Path
 import pytest
 
 import mshist
+from mshist import cli
 
 SRC = Path(mshist.__file__).resolve().parent
 MODULES = {p.stem for p in SRC.glob("*.py")}
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _private(name: str) -> bool:
@@ -112,6 +117,56 @@ def test_checker_flags_unknown_keywords():
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
 def test_demos_call_the_public_api(path):
     assert unknown_keywords(path.read_text()) == []
+
+
+def readme_blocks(lang: str) -> list[str]:
+    """Bodies of the README's fenced code blocks in ``lang``."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+
+
+def mshist_commands(script: str) -> list[list[str]]:
+    """Argument lists of the ``mshist ...`` lines of a shell script, with
+    backslash continuations joined and ``#`` comments stripped."""
+    lines = script.replace("\\\n", " ").splitlines()
+    words = (shlex.split(line, comments=True) for line in lines)
+    return [w[1:] for w in words if w[:1] == ["mshist"]]
+
+
+def rejected_commands(script: str) -> list[str]:
+    """``mshist ...`` lines of a shell script that the CLI parser rejects;
+    nothing is run."""
+    parser = cli._build_parser()
+    bad = []
+    for argv in mshist_commands(script):
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            bad.append(" ".join(argv))
+    return bad
+
+
+def test_checker_flags_rejected_commands():
+    script = (
+        "mshist fit --input a --out b --pruned\n"
+        "mshist fit --input a \\\n    --out b   # a comment\n"
+        "pip install -e .\n"
+    )
+    assert mshist_commands(script)[1] == ["fit", "--input", "a", "--out", "b"]
+    assert rejected_commands(script) == ["fit --input a --out b --pruned"]
+
+
+def test_readme_python_calls_the_public_api():
+    blocks = readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        assert unknown_keywords(block) == []
+
+
+def test_readme_commands_parse():
+    blocks = readme_blocks("bash")
+    assert sum(len(mshist_commands(b)) for b in blocks) >= 5
+    for block in blocks:
+        assert rejected_commands(block) == []
 
 
 def test_import_leaves_out_scipy_stats_and_optimize():
