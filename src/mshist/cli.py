@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -22,15 +23,13 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+log = logging.getLogger("mshist")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _warn(msg: str) -> None:
-    print(f"warning: {msg}", file=sys.stderr)
 
 
 def _alpha_list(args) -> list[float]:
@@ -42,7 +41,7 @@ def _alpha_list(args) -> list[float]:
 def _get_table(n: int, args) -> multiscale.QuantileTable:
     path = multiscale.table_path(n, args.reps, args.seed, args.cache_dir)
     if not path.exists():
-        _warn(
+        log.warning(
             f"no calibrated thresholds at {path}; "
             f"simulating now ({args.reps} replications) -- this can take a while"
         )
@@ -78,7 +77,7 @@ def cmd_fit(args) -> int:
     jj, _, _ = interval_arrays(sample.n)
     small = jj.size == 0
     if small:
-        _warn(
+        log.warning(
             f"n={sample.n} is too small for multiscale calibration; "
             "returning a single-bin histogram"
         )
@@ -94,7 +93,7 @@ def cmd_fit(args) -> int:
         print(f"alpha={alpha:g}: {fit.nbins} bins -> {out}")
         if args.features:
             if small:
-                _warn("feature detection skipped: sample too small")
+                log.warning("feature detection skipped: sample too small")
                 continue
             feats = inference.significant_feature_intervals(sample, alpha, table)
             bounds = inference.lower_bound_modes(feats)
@@ -204,6 +203,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # warnings reach stderr as "warning: ..." for this call only
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    log.addHandler(handler)
     try:
         return args.func(args)
     except DuplicateValuesError as e:
@@ -215,6 +218,8 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError) as e:
         print(f"error: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -52,55 +52,26 @@ def _piece_values(estimator: HistogramModel, lo: np.ndarray, hi: np.ndarray):
     return np.where(same, vals, np.nan)
 
 
-def violation_intervals(
-    sample: SortedSample,
-    estimator: HistogramModel,
-    alpha: float,
-    table: QuantileTable,
+def _violations(
+    sample: SortedSample, estimator: HistogramModel, ctab
 ) -> list[IntervalSpec]:
-    """System intervals inside one constant piece of the estimator whose
-    value lies outside the interval's feasible band at level alpha.
-
-    The bands and their slack are the ones the fit obeys, so a zero-height
-    piece over sample points, for instance, is always flagged.
-    """
-    n = sample.n
-    j, k, scale = interval_arrays(n)
-    if j.size == 0:
-        return []
-    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
     x = sample.values
-    c = _piece_values(estimator, x[j - 1], x[k - 1])
+    c = _piece_values(estimator, x[ctab.a - 1], x[ctab.b - 1])
     viol = ~np.isnan(c) & ~in_band(c, ctab.lo, ctab.hi)
+    _, _, scale = interval_arrays(sample.n)
     return [
         IntervalSpec(int(a), int(b), int(s))
-        for a, b, s in zip(j[viol], k[viol], scale[viol])
+        for a, b, s in zip(ctab.a[viol], ctab.b[viol], scale[viol])
     ]
 
 
-def removable_changepoints(
-    sample: SortedSample,
-    estimator: HistogramModel,
-    alpha: float,
-    table: QuantileTable,
+def _removable(
+    sample: SortedSample, estimator: HistogramModel, ctab
 ) -> list[tuple[int, int]]:
-    """Change-points of the estimator that the data do not require.
-
-    A change-point is removable when pooling its two adjacent segments into
-    one constant block passes all contained constraints; its multiplicity
-    counts every admissible contiguous merge of 2..MERGE_WINDOW segments
-    covering it.  As in the fit, a pooled block's density counts the sample
-    (a model's ``counts`` play no part).  Returned as (breakpoint index into
-    estimator.breaks, multiplicity).
-    """
     nb = estimator.nbins
     if nb < 2:
         return []
     n = sample.n
-    j, _, _ = interval_arrays(n)
-    if j.size == 0:
-        return []
-    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
     # every run of segments first..last, 2..MERGE_WINDOW long
     first = np.repeat(np.arange(nb), MERGE_WINDOW - 1)
     last = first + np.tile(np.arange(1, MERGE_WINDOW), nb)
@@ -124,16 +95,67 @@ def removable_changepoints(
     return list(zip(cps.tolist(), cover[cps].tolist()))
 
 
+def violation_intervals(
+    sample: SortedSample,
+    estimator: HistogramModel,
+    alpha: float,
+    table: QuantileTable,
+) -> list[IntervalSpec]:
+    """System intervals inside one constant piece of the estimator whose
+    value lies outside the interval's feasible band at level alpha.
+
+    The bands and their slack are the ones the fit obeys, so a zero-height
+    piece over sample points, for instance, is always flagged.
+    """
+    n = sample.n
+    j, _, _ = interval_arrays(n)
+    if j.size == 0:
+        return []
+    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
+    return _violations(sample, estimator, ctab)
+
+
+def removable_changepoints(
+    sample: SortedSample,
+    estimator: HistogramModel,
+    alpha: float,
+    table: QuantileTable,
+) -> list[tuple[int, int]]:
+    """Change-points of the estimator that the data do not require.
+
+    A change-point is removable when pooling its two adjacent segments into
+    one constant block passes all contained constraints; its multiplicity
+    counts every admissible contiguous merge of 2..MERGE_WINDOW segments
+    covering it.  As in the fit, a pooled block's density counts the sample
+    (a model's ``counts`` play no part).  Returned as (breakpoint index into
+    estimator.breaks, multiplicity).
+    """
+    if estimator.nbins < 2:
+        return []
+    n = sample.n
+    j, _, _ = interval_arrays(n)
+    if j.size == 0:
+        return []
+    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
+    return _removable(sample, estimator, ctab)
+
+
 def audit(
     sample: SortedSample,
     estimator: HistogramModel,
     alpha: float,
     table: QuantileTable,
 ) -> AuditReport:
-    """Full audit: violation intervals plus removable change-points."""
+    """Full audit: violation intervals plus removable change-points, from
+    one band table."""
+    kappa = lookup_kappa(table, alpha, sample.n)
+    j, _, _ = interval_arrays(sample.n)
+    if j.size == 0:
+        return AuditReport(violations=[], removable=[], alpha=alpha, kappa=kappa)
+    ctab = constraint_table(sample, kappa)
     return AuditReport(
-        violations=violation_intervals(sample, estimator, alpha, table),
-        removable=removable_changepoints(sample, estimator, alpha, table),
+        violations=_violations(sample, estimator, ctab),
+        removable=_removable(sample, estimator, ctab),
         alpha=alpha,
-        kappa=lookup_kappa(table, alpha, sample.n),
+        kappa=kappa,
     )

@@ -54,6 +54,57 @@ def _radii(sample: SortedSample, kappa: float):
     return j, k, dens, r
 
 
+def _max_left_end(j, vrank, t, c):
+    """For each query q: the largest j[a] over the positions a < t[q] with
+    vrank[a] < c[q], or -1 when there is none.
+
+    ``vrank`` is a permutation of the positions.  A wavelet-matrix descent:
+    level by level from the top bit of the rank, every block of the current
+    arrangement is stably split by the next rank bit, so the block holding
+    the ranks [B * 2**lev, (B + 1) * 2**lev) sits exactly at those indices,
+    in position order.  A query keeps its node start and the number of the
+    node's members with position < t; where c has a one bit, the zero child's
+    first members all rank below c and give a candidate through a per-block
+    running max.  Every level is a few array passes over the system.
+    """
+    m = j.size
+    size = 1 << m.bit_length()  # a power of two above every c
+    shift = size.bit_length()
+    # left end + 1 in the high bits, rank in the low ones, so a running max
+    # of the key is a running max of j; the padding ranks m.. have left end -1
+    key = np.arange(size)
+    key[:m] = (j + 1) << shift | vrank
+    # queries in (c, t) order read each level's arrays front to back
+    order = np.argsort(c * (m + 1) + t)
+    c = c[order]
+    count = t[order]
+    start = np.zeros(t.size, dtype=np.int64)
+    best = np.zeros(t.size, dtype=np.int64)
+    zeros = np.zeros(size + 1, dtype=np.int64)
+    run = np.zeros(size + 1, dtype=np.int64)  # run[-1] = 0 answers a miss
+    for lev in range(shift - 2, -1, -1):
+        half = 1 << lev
+        one = (key & half).astype(bool)
+        np.cumsum(~one, out=zeros[1:])
+        # zeros in the query's node before its count; a node start holds
+        # as many zeros as ones before it
+        z = zeros[start + count] - (start >> 1)
+        ones, zs = np.compress(one, key), np.compress(~one, key)
+        split = key.reshape(-1, 2, half)
+        split[:, 0] = zs.reshape(-1, half)
+        split[:, 1] = ones.reshape(-1, half)
+        np.maximum.accumulate(
+            key.reshape(-1, half), axis=1, out=run[:-1].reshape(-1, half)
+        )
+        right = (c & half).astype(bool)
+        best = np.maximum(best, run[np.where(right & (z > 0), start + z - 1, -1)])
+        start += right * half
+        count = np.where(right, count - z, z)
+    out = np.empty_like(best)
+    out[order] = (best >> shift) - 1
+    return out
+
+
 def significant_feature_intervals(
     sample: SortedSample, alpha: float, table: QuantileTable
 ) -> list[FeatureInterval]:
@@ -63,6 +114,17 @@ def significant_feature_intervals(
     when the right average density exceeds the left one by more than the sum
     of the half-radii; decreases are symmetric.  All returned statements hold
     simultaneously with confidence at least 1 - alpha.
+
+    For each right interval b the tightest hull needs the largest left end
+    j[a] over the left intervals a with k[a] <= j[b] and a threshold below
+    b's, a 2-D dominance query.  All m system intervals are answered at once
+    by a wavelet-matrix descent over the bits of the threshold ranks, about
+    log2(m) levels of a few O(m) array passes each.  Among the left intervals
+    with that largest left end, the witness and margin reported are those a
+    prefix-max binary indexed tree filled in threshold order would keep (the
+    candidate in the first tree node its query visits, then the first
+    inserted), so the output equals that of the tree search in
+    ``tests/reference.py``.
     """
     n = sample.n
     jj, kk, scale = interval_arrays(n)
@@ -74,6 +136,11 @@ def significant_feature_intervals(
     low = dens - 0.5 * r
     high = dens + 0.5 * r
     m = j.size
+    # left candidates must end at or before the right interval starts
+    t = np.searchsorted(k, j, side="right")
+    # the system intervals with left end e: by_j[j_start[e] : j_start[e + 1]]
+    by_j = np.argsort(j, kind="stable")
+    j_start = np.searchsorted(j[by_j], np.arange(n + 1))
 
     out: list[FeatureInterval] = []
     for direction in ("increase", "decrease"):
@@ -81,61 +148,41 @@ def significant_feature_intervals(
         # vals[a] < thr[b]; for each b the tightest hull comes from the
         # certifying a with the largest left endpoint j[a]
         if direction == "increase":
-            vals = high
-            thr = low
+            vals, thr = high, low
         else:
-            vals = -low
-            thr = -high
-        # prefix-max tree over positions in k-order (k is ascending already):
-        # insert left intervals in ascending vals, query max j over a prefix
-        tree = np.full(m + 1, -1, dtype=np.int64)  # stores candidate index a
-
-        def _insert(pos: int, a: int):
-            i = pos + 1
-            while i <= m:
-                if tree[i] < 0 or j[a] > j[tree[i]]:
-                    tree[i] = a
-                i += i & (-i)
-
-        def _query(t: int) -> int:
-            best = -1
-            i = t
-            while i > 0:
-                if tree[i] >= 0 and (best < 0 or j[tree[i]] > j[best]):
-                    best = tree[i]
-                i -= i & (-i)
-            return best
-
+            vals, thr = -low, -high
+        # with vals ranked, a certifies b iff a < t[b] and vrank[a] < c[b]
         by_val = np.argsort(vals, kind="stable")
-        by_thr = np.argsort(thr, kind="stable")
-        hulls = []
-        ins = 0
-        for b in by_thr:
-            while ins < m and vals[by_val[ins]] < thr[b]:
-                _insert(int(by_val[ins]), int(by_val[ins]))
-                ins += 1
-            # left candidates must end at or before the right interval starts
-            t = int(np.searchsorted(k, j[b], side="right"))
-            a = _query(t)
-            if a >= 0:
-                margin = float(thr[b] - vals[a])
-                hulls.append((float(x[j[a] - 1]), float(x[k[b] - 1]), margin, a, b))
-        # keep only hulls minimal under set inclusion
-        kept = []
-        min_right = np.inf
-        for lo_v, hi_v, margin, a, b in sorted(hulls, key=lambda h: (-h[0], h[1])):
-            if hi_v < min_right:
-                kept.append((lo_v, hi_v, margin, a, b))
-                min_right = hi_v
-        for lo_v, hi_v, margin, a, b in sorted(kept):
+        vrank = np.empty_like(by_val)
+        vrank[by_val] = np.arange(m)
+        c = np.searchsorted(vals[by_val], thr, side="left")
+        lowest = np.minimum.accumulate(np.concatenate(([m], vrank)))
+        b = np.flatnonzero(lowest[t] < c)  # the right intervals with a partner
+        b = b[np.argsort(thr[b], kind="stable")]
+        left_end = _max_left_end(j, vrank, t[b], c[b])
+        lo_v = x[left_end - 1]
+        hi_v = x[k[b] - 1]
+        # keep only hulls minimal under set inclusion: widest-left first,
+        # a hull survives when its right end beats every earlier one
+        order = np.lexsort((hi_v, -lo_v))
+        hi_sorted = hi_v[order]
+        earlier = np.minimum.accumulate(np.concatenate(([np.inf], hi_sorted[:-1])))
+        for q in order[hi_sorted < earlier]:
+            rb = int(b[q])
+            tb = int(t[rb])
+            cand = by_j[j_start[left_end[q]] : j_start[left_end[q] + 1]]
+            cand = cand[(cand < tb) & (vrank[cand] < c[rb])]
+            # the pick of a prefix-max Fenwick tree over positions, filled in
+            # vals order: the first node its query visits, then the first in
+            la = int(min(cand, key=lambda a: ((int(a) ^ tb).bit_length(), vrank[a])))
             out.append(
                 FeatureInterval(
-                    hull=(lo_v, hi_v),
+                    hull=(float(lo_v[q]), float(hi_v[q])),
                     direction=direction,
-                    margin=float(margin),
+                    margin=float(thr[rb] - vals[la]),
                     witnesses=(
-                        IntervalSpec(int(j[a]), int(k[a]), int(scale[a])),
-                        IntervalSpec(int(j[b]), int(k[b]), int(scale[b])),
+                        IntervalSpec(int(j[la]), int(k[la]), int(scale[la])),
+                        IntervalSpec(int(j[rb]), int(k[rb]), int(scale[rb])),
                     ),
                 )
             )

@@ -3,9 +3,10 @@
 Plain and exhaustive versions of what ``mshist`` computes faster: the
 scalar brentq band solver, the per-interval bands built on it, the list form
 of the interval system, the plain Bellman recursion over all predecessors,
-the exhaustive-search oracle, and the audit's merge test one window at a
-time.  The oracle solves its own bands, so it shares only the membership
-test :func:`mshist.bounds.in_band` with the fit.
+the exhaustive-search oracle, the audit's merge test one window at a
+time, and the feature search on a binary indexed (Fenwick) tree.  The
+oracle solves its own bands, so it shares only the membership test
+:func:`mshist.bounds.in_band` with the fit.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from scipy.optimize import brentq
 from mshist.bounds import ConstraintTable, constraint_table, in_band
 from mshist.dp import HistogramModel, _backtrack, _model_from_cuts
 from mshist.evaluate import MERGE_WINDOW
+from mshist.inference import FeatureInterval, _radii
 from mshist.intervals import IntervalSpec, interval_arrays
 from mshist.multiscale import QuantileTable, log_likelihood_ratio, lookup_kappa, penalty
 from mshist.sample import SortedSample
@@ -304,4 +306,97 @@ def removable_reference(
             if ok and first < cp <= last
         )
         out.append((cp, mult))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# feature search on a Fenwick tree
+
+
+def feature_intervals_tree(
+    sample: SortedSample, alpha: float, table: QuantileTable
+) -> list[FeatureInterval]:
+    """:func:`mshist.inference.significant_feature_intervals` on a prefix-max
+    binary indexed tree, one system interval at a time.
+
+    Among the certifying left intervals with the largest left end, the query
+    keeps the one in the first tree node it visits, and within a node the
+    one inserted first; the reported margin and witnesses follow that rule.
+    """
+    n = sample.n
+    jj, kk, scale = interval_arrays(n)
+    if jj.size == 0:
+        raise ValueError(f"interval system empty for n={n}")
+    kappa = lookup_kappa(table, alpha, n)
+    j, k, dens, r = _radii(sample, kappa)
+    x = sample.values
+    low = dens - 0.5 * r
+    high = dens + 0.5 * r
+    m = j.size
+
+    out: list[FeatureInterval] = []
+    for direction in ("increase", "decrease"):
+        # pair (a, b) with k[a] <= j[b] certifies the direction iff
+        # vals[a] < thr[b]; for each b the tightest hull comes from the
+        # certifying a with the largest left endpoint j[a]
+        if direction == "increase":
+            vals = high
+            thr = low
+        else:
+            vals = -low
+            thr = -high
+        # prefix-max tree over positions in k-order (k is ascending already):
+        # insert left intervals in ascending vals, query max j over a prefix
+        tree = np.full(m + 1, -1, dtype=np.int64)  # stores candidate index a
+
+        def _insert(pos: int, a: int):
+            i = pos + 1
+            while i <= m:
+                if tree[i] < 0 or j[a] > j[tree[i]]:
+                    tree[i] = a
+                i += i & (-i)
+
+        def _query(t: int) -> int:
+            best = -1
+            i = t
+            while i > 0:
+                if tree[i] >= 0 and (best < 0 or j[tree[i]] > j[best]):
+                    best = tree[i]
+                i -= i & (-i)
+            return best
+
+        by_val = np.argsort(vals, kind="stable")
+        by_thr = np.argsort(thr, kind="stable")
+        hulls = []
+        ins = 0
+        for b in by_thr:
+            while ins < m and vals[by_val[ins]] < thr[b]:
+                _insert(int(by_val[ins]), int(by_val[ins]))
+                ins += 1
+            # left candidates must end at or before the right interval starts
+            t = int(np.searchsorted(k, j[b], side="right"))
+            a = _query(t)
+            if a >= 0:
+                margin = float(thr[b] - vals[a])
+                hulls.append((float(x[j[a] - 1]), float(x[k[b] - 1]), margin, a, b))
+        # keep only hulls minimal under set inclusion
+        kept = []
+        min_right = np.inf
+        for lo_v, hi_v, margin, a, b in sorted(hulls, key=lambda h: (-h[0], h[1])):
+            if hi_v < min_right:
+                kept.append((lo_v, hi_v, margin, a, b))
+                min_right = hi_v
+        for lo_v, hi_v, margin, a, b in sorted(kept):
+            out.append(
+                FeatureInterval(
+                    hull=(lo_v, hi_v),
+                    direction=direction,
+                    margin=float(margin),
+                    witnesses=(
+                        IntervalSpec(int(j[a]), int(k[a]), int(scale[a])),
+                        IntervalSpec(int(j[b]), int(k[b]), int(scale[b])),
+                    ),
+                )
+            )
+    out.sort(key=lambda f: f.hull)
     return out

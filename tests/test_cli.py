@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ class TestFit:
         assert run("fit", "--input", data, "--out", out, *CACHE2K) == 0
         assert read_histogram(out).nbins == 1
         assert "too small" in capsys.readouterr().err
+
+    def test_too_small_is_a_logged_warning(self, tmp_path, caplog):
+        data = tmp_path / "d.txt"
+        data.write_text("0.1\n0.4\n0.6\n0.9\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", data, "--out", out, *CACHE2K) == 0
+        warned = [
+            r for r in caplog.records
+            if r.name == "mshist" and r.levelno == logging.WARNING
+        ]
+        assert any("too small" in r.getMessage() for r in warned)
 
     def test_duplicates_exit_2(self, tmp_path):
         data = tmp_path / "d.txt"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mshist.bounds import in_band
+from mshist.bounds import constraint_table, in_band
 from mshist.densities import classical_histogram, get_density
 from mshist.dp import HistogramModel, essential_histogram
 from mshist.evaluate import (
@@ -100,6 +100,40 @@ class TestViolations:
         a = audit(sample, est, 0.1, tables(300))
         b = audit(sample, est, 0.1, tables(300))
         assert a.violations == b.violations and a.removable == b.removable
+
+
+class TestAudit:
+    def test_one_band_table_per_audit(self, tables, monkeypatch):
+        from mshist import evaluate
+
+        sample = get_density("claw").sampler(11, 500)
+        table = tables(500)
+        estimators = [essential_histogram(sample, 0.1, table)] + [
+            classical_histogram(sample, rule)
+            for rule in ("sturges", "scott_width", "scott_area")
+        ]
+        halves_of = [
+            (
+                violation_intervals(sample, est, 0.1, table),
+                removable_changepoints(sample, est, 0.1, table),
+            )
+            for est in estimators
+        ]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return constraint_table(*args)
+
+        monkeypatch.setattr(evaluate, "constraint_table", counting)
+        for est, (violations, removable) in zip(estimators, halves_of):
+            before = len(calls)
+            report = audit(sample, est, 0.1, table)
+            assert len(calls) == before + 1
+            assert report.violations == violations
+            assert report.removable == removable
+            assert report.kappa == lookup_kappa(table, 0.1, 500)
+        assert any(v or r for v, r in halves_of)
 
 
 class TestRemovable:

@@ -12,7 +12,7 @@ from mshist.inference import (
 from mshist.multiscale import lookup_kappa, penalty
 from mshist.sample import SortedSample
 
-from reference import build_interval_system
+from reference import build_interval_system, feature_intervals_tree
 
 
 def radius_oracle(count, n, width, kappa):
@@ -52,6 +52,19 @@ def minimal_hulls_reference(sample, alpha, table):
         ):
             minimal.add((h, direction))
     return minimal
+
+
+def certifying_at_left_end(sample, alpha, table, feature):
+    """How many system intervals with the left witness's left end certify
+    the feature together with its right witness."""
+    j, k, dens, r = _radii(sample, lookup_kappa(table, alpha, sample.n))
+    low, high = dens - 0.5 * r, dens + 0.5 * r
+    left, right = feature.witnesses
+    b = np.flatnonzero((j == right.j) & (k == right.k))[0]
+    a = (j == left.j) & (k <= right.j)
+    if feature.direction == "increase":
+        return int(np.sum(high[a] < low[b]))
+    return int(np.sum(low[a] > high[b]))
 
 
 class TestConfidenceRadius:
@@ -100,6 +113,33 @@ class TestFeatureSearch:
                 for f in significant_feature_intervals(sample, alpha, table)
             }
             assert got == minimal_hulls_reference(sample, alpha, table)
+
+    def test_matches_tree_search_exactly(self, tables):
+        """The full feature lists, margins and witnesses included, equal the
+        Fenwick-tree search's; some kept feature has several certifying left
+        intervals at its largest left end, so the tree's tie rule is used."""
+        from mshist.densities import get_density
+
+        rng = np.random.default_rng(3)
+        samples = [
+            (get_density(d).sampler(seed, n), n)
+            for n in (60, 150, 1000)
+            for seed, d in enumerate(
+                ("claw", "harp", "uniform", "exponential", "bimodal")
+            )
+        ]
+        gapped = np.concatenate([rng.uniform(0, 1, 100), rng.uniform(10, 10.5, 50)])
+        samples.append((SortedSample(gapped), 150))
+        samples.append((get_density("cauchy").sampler(5, 150), 150))
+        most_ties = 0
+        for sample, n in samples:
+            for alpha in (0.05, 0.1, 0.5, 0.9):
+                got = significant_feature_intervals(sample, alpha, tables(n))
+                assert got == feature_intervals_tree(sample, alpha, tables(n))
+                most_ties = max([most_ties] + [
+                    certifying_at_left_end(sample, alpha, tables(n), f) for f in got
+                ])
+        assert most_ties >= 2
 
     def test_witnesses_reverify(self, tables):
         from mshist.densities import get_density
