@@ -69,8 +69,6 @@ def _removable(
     sample: SortedSample, estimator: HistogramModel, ctab
 ) -> list[tuple[int, int]]:
     nb = estimator.nbins
-    if nb < 2:
-        return []
     n = sample.n
     # every run of segments first..last, 2..MERGE_WINDOW long
     first = np.repeat(np.arange(nb), MERGE_WINDOW - 1)
