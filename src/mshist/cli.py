@@ -40,7 +40,8 @@ def _alpha_list(args) -> list[float]:
 
 def _get_table(n: int, args) -> multiscale.QuantileTable:
     path = multiscale.table_path(n, args.reps, args.seed, args.cache_dir)
-    if not path.exists():
+    # too few reps is an error from simulate_quantiles, not a simulation
+    if not path.exists() and args.reps >= multiscale.MIN_REPS:
         log.warning(
             f"no calibrated thresholds at {path}; "
             f"simulating now ({args.reps} replications) -- this can take a while"

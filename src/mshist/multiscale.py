@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from .sample import SortedSample
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_REPS = 5000
+#: fewest replications a table may be calibrated from
+MIN_REPS = 100
 TABLE_VERSION = 1
 #: every sample size at or above this is served by one shared table
 TABLE_N_CAP = 10_000
@@ -51,19 +54,48 @@ def penalty(p_hat):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=64)
+def _count_groups(n: int):
+    """The system for sample size n in count order, for the reduction of
+    :func:`multiscale_statistic`: the gather indices ``j - 1`` and ``k - 1``
+    sorted by count ``k - j``, the start of each count group in that order,
+    and each group's empirical mass and penalty, listed twice (once per
+    extreme of the group).
+
+    Cached per n; arrays are read-only.
+    """
+    j, k, _ = interval_arrays(n)
+    counts = k - j
+    order = np.argsort(counts, kind="stable")
+    counts = counts[order]
+    starts = np.flatnonzero(np.diff(counts, prepend=0))
+    p_hat = np.tile(counts[starts] / n, 2)
+    groups = (j[order] - 1, k[order] - 1, starts, p_hat, penalty(p_hat))
+    for a in groups:
+        a.flags.writeable = False
+    return groups
+
+
 def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     """Global statistic: the maximum over the interval system of the
     penalized root-LR deviation between the true interval mass, given by the
     vectorized true ``cdf``, and the empirical one.
+
+    All intervals of one count share the empirical mass and the penalty, and
+    the root-LR is convex in the true mass with its minimum at the empirical
+    one, so each count's maximum sits at its smallest or its largest true
+    mass; only those two are evaluated.
     """
     n = sample.n
-    j, k, _ = interval_arrays(n)
-    if j.size == 0:
+    left, right, starts, p_hat, pen = _count_groups(n)
+    if starts.size == 0:
         raise ValueError(f"interval system empty for n={n}; sample too small")
-    x = sample.values
-    p0 = cdf(x[k - 1]) - cdf(x[j - 1])
-    p_hat = (k - j) / n
-    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, p0, n)) - penalty(p_hat)
+    f = cdf(sample.values)
+    p0 = f[right] - f[left]
+    ends = np.concatenate(
+        (np.minimum.reduceat(p0, starts), np.maximum.reduceat(p0, starts))
+    )
+    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, ends, n)) - pen
     return float(stat.max())
 
 
@@ -157,13 +189,17 @@ def simulate_quantiles(
 ) -> QuantileTable:
     """Calibrate thresholds for sample size n on the ``DEFAULT_ALPHAS`` grid.
 
-    Sample sizes above the cap share one table (the statistic's distribution
-    has visibly converged there).  Tables are cached as write-once JSON files
-    keyed by (capped n, reps, seed, format version): an existing file is
-    returned as it is and never replaced, not even by a concurrent writer.
+    Sample sizes above the cap share one table.  That is a known
+    approximation, not a converged limit: above the cap the statistic's
+    quantiles keep drifting up with n, so there the shared thresholds are
+    anti-conservative for alpha >= 0.5 (ROADMAP item 1).
+
+    Tables are cached as write-once JSON files keyed by (capped n, reps,
+    seed, format version): an existing file is returned as it is and never
+    replaced, not even by a concurrent writer.
     """
-    if reps < 100:
-        raise ValueError("reps must be >= 100")
+    if reps < MIN_REPS:
+        raise ValueError(f"reps must be >= {MIN_REPS}")
     path = table_path(n, reps, seed, cache_dir)
     if path.exists():
         return load_table(path)

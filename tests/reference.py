@@ -4,7 +4,8 @@ Plain and exhaustive versions of what ``mshist`` computes faster: the
 scalar brentq band solver, the per-interval bands built on it, the list form
 of the interval system, the plain Bellman recursion over all predecessors,
 the exhaustive-search oracle, the audit's merge test one window at a
-time, and the feature search on a binary indexed (Fenwick) tree.  The
+time, the feature search on a binary indexed (Fenwick) tree, and the
+multiscale statistic evaluated on every system interval.  The
 oracle solves its own bands, so it shares only the membership test
 :func:`mshist.bounds.in_band` with the fit.
 """
@@ -400,3 +401,22 @@ def feature_intervals_tree(
             )
     out.sort(key=lambda f: f.hull)
     return out
+
+
+# ---------------------------------------------------------------------------
+# multiscale statistic over the whole system
+
+
+def multiscale_statistic_full(sample: SortedSample, *, cdf) -> float:
+    """:func:`mshist.multiscale.multiscale_statistic` with the penalized
+    root-LR evaluated on every system interval, not on the extremes of each
+    count group."""
+    n = sample.n
+    j, k, _ = interval_arrays(n)
+    if j.size == 0:
+        raise ValueError(f"interval system empty for n={n}; sample too small")
+    x = sample.values
+    p0 = cdf(x[k - 1]) - cdf(x[j - 1])
+    p_hat = (k - j) / n
+    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, p0, n)) - penalty(p_hat)
+    return float(stat.max())

@@ -46,6 +46,15 @@ class TestQuantile:
     def test_small_n_is_data_error(self, capsys):
         assert run("quantile", "--n", "4", *CACHE) == 2
 
+    def test_too_few_reps_fails_without_announcing_a_simulation(
+        self, tmp_path, capsys, caplog
+    ):
+        args = ["quantile", "--n", "20", "--reps", "50", "--cache-dir", tmp_path]
+        assert run(*args) == 2
+        assert capsys.readouterr().err == "error: reps must be >= 100\n"
+        assert [r for r in caplog.records if r.name == "mshist"] == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFit:
     def test_fit_and_features(self, workdir, capsys):

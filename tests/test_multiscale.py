@@ -5,6 +5,8 @@ import tempfile
 import numpy as np
 import pytest
 
+from mshist.densities import get_density
+from mshist.intervals import interval_arrays
 from mshist.multiscale import (
     DEFAULT_ALPHAS,
     QuantileTable,
@@ -20,8 +22,8 @@ from mshist.multiscale import (
 )
 from mshist.sample import SortedSample
 
-from conftest import SEED, TABLES_DIR
-from reference import build_interval_system
+from conftest import SEED, TABLES_DIR, committed_reps
+from reference import build_interval_system, multiscale_statistic_full
 
 
 def loglr_oracle(p_hat, p0, n):
@@ -101,6 +103,40 @@ class TestStatistics:
             for iv in build_interval_system(60)
         )
         assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_matches_whole_system_exactly(self):
+        # the per-count reduction evaluates two intervals per count; the
+        # whole-system formula all of them, and both must agree to the bit
+        sides = set()
+        for name in ("uniform", "exponential", "claw"):
+            truth = get_density(name)
+            for n in (9, 60, 1000, 10000):
+                j, k, _ = interval_arrays(n)
+                p_hat = (k - j) / n
+                for seed in range(4):
+                    sample = truth.sampler(seed, n)
+                    got = multiscale_statistic(sample, cdf=truth.cdf)
+                    assert got == multiscale_statistic_full(sample, cdf=truth.cdf)
+                    # which extreme of its count group attains the maximum
+                    f = truth.cdf(sample.values)
+                    p0 = f[k - 1] - f[j - 1]
+                    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, p0, n))
+                    i = int(np.argmax(stat - penalty(p_hat)))
+                    sides.add("lower" if p0[i] < p_hat[i] else "upper")
+        assert sides == {"lower", "upper"}
+
+    def test_degenerate_true_mass_raises(self):
+        # only the extremes of each count group reach the LLR, and they hold
+        # the smallest and the largest true mass, so a cdf that puts some
+        # interval's mass outside (0, 1) is rejected as before
+        sample = SortedSample(np.random.default_rng(5).random(1000))
+        x = sample.values
+        flat_below_median = lambda v: np.maximum(v, x[500])  # some p0 == 0
+        steep = lambda v: 2.5 * v  # the widest intervals get p0 >= 1
+        for cdf in (flat_below_median, steep):
+            for statistic in (multiscale_statistic, multiscale_statistic_full):
+                with pytest.raises(ValueError, match="p0"):
+                    statistic(sample, cdf=cdf)
 
     def test_small_n_raises(self):
         with pytest.raises(ValueError):
@@ -190,12 +226,13 @@ class TestQuantileTable:
         for a, k in zip(t.alphas, t.kappas):
             assert k == pytest.approx(np.quantile(stats, 1 - a))
 
-    @pytest.mark.parametrize("n", [9, 60])
+    @pytest.mark.parametrize("n", [9, 60, 500, 1000, 3000])
     def test_committed_tables_reproduce(self, n, tmp_path):
-        committed = table_path(n, 2000, SEED, TABLES_DIR)
-        got = simulate_quantiles(n, reps=2000, seed=SEED, cache_dir=tmp_path)
+        reps = committed_reps(n)
+        committed = table_path(n, reps, SEED, TABLES_DIR)
+        got = simulate_quantiles(n, reps=reps, seed=SEED, cache_dir=tmp_path)
         assert got == load_table(committed)
-        assert table_path(n, 2000, SEED, tmp_path).read_bytes() == committed.read_bytes()
+        assert table_path(n, reps, SEED, tmp_path).read_bytes() == committed.read_bytes()
 
 
 class TestLookup:
