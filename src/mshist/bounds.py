@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import interval_arrays
+from .intervals import count_groups, interval_arrays
 from .multiscale import log_likelihood_ratio, penalty
 from .sample import SortedSample
 
@@ -39,30 +39,17 @@ def mass_roots_batch(p_hat: np.ndarray, kappa: float, n: int):
     p = np.asarray(p_hat, dtype=float)
     root_level = penalty(p) + kappa
     target = root_level**2
-    ok = root_level > 0.0
-
-    def solve(side: str) -> np.ndarray:
-        if side == "lower":
-            a = np.full_like(p, 1e-300)
-            b = p.copy()
-        else:
-            a = p.copy()
-            b = np.full_like(p, 1.0 - 1e-16)
-        for _ in range(64):
-            mid = 0.5 * (a + b)
-            g = 2.0 * log_likelihood_ratio(p, mid, n) - target
-            # on the lower side g decreases in q, on the upper side it increases
-            high = g > 0.0
-            if side == "lower":
-                a = np.where(high, mid, a)
-                b = np.where(high, b, mid)
-            else:
-                b = np.where(high, mid, b)
-                a = np.where(high, a, mid)
-        return 0.5 * (a + b)
-
-    lo = np.where(ok, solve("lower"), np.nan)
-    hi = np.where(ok, solve("upper"), np.nan)
+    # the lower roots in (0, p] and the upper ones in [p, 1), stacked and
+    # bisected together: 2*logLR - target falls in q below p, rises above it
+    upper = np.array([False, True]).reshape(-1, *[1] * p.ndim)
+    a = np.where(upper, p, 1e-300)
+    b = np.where(upper, 1.0 - 1e-16, p)
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        up = (2.0 * log_likelihood_ratio(p, mid, n) - target > 0.0) != upper
+        a = np.where(up, mid, a)
+        b = np.where(up, b, mid)
+    lo, hi = np.where(root_level > 0.0, 0.5 * (a + b), np.nan)
     return lo, hi
 
 
@@ -82,13 +69,12 @@ def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
     """Feasible density band of every system interval at threshold ``kappa``."""
     n = sample.n
     j, k, _ = interval_arrays(n)
+    counts, group, _, _, _ = count_groups(n)
     x = sample.values
-    counts = k - j
-    uniq, inv = np.unique(counts, return_inverse=True)
-    q_lo, q_hi = mass_roots_batch(uniq / n, kappa, n)
+    q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
     width = x[k - 1] - x[j - 1]
-    lo = q_lo[inv] / width
-    hi = q_hi[inv] / width
+    lo = q_lo[group] / width
+    hi = q_hi[group] / width
     empty = np.isnan(lo)
     lo = np.where(empty, np.inf, lo)
     hi = np.where(empty, -np.inf, hi)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dp import HistogramModel
 from .sample import SortedSample
@@ -59,6 +58,9 @@ def _gm_pdf(w, mu, sd):
 
 
 def _gm_cdf(w, mu, sd):
+    # imported here so that ``import mshist`` does not load scipy.special
+    from scipy.special import ndtr
+
     def cdf(x):
         x = np.asarray(x, dtype=float)[..., None]
         return np.sum(w * ndtr((x - mu) / sd), axis=-1)

@@ -263,29 +263,23 @@ def _model_from_cuts(sample: SortedSample, cuts: list[int]) -> HistogramModel:
     neighbors (pure representation cleanup, counts re-aggregated)."""
     x = sample.values
     n = sample.n
-    counts = [cuts[1]] + [b - a for a, b in zip(cuts[1:], cuts[2:])]
-    edges = [x[0]] + [x[t - 1] for t in cuts[1:]]
-    heights = [
-        c / (n * (r - l)) for c, l, r in zip(counts, edges[:-1], edges[1:])
-    ]
-    # merge neighbors whose heights coincide
-    m_counts, m_edges = [counts[0]], [edges[0], edges[1]]
-    for c, e, h_prev, h in zip(counts[1:], edges[2:], heights[:-1], heights[1:]):
-        if abs(h - h_prev) <= MERGE_RTOL * max(h, h_prev):
-            m_counts[-1] += c
-            m_edges[-1] = e
-        else:
-            m_counts.append(c)
-            m_edges.append(e)
-    m_heights = [
-        c / (n * (r - l)) for c, l, r in zip(m_counts, m_edges[:-1], m_edges[1:])
-    ]
+    cuts = np.asarray(cuts)
+    counts = np.diff(cuts)
+    edges = np.concatenate((x[:1], x[cuts[1:] - 1]))
+    heights = counts / (n * np.diff(edges))
+    # merge runs of neighbors whose heights coincide
+    h_prev, h = heights[:-1], heights[1:]
+    same = np.abs(h - h_prev) <= MERGE_RTOL * np.maximum(h, h_prev)
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    m_counts = np.add.reduceat(counts, starts)
+    m_edges = np.append(edges[starts], edges[-1])
+    m_heights = m_counts / (n * np.diff(m_edges))
     return HistogramModel(
-        breaks=np.asarray(m_edges),
-        heights=np.asarray(m_heights),
+        breaks=m_edges,
+        heights=m_heights,
         n=n,
-        counts=np.asarray(m_counts, dtype=np.int64),
-        cut_indices=tuple(cuts),
+        counts=m_counts,
+        cut_indices=tuple(int(t) for t in cuts),
     )
 
 

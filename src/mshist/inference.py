@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import IntervalSpec, interval_arrays
+from .intervals import IntervalSpec, count_groups, interval_arrays
 from .multiscale import QuantileTable, lookup_kappa, penalty
 from .sample import SortedSample
 
@@ -41,13 +41,15 @@ def _radii(sample: SortedSample, kappa: float):
     densities, with those densities and the intervals' endpoints.
 
     With p an interval's empirical mass and c = penalty(p) + kappa:
-    r = (2c/width) * (sqrt(p*(1-p)/n) + c/(2n)).
+    r = (2c/width) * (sqrt(p*(1-p)/n) + c/(2n)).  The penalty depends on the
+    count alone, so it is evaluated once per count group.
     """
     n = sample.n
     j, k, _ = interval_arrays(n)
+    counts, group, _, _, _ = count_groups(n)
     x = sample.values
     p = (k - j) / n
-    c = penalty(p) + kappa
+    c = (penalty(counts / n) + kappa)[group]
     width = x[k - 1] - x[j - 1]
     r = (2.0 * c / width) * (np.sqrt(p * (1.0 - p) / n) + c / (2.0 * n))
     dens = p / width
@@ -127,8 +129,8 @@ def significant_feature_intervals(
     ``tests/reference.py``.
     """
     n = sample.n
-    jj, kk, scale = interval_arrays(n)
-    if jj.size == 0:
+    _, _, scale = interval_arrays(n)
+    if scale.size == 0:
         raise ValueError(f"interval system empty for n={n}")
     kappa = lookup_kappa(table, alpha, n)
     j, k, dens, r = _radii(sample, kappa)
@@ -136,8 +138,9 @@ def significant_feature_intervals(
     low = dens - 0.5 * r
     high = dens + 0.5 * r
     m = j.size
-    # left candidates must end at or before the right interval starts
-    t = np.searchsorted(k, j, side="right")
+    # left candidates must end at or before the right interval starts: the
+    # rows before the first one whose right end passes j
+    t = np.searchsorted(k, np.arange(n + 2))[j + 1]
     # the system intervals with left end e: by_j[j_start[e] : j_start[e + 1]]
     by_j = np.argsort(j, kind="stable")
     j_start = np.searchsorted(j[by_j], np.arange(n + 1))

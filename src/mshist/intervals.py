@@ -78,3 +78,27 @@ def interval_arrays(n: int):
     for a in (j, k, lev):
         a.flags.writeable = False
     return j, k, lev
+
+
+@lru_cache(maxsize=64)
+def count_groups(n: int):
+    """The system for sample size n grouped by count ``k - j``.
+
+    Returns ``(counts, group, left, right, starts)``: the distinct counts,
+    ascending; the group index of every interval, in system order, so that
+    ``counts[group] == k - j``; the intervals' ``j`` and ``k`` in stable count
+    order; and where each group starts in that order.  Every per-interval
+    quantity but the width depends on the count alone, so the band table, the
+    radii and the multiscale statistic each evaluate it once per group.
+
+    Cached per n apart from :func:`interval_arrays`, which does not pay for
+    it; arrays are read-only.
+    """
+    j, k, _ = interval_arrays(n)
+    counts, group = np.unique(k - j, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(counts.size))
+    out = (counts, group, j[order], k[order], starts)
+    for a in out:
+        a.flags.writeable = False
+    return out

@@ -6,12 +6,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .intervals import interval_arrays
+from .intervals import count_groups, interval_arrays
 from .sample import SortedSample
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
@@ -54,28 +53,6 @@ def penalty(p_hat):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=64)
-def _count_groups(n: int):
-    """The system for sample size n in count order, for the reduction of
-    :func:`multiscale_statistic`: the gather indices ``j - 1`` and ``k - 1``
-    sorted by count ``k - j``, the start of each count group in that order,
-    and each group's empirical mass and penalty, listed twice (once per
-    extreme of the group).
-
-    Cached per n; arrays are read-only.
-    """
-    j, k, _ = interval_arrays(n)
-    counts = k - j
-    order = np.argsort(counts, kind="stable")
-    counts = counts[order]
-    starts = np.flatnonzero(np.diff(counts, prepend=0))
-    p_hat = np.tile(counts[starts] / n, 2)
-    groups = (j[order] - 1, k[order] - 1, starts, p_hat, penalty(p_hat))
-    for a in groups:
-        a.flags.writeable = False
-    return groups
-
-
 def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     """Global statistic: the maximum over the interval system of the
     penalized root-LR deviation between the true interval mass, given by the
@@ -87,15 +64,15 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     mass; only those two are evaluated.
     """
     n = sample.n
-    left, right, starts, p_hat, pen = _count_groups(n)
-    if starts.size == 0:
+    counts, _, left, right, starts = count_groups(n)
+    if counts.size == 0:
         raise ValueError(f"interval system empty for n={n}; sample too small")
-    f = cdf(sample.values)
+    p_hat = counts / n
+    # f[i] = F(X_(i)), so f[k] - f[j] is the true mass of (X_(j), X_(k)]
+    f = np.concatenate(([0.0], cdf(sample.values)))
     p0 = f[right] - f[left]
-    ends = np.concatenate(
-        (np.minimum.reduceat(p0, starts), np.maximum.reduceat(p0, starts))
-    )
-    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, ends, n)) - pen
+    ends = np.stack((np.minimum.reduceat(p0, starts), np.maximum.reduceat(p0, starts)))
+    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, ends, n)) - penalty(p_hat)
     return float(stat.max())
 
 

@@ -148,6 +148,15 @@ class TestEssentialHistogram:
         fit = essential_histogram(sample, 0.1, tables(500))
         assert np.all(np.diff(fit.heights) != 0.0)
 
+    def test_model_merges_equal_height_neighbors(self):
+        # unit spacing: bins (4, 7], (7, 10], (10, 12] all have height 1/12
+        sample = SortedSample(np.arange(12.0))
+        model = _model_from_cuts(sample, [0, 4, 7, 10, 12])
+        assert model.counts.tolist() == [4, 8]
+        assert model.breaks.tolist() == [0.0, 3.0, 11.0]
+        assert model.heights.tolist() == [4 / 36, 8 / 96]
+        assert model.cut_indices == (0, 4, 7, 10, 12)
+
     def test_alpha_monotone_bins(self, tables):
         from mshist.densities import get_density
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mshist.intervals import IntervalSpec, interval_arrays, max_scale
+from mshist.bounds import constraint_table
+from mshist.intervals import IntervalSpec, count_groups, interval_arrays, max_scale
+from mshist.sample import SortedSample
 
 from reference import build_interval_system
 
@@ -73,3 +75,25 @@ def test_arrays_read_only():
     j, k, lev = interval_arrays(100)
     with pytest.raises(ValueError):
         j[0] = 5
+
+
+@pytest.mark.parametrize("n", [8, 9, 60, 1000, 10000])
+def test_count_groups(n):
+    j, k, _ = interval_arrays(n)
+    counts, group, left, right, starts = count_groups(n)
+    assert np.array_equal(counts, np.unique(k - j))
+    assert np.array_equal(counts[group], k - j)
+    order = np.argsort(k - j, kind="stable")
+    assert np.array_equal(left, j[order]) and np.array_equal(right, k[order])
+    assert np.array_equal(starts, np.flatnonzero(np.diff((k - j)[order], prepend=0)))
+    for a in (counts, group, left, right, starts):
+        assert not a.flags.writeable
+    assert (counts.size == 0) == (n < 9)
+
+
+def test_band_tables_share_the_cached_grouping():
+    sample = SortedSample(np.linspace(0.0, 1.0, 777))
+    constraint_table(sample, 1.0)
+    misses = count_groups.cache_info().misses
+    constraint_table(sample, 0.5)
+    assert count_groups.cache_info().misses == misses
