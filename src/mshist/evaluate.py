@@ -59,10 +59,8 @@ def _violations(
     c = _piece_values(estimator, x[ctab.a - 1], x[ctab.b - 1])
     viol = ~np.isnan(c) & ~in_band(c, ctab.lo, ctab.hi)
     _, _, scale = interval_arrays(sample.n)
-    return [
-        IntervalSpec(int(a), int(b), int(s))
-        for a, b, s in zip(ctab.a[viol], ctab.b[viol], scale[viol])
-    ]
+    cols = (ctab.a[viol].tolist(), ctab.b[viol].tolist(), scale[viol].tolist())
+    return [IntervalSpec(a, b, s) for a, b, s in zip(*cols)]
 
 
 def _removable(

@@ -56,55 +56,51 @@ def _radii(sample: SortedSample, kappa: float):
     return j, k, dens, r
 
 
-def _max_left_end(j, vrank, t, c):
-    """For each query q: the largest j[a] over the positions a < t[q] with
-    vrank[a] < c[q], or -1 when there is none.
+def _max_left_end(j, queries):
+    """For each ``(vrank, t, c)`` in ``queries`` and each of its queries q:
+    the largest j[a] over the positions a < t[q] with vrank[a] < c[q].
 
-    ``vrank`` is a permutation of the positions.  A wavelet-matrix descent:
-    level by level from the top bit of the rank, every block of the current
-    arrangement is stably split by the next rank bit, so the block holding
-    the ranks [B * 2**lev, (B + 1) * 2**lev) sits exactly at those indices,
-    in position order.  A query keeps its node start and the number of the
-    node's members with position < t; where c has a one bit, the zero child's
-    first members all rank below c and give a candidate through a per-block
-    running max.  Every level is a few array passes over the system.
+    ``vrank`` is a permutation of the positions, and every query must have
+    such an a.  A wavelet matrix over the bits of the left end: level by level
+    from the top bit of j, the arrangement is stably split by that bit, zeros
+    first, so every node (the positions whose j shares the bits above) is a
+    contiguous run in position order.  A query keeps its node start and the
+    number of the node's members with position < t.  It takes the one child,
+    and sets that bit of its answer, when the child's first members hold a
+    rank below c, which a running min of the ranks within each node shows.
+    The arrangement and the node bounds depend on j alone and serve every
+    query set; per set a level is a gather, an OR and a running max.
     """
     m = j.size
-    size = 1 << m.bit_length()  # a power of two above every c
-    shift = size.bit_length()
-    # left end + 1 in the high bits, rank in the low ones, so a running max
-    # of the key is a running max of j; the padding ranks m.. have left end -1
-    key = np.arange(size)
-    key[:m] = (j + 1) << shift | vrank
-    # queries in (c, t) order read each level's arrays front to back
-    order = np.argsort(c * (m + 1) + t)
-    c = c[order]
-    count = t[order]
-    start = np.zeros(t.size, dtype=np.int64)
-    best = np.zeros(t.size, dtype=np.int64)
-    zeros = np.zeros(size + 1, dtype=np.int64)
-    run = np.zeros(size + 1, dtype=np.int64)  # run[-1] = 0 answers a miss
-    for lev in range(shift - 2, -1, -1):
-        half = 1 << lev
-        one = (key & half).astype(bool)
-        np.cumsum(~one, out=zeros[1:])
-        # zeros in the query's node before its count; a node start holds
-        # as many zeros as ones before it
-        z = zeros[start + count] - (start >> 1)
-        ones, zs = np.compress(one, key), np.compress(~one, key)
-        split = key.reshape(-1, 2, half)
-        split[:, 0] = zs.reshape(-1, half)
-        split[:, 1] = ones.reshape(-1, half)
-        np.maximum.accumulate(
-            key.reshape(-1, half), axis=1, out=run[:-1].reshape(-1, half)
-        )
-        right = (c & half).astype(bool)
-        best = np.maximum(best, run[np.where(right & (z > 0), start + z - 1, -1)])
-        start += right * half
-        count = np.where(right, count - z, z)
-    out = np.empty_like(best)
-    out[order] = (best >> shift) - 1
-    return out
+    shift = m.bit_length()
+    low = (1 << shift) - 1
+    pos = np.arange(m)  # the positions in the current arrangement
+    key = j.copy()  # and their left ends
+    ones = np.zeros(m + 1, dtype=np.int64)
+    # a running max of the rank complement m - 1 - vrank is a running min of
+    # vrank; per set: complement, node start, count, answer, complement of c
+    sets = [
+        (m - 1 - vrank, np.zeros_like(t), t.copy(), np.zeros_like(t), m - 1 - c)
+        for vrank, t, c in queries
+    ]
+    for bit in range(int(j.max()).bit_length() - 1, -1, -1):
+        one = (key >> bit & 1).astype(bool)
+        np.cumsum(one, out=ones[1:])
+        zeros = m - ones[m]
+        pos = np.concatenate((pos[~one], pos[one]))
+        key = np.concatenate((key[~one], key[one]))
+        # the node number in the high bits restarts the running max per node
+        node = key >> bit
+        hi = np.concatenate(([0], np.cumsum(node[1:] != node[:-1]))) << shift
+        for rev, start, count, best, bar in sets:
+            run = np.maximum.accumulate(hi | rev[pos])
+            before = ones[start]
+            n1 = ones[start + count] - before
+            take = (n1 > 0) & ((run[zeros + before + n1 - 1] & low) > bar)
+            start[:] = np.where(take, zeros + before, start - before)
+            count[:] = np.where(take, n1, count - n1)
+            best[take] |= 1 << bit
+    return [best for _, _, _, best, _ in sets]
 
 
 def significant_feature_intervals(
@@ -119,9 +115,9 @@ def significant_feature_intervals(
 
     For each right interval b the tightest hull needs the largest left end
     j[a] over the left intervals a with k[a] <= j[b] and a threshold below
-    b's, a 2-D dominance query.  All m system intervals are answered at once
-    by a wavelet-matrix descent over the bits of the threshold ranks, about
-    log2(m) levels of a few O(m) array passes each.  Among the left intervals
+    b's, a 2-D dominance query.  The right intervals of both directions are
+    answered by one wavelet-matrix descent over the bits of the left ends,
+    log2(n) levels of a few O(m) array passes each.  Among the left intervals
     with that largest left end, the witness and margin reported are those a
     prefix-max binary indexed tree filled in threshold order would keep (the
     candidate in the first tree node its query visits, then the first
@@ -145,16 +141,12 @@ def significant_feature_intervals(
     by_j = np.argsort(j, kind="stable")
     j_start = np.searchsorted(j[by_j], np.arange(n + 1))
 
-    out: list[FeatureInterval] = []
-    for direction in ("increase", "decrease"):
-        # pair (a, b) with k[a] <= j[b] certifies the direction iff
-        # vals[a] < thr[b]; for each b the tightest hull comes from the
-        # certifying a with the largest left endpoint j[a]
-        if direction == "increase":
-            vals, thr = high, low
-        else:
-            vals, thr = -low, -high
-        # with vals ranked, a certifies b iff a < t[b] and vrank[a] < c[b]
+    searches = []
+    for vals, thr in ((high, low), (-low, -high)):
+        # increase, then decrease: pair (a, b) with k[a] <= j[b] certifies
+        # the direction iff vals[a] < thr[b]; for each b the tightest hull
+        # comes from the certifying a with the largest left endpoint j[a].
+        # With vals ranked, a certifies b iff a < t[b] and vrank[a] < c[b]
         by_val = np.argsort(vals, kind="stable")
         vrank = np.empty_like(by_val)
         vrank[by_val] = np.arange(m)
@@ -162,7 +154,13 @@ def significant_feature_intervals(
         lowest = np.minimum.accumulate(np.concatenate(([m], vrank)))
         b = np.flatnonzero(lowest[t] < c)  # the right intervals with a partner
         b = b[np.argsort(thr[b], kind="stable")]
-        left_end = _max_left_end(j, vrank, t[b], c[b])
+        searches.append((vals, thr, vrank, c, b))
+    left_ends = _max_left_end(j, [(vr, t[b], c[b]) for _, _, vr, c, b in searches])
+
+    out: list[FeatureInterval] = []
+    for direction, (vals, thr, vrank, c, b), left_end in zip(
+        ("increase", "decrease"), searches, left_ends
+    ):
         lo_v = x[left_end - 1]
         hi_v = x[k[b] - 1]
         # keep only hulls minimal under set inclusion: widest-left first,

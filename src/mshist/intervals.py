@@ -42,11 +42,12 @@ def max_scale(n: int) -> int:
     return int(math.floor(math.log2(n / math.log(n))))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def interval_arrays(n: int):
     """(j, k, scale) index arrays of the full system, sorted by (k, j).
 
-    Cached per n; arrays are read-only.
+    Cached for the last four n used (one n = 3e4 holds about 22 MB); arrays
+    are read-only.
     """
     lmax = max_scale(n)
     js, ks, ls = [], [], []
@@ -80,7 +81,7 @@ def interval_arrays(n: int):
     return j, k, lev
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def count_groups(n: int):
     """The system for sample size n grouped by count ``k - j``.
 
@@ -91,8 +92,8 @@ def count_groups(n: int):
     quantity but the width depends on the count alone, so the band table, the
     radii and the multiscale statistic each evaluate it once per group.
 
-    Cached per n apart from :func:`interval_arrays`, which does not pay for
-    it; arrays are read-only.
+    Cached for the last four n apart from :func:`interval_arrays`, which does
+    not pay for it; arrays are read-only.
     """
     j, k, _ = interval_arrays(n)
     counts, group = np.unique(k - j, return_inverse=True)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mshist.evaluate import (
     removable_changepoints,
     violation_intervals,
 )
+from mshist.io import audit_document
 from mshist.multiscale import lookup_kappa
 
 from reference import build_interval_system, mass_roots, removable_reference
@@ -134,6 +137,17 @@ class TestAudit:
             assert report.removable == removable
             assert report.kappa == lookup_kappa(table, 0.1, 500)
         assert any(v or r for v, r in halves_of)
+
+    def test_report_holds_python_ints(self, tables):
+        """The audit document writes the report's indices to JSON as they are."""
+        sample = get_density("bimodal").sampler(7, 500)
+        est = classical_histogram(sample, "scott_area")
+        report = audit(sample, est, 0.1, tables(500))
+        assert report.violations and report.removable
+        for v in report.violations:
+            assert {type(v.j), type(v.k), type(v.scale)} == {int}
+        assert {type(x) for pair in report.removable for x in pair} == {int}
+        json.dumps(audit_document(report, sample))
 
 
 class TestRemovable:

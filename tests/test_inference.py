@@ -5,6 +5,7 @@ import pytest
 
 from mshist.inference import (
     FeatureInterval,
+    _max_left_end,
     _radii,
     lower_bound_modes,
     significant_feature_intervals,
@@ -93,6 +94,29 @@ class TestConfidenceRadius:
     def test_strictly_positive(self):
         _, _, _, r = _radii(SortedSample(np.linspace(0, 1, 10)), 0.0)
         assert r.size and np.all(r > 0.0)
+
+
+class TestMaxLeftEnd:
+    @pytest.mark.parametrize("m", [1, 2, 16, 17, 64, 65, 300])
+    def test_matches_brute_force(self, m):
+        """Random left ends, with many rows per left end when ``top`` is small
+        and the top bit set on some of them (8 is the top bit alone, 63 all
+        bits), and two rank permutations searched in one call."""
+        rng = np.random.default_rng(m)
+        for top in (1, 3, 8, 63, 1000):
+            j = rng.integers(1, top + 1, size=m)
+            j[rng.integers(m)] = top
+            sets = []
+            for _ in range(2):
+                vrank = rng.permutation(m)
+                t = rng.integers(1, m + 1, size=3 * m)
+                c = rng.integers(1, m + 1, size=3 * m)
+                has = np.minimum.accumulate(vrank)[t - 1] < c
+                sets.append((vrank, t[has], c[has]))
+            for (vrank, t, c), got in zip(sets, _max_left_end(j, sets)):
+                assert t.size
+                want = [j[:tq][vrank[:tq] < cq].max() for tq, cq in zip(t, c)]
+                assert got.tolist() == want
 
 
 class TestFeatureSearch:

@@ -97,3 +97,13 @@ def test_band_tables_share_the_cached_grouping():
     misses = count_groups.cache_info().misses
     constraint_table(sample, 0.5)
     assert count_groups.cache_info().misses == misses
+
+
+def test_per_n_caches_are_bounded():
+    bound = interval_arrays.cache_info().maxsize
+    assert bound == count_groups.cache_info().maxsize
+    assert bound is not None and bound <= 4
+    for n in range(20, 22 + 2 * bound):
+        count_groups(n)
+        assert interval_arrays.cache_info().currsize <= bound
+        assert count_groups.cache_info().currsize <= bound
