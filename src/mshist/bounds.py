@@ -69,7 +69,7 @@ def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
     """Feasible density band of every system interval at threshold ``kappa``."""
     n = sample.n
     j, k, _ = interval_arrays(n)
-    counts, group, _, _, _ = count_groups(n)
+    counts, group = count_groups(n)
     x = sample.values
     q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
     width = x[k - 1] - x[j - 1]

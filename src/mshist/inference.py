@@ -46,7 +46,7 @@ def _radii(sample: SortedSample, kappa: float):
     """
     n = sample.n
     j, k, _ = interval_arrays(n)
-    counts, group, _, _, _ = count_groups(n)
+    counts, group = count_groups(n)
     x = sample.values
     p = (k - j) / n
     c = (penalty(counts / n) + kappa)[group]
@@ -54,6 +54,16 @@ def _radii(sample: SortedSample, kappa: float):
     r = (2.0 * c / width) * (np.sqrt(p * (1.0 - p) / n) + c / (2.0 * n))
     dens = p / width
     return j, k, dens, r
+
+
+def _stable_argsort(a):
+    """``np.argsort(a, kind="stable")``, from the faster default sort when the
+    values are distinct, since their order is then unique."""
+    order = np.argsort(a)
+    s = a[order]
+    if np.all(s[:-1] < s[1:]):
+        return order
+    return np.argsort(a, kind="stable")
 
 
 def _max_left_end(j, queries):
@@ -147,13 +157,13 @@ def significant_feature_intervals(
         # the direction iff vals[a] < thr[b]; for each b the tightest hull
         # comes from the certifying a with the largest left endpoint j[a].
         # With vals ranked, a certifies b iff a < t[b] and vrank[a] < c[b]
-        by_val = np.argsort(vals, kind="stable")
+        by_val = _stable_argsort(vals)
         vrank = np.empty_like(by_val)
         vrank[by_val] = np.arange(m)
         c = np.searchsorted(vals[by_val], thr, side="left")
         lowest = np.minimum.accumulate(np.concatenate(([m], vrank)))
         b = np.flatnonzero(lowest[t] < c)  # the right intervals with a partner
-        b = b[np.argsort(thr[b], kind="stable")]
+        b = b[_stable_argsort(thr[b])]
         searches.append((vals, thr, vrank, c, b))
     left_ends = _max_left_end(j, [(vr, t[b], c[b]) for _, _, vr, c, b in searches])
 

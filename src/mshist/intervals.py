@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,41 @@ def max_scale(n: int) -> int:
     return int(math.floor(math.log2(n / math.log(n))))
 
 
+class Level(NamedTuple):
+    """One dyadic level of the system as a lattice.
+
+    Every left end is ``1 + i*step`` and every count is ``q*step`` for a lag
+    ``q`` in ``lags``, a contiguous range; the intervals of lag q are the
+    ``i < size - q``, where ``size`` is the number of grid points
+    ``1 + i*step <= n``.
+    """
+
+    scale: int
+    step: int
+    lags: range
+    size: int
+
+
+@lru_cache(maxsize=4)
+def levels(n: int) -> tuple[Level, ...]:
+    """The levels of the system for sample size n that hold an interval,
+    ascending in scale, so descending in count.
+
+    The count ranges ``(m, 2m]`` of different levels are disjoint, so every
+    count belongs to exactly one level.
+    """
+    out = []
+    for lev in range(2, max_scale(n) + 1):
+        m = n * 2.0 ** (-lev)
+        d = int(math.ceil(m / (6.0 * math.sqrt(lev))))
+        size = (n - 1) // d + 1
+        # admissible counts are the multiples of d in (m, 2m] up to n - 1
+        lags = range(int(m // d) + 1, min(int(2.0 * m // d), size - 1) + 1)
+        if lags:
+            out.append(Level(lev, d, lags, size))
+    return tuple(out)
+
+
 @lru_cache(maxsize=4)
 def interval_arrays(n: int):
     """(j, k, scale) index arrays of the full system, sorted by (k, j).
@@ -49,33 +85,21 @@ def interval_arrays(n: int):
     Cached for the last four n used (one n = 3e4 holds about 22 MB); arrays
     are read-only.
     """
-    lmax = max_scale(n)
     js, ks, ls = [], [], []
-    for lev in range(2, lmax + 1):
-        m = n * 2.0 ** (-lev)
-        d = int(math.ceil(m / (6.0 * math.sqrt(lev))))
-        # admissible integer lengths are the multiples of d in (m, 2m]
-        w = d * int(math.floor(m / d) + 1)
-        while w <= 2.0 * m:
-            j = np.arange(1, n - w + 1, d, dtype=np.int64)
-            if j.size:
-                js.append(j)
-                ks.append(j + w)
-                ls.append(np.full(j.size, lev, dtype=np.int64))
-            w += d
+    for lev in levels(n):
+        for q in lev.lags:
+            j = np.arange(1, 1 + (lev.size - q) * lev.step, lev.step, dtype=np.int64)
+            js.append(j)
+            ks.append(j + q * lev.step)
+            ls.append(np.full(j.size, lev.scale, dtype=np.int64))
     if not js:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
     j = np.concatenate(js)
     k = np.concatenate(ks)
     lev = np.concatenate(ls)
-    order = np.lexsort((lev, j, k))
+    order = np.lexsort((j, k))
     j, k, lev = j[order], k[order], lev[order]
-    # adjacent levels produce disjoint length ranges, but keep the smallest
-    # level defensively should a duplicate (j, k) ever arise
-    keep = np.ones(j.size, dtype=bool)
-    keep[1:] = (np.diff(k) != 0) | (np.diff(j) != 0)
-    j, k, lev = j[keep], k[keep], lev[keep]
     for a in (j, k, lev):
         a.flags.writeable = False
     return j, k, lev
@@ -85,21 +109,17 @@ def interval_arrays(n: int):
 def count_groups(n: int):
     """The system for sample size n grouped by count ``k - j``.
 
-    Returns ``(counts, group, left, right, starts)``: the distinct counts,
-    ascending; the group index of every interval, in system order, so that
-    ``counts[group] == k - j``; the intervals' ``j`` and ``k`` in stable count
-    order; and where each group starts in that order.  Every per-interval
-    quantity but the width depends on the count alone, so the band table, the
-    radii and the multiscale statistic each evaluate it once per group.
+    Returns ``(counts, group)``: the distinct counts, ascending, and the group
+    index of every interval, in system order, so that
+    ``counts[group] == k - j``.  Every per-interval quantity but the width
+    depends on the count alone, so the band table and the radii each evaluate
+    it once per group.
 
     Cached for the last four n apart from :func:`interval_arrays`, which does
     not pay for it; arrays are read-only.
     """
     j, k, _ = interval_arrays(n)
     counts, group = np.unique(k - j, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    starts = np.searchsorted(group[order], np.arange(counts.size))
-    out = (counts, group, j[order], k[order], starts)
-    for a in out:
+    for a in (counts, group):
         a.flags.writeable = False
-    return out
+    return counts, group

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intervals import count_groups, interval_arrays
+from .intervals import levels
 from .sample import SortedSample
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
@@ -61,17 +61,44 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     All intervals of one count share the empirical mass and the penalty, and
     the root-LR is convex in the true mass with its minimum at the empirical
     one, so each count's maximum sits at its smallest or its largest true
-    mass; only those two are evaluated.
+    mass; only those two are evaluated.  They come level by level from the
+    system's lattice, one strided array of true masses per level.
     """
     n = sample.n
-    counts, _, left, right, starts = count_groups(n)
-    if counts.size == 0:
+    system = levels(n)
+    if not system:
         raise ValueError(f"interval system empty for n={n}; sample too small")
-    p_hat = counts / n
-    # f[i] = F(X_(i)), so f[k] - f[j] is the true mass of (X_(j), X_(k)]
-    f = np.concatenate(([0.0], cdf(sample.values)))
-    p0 = f[right] - f[left]
-    ends = np.stack((np.minimum.reduceat(p0, starts), np.maximum.reduceat(p0, starts)))
+    values = np.asarray(cdf(sample.values), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cdf returned non-finite values")
+    # f[i] = F(X_(i)), so f[k] - f[j] is the true mass of (X_(j), X_(k)];
+    # a level's longer lags run past X_(n) into the +inf padding
+    pad = max((len(lev.lags) - 1) * lev.step for lev in system)
+    f = np.concatenate(([0.0], values, np.full(pad, np.inf)))
+    # one buffer for every level's masses: a fresh array per level costs
+    # more in page faults than the subtraction itself
+    buf = np.empty(max(len(lev.lags) * (lev.size - lev.lags[0]) for lev in system))
+    counts, lo, hi = [], [], []
+    for lev in system:
+        d, q0, nq = lev.step, lev.lags[0], len(lev.lags)
+        width = lev.size - q0
+        # mass[a, i] = f[1 + (i + q0 + a)*d] - f[1 + i*d]: the true mass of
+        # the interval with left end 1 + i*d and count (q0 + a)*d, contiguous
+        # along i; row a holds width - a intervals, then a entries that read
+        # the +inf padding, set to -inf for the max
+        ahead = np.ndarray(
+            (nq, width), float, f, offset=f.itemsize * (1 + q0 * d),
+            strides=(f.itemsize * d,) * 2,
+        )
+        mass = buf[: nq * width].reshape(nq, width)
+        np.subtract(ahead, f[1 : 1 + width * d : d], out=mass)
+        lo.append(mass.min(axis=1))
+        for a in range(1, nq):
+            mass[a, width - a :] = -np.inf
+        hi.append(mass.max(axis=1))
+        counts.append(d * np.arange(q0, q0 + nq))
+    p_hat = np.concatenate(counts) / n
+    ends = np.stack((np.concatenate(lo), np.concatenate(hi)))
     stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, ends, n)) - penalty(p_hat)
     return float(stat.max())
 
@@ -79,7 +106,7 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
 def _replication_statistic(n: int, seed: int, rep: int) -> float:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
     rng = np.random.Generator(np.random.Philox(ss))
-    return multiscale_statistic(SortedSample(np.sort(rng.random(n))), cdf=lambda v: v)
+    return multiscale_statistic(SortedSample(rng.random(n)), cdf=lambda v: v)
 
 
 def simulate_statistics(n: int, reps: int, seed: int = 0) -> np.ndarray:
@@ -90,8 +117,7 @@ def simulate_statistics(n: int, reps: int, seed: int = 0) -> np.ndarray:
     Replication ``rep`` draws from its own counter-derived RNG stream, so a
     value depends only on (n, seed, rep).
     """
-    jj, _, _ = interval_arrays(n)
-    if jj.size == 0:
+    if not levels(n):
         raise ValueError(f"interval system empty for n={n}; cannot calibrate")
     return np.array([_replication_statistic(n, seed, r) for r in range(reps)])
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from mshist.bounds import constraint_table
-from mshist.intervals import IntervalSpec, count_groups, interval_arrays, max_scale
+from mshist.intervals import (
+    IntervalSpec,
+    count_groups,
+    interval_arrays,
+    levels,
+    max_scale,
+)
 from mshist.sample import SortedSample
 
 from reference import build_interval_system
@@ -77,16 +83,58 @@ def test_arrays_read_only():
         j[0] = 5
 
 
+def per_width_levels(n):
+    """Each level's scale, grid step and counts as the system was first
+    built: the multiples of the step in (m, 2m], stepped one width at a time,
+    that leave room for an interval."""
+    out = []
+    for lev in range(2, max_scale(n) + 1):
+        m = n * 2.0 ** (-lev)
+        d = int(math.ceil(m / (6.0 * math.sqrt(lev))))
+        w = d * int(math.floor(m / d) + 1)
+        widths = []
+        while w <= 2.0 * m:
+            if w < n:
+                widths.append(w)
+            w += d
+        if widths:
+            out.append((lev, d, widths))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 10, 60, 61, 1000, 10000, 30000])
+def test_levels_materialize_to_the_system(n):
+    system = levels(n)
+    assert [
+        (lev.scale, lev.step, [q * lev.step for q in lev.lags]) for lev in system
+    ] == per_width_levels(n)
+    js, ks, ls = [], [], []
+    for lev in system:
+        # size counts the grid points 1 + i*step <= n
+        assert 1 + (lev.size - 1) * lev.step <= n < 1 + lev.size * lev.step
+        for q in lev.lags:
+            for i in range(lev.size - q):
+                js.append(1 + i * lev.step)
+                ks.append(1 + (i + q) * lev.step)
+                ls.append(lev.scale)
+    order = np.lexsort((js, ks))
+    j, k, lev = interval_arrays(n)
+    assert np.array_equal(j, np.array(js, dtype=np.int64)[order])
+    assert np.array_equal(k, np.array(ks, dtype=np.int64)[order])
+    assert np.array_equal(lev, np.array(ls, dtype=np.int64)[order])
+    # every count belongs to exactly one level, and counts fall with scale
+    counts = [q * lev.step for lev in system for q in reversed(lev.lags)]
+    assert counts == sorted(set(counts), reverse=True)
+    assert (len(system) == 0) == (n < 9)
+
+
 @pytest.mark.parametrize("n", [8, 9, 60, 1000, 10000])
 def test_count_groups(n):
     j, k, _ = interval_arrays(n)
-    counts, group, left, right, starts = count_groups(n)
+    counts, group = count_groups(n)
     assert np.array_equal(counts, np.unique(k - j))
     assert np.array_equal(counts[group], k - j)
-    order = np.argsort(k - j, kind="stable")
-    assert np.array_equal(left, j[order]) and np.array_equal(right, k[order])
-    assert np.array_equal(starts, np.flatnonzero(np.diff((k - j)[order], prepend=0)))
-    for a in (counts, group, left, right, starts):
+    for a in (counts, group):
         assert not a.flags.writeable
     assert (counts.size == 0) == (n < 9)
 
@@ -101,9 +149,9 @@ def test_band_tables_share_the_cached_grouping():
 
 def test_per_n_caches_are_bounded():
     bound = interval_arrays.cache_info().maxsize
-    assert bound == count_groups.cache_info().maxsize
+    assert bound == count_groups.cache_info().maxsize == levels.cache_info().maxsize
     assert bound is not None and bound <= 4
     for n in range(20, 22 + 2 * bound):
         count_groups(n)
-        assert interval_arrays.cache_info().currsize <= bound
-        assert count_groups.cache_info().currsize <= bound
+        for cache in (interval_arrays, count_groups, levels):
+            assert cache.cache_info().currsize <= bound

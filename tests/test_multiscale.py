@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mshist.densities import get_density
-from mshist.intervals import interval_arrays
+from mshist.intervals import count_groups, interval_arrays
 from mshist.multiscale import (
     DEFAULT_ALPHAS,
     QuantileTable,
@@ -110,7 +110,7 @@ class TestStatistics:
         sides = set()
         for name in ("uniform", "exponential", "claw"):
             truth = get_density(name)
-            for n in (9, 60, 1000, 10000):
+            for n in (9, 60, 1000, 10000, 30000):
                 j, k, _ = interval_arrays(n)
                 p_hat = (k - j) / n
                 for seed in range(4):
@@ -124,6 +124,40 @@ class TestStatistics:
                     i = int(np.argmax(stat - penalty(p_hat)))
                     sides.add("lower" if p0[i] < p_hat[i] else "upper")
         assert sides == {"lower", "upper"}
+
+    @pytest.mark.parametrize("n", [9, 60, 1000, 10000])
+    def test_maximum_on_the_last_interval_of_its_count(self, n):
+        # equally spaced points under a convex cdf: for a fixed count the true
+        # mass grows with the left end, so every count's largest true mass is
+        # its last interval, the one next to the entries past X_(n).  With
+        # slope 1 at 0 and 3 at 1 the largest masses deviate most (under v**2
+        # the smallest ones would), so the statistic is attained there
+        sample = SortedSample(np.arange(1, n + 1) / (n + 1))
+        cdf = lambda v: v + v**4 / 2
+        got = multiscale_statistic(sample, cdf=cdf)
+        assert got == multiscale_statistic_full(sample, cdf=cdf)
+        j, k, _ = interval_arrays(n)
+        _, group = count_groups(n)
+        f = cdf(sample.values)
+        p0 = f[k - 1] - f[j - 1]
+        last = np.zeros(group.max() + 1, dtype=np.int64)
+        np.maximum.at(last, group, j)
+        heaviest = np.full(group.max() + 1, -np.inf)
+        np.maximum.at(heaviest, group, p0)
+        assert np.array_equal(p0[j == last[group]], heaviest[group[j == last[group]]])
+        # and the statistic is attained there
+        p_hat = (k - j) / n
+        stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, p0, n)) - penalty(p_hat)
+        i = int(np.argmax(stat))
+        assert stat[i] == got and j[i] == last[group[i]]
+
+    def test_non_finite_cdf_values_raise(self):
+        sample = SortedSample(np.random.default_rng(5).random(1000))
+        x = sample.values
+        for bad in (np.nan, np.inf, -np.inf):
+            cdf = lambda v, bad=bad: np.where(v > x[900], bad, v)
+            with pytest.raises(ValueError, match="non-finite"):
+                multiscale_statistic(sample, cdf=cdf)
 
     def test_degenerate_true_mass_raises(self):
         # only the extremes of each count group reach the LLR, and they hold
@@ -141,6 +175,14 @@ class TestStatistics:
     def test_small_n_raises(self):
         with pytest.raises(ValueError):
             multiscale_statistic(SortedSample([0.1, 0.5, 0.9]), cdf=lambda v: v)
+
+    def test_calibration_builds_no_per_interval_arrays(self):
+        def misses():
+            return [c.cache_info().misses for c in (interval_arrays, count_groups)]
+
+        before = misses()
+        simulate_statistics(4099, 3, seed=1)  # a size no other test uses
+        assert misses() == before
 
     def test_simulation_seeded(self):
         a = simulate_statistics(30, 20, seed=5)
