@@ -56,16 +56,6 @@ def _radii(sample: SortedSample, kappa: float):
     return j, k, dens, r
 
 
-def _stable_argsort(a):
-    """``np.argsort(a, kind="stable")``, from the faster default sort when the
-    values are distinct, since their order is then unique."""
-    order = np.argsort(a)
-    s = a[order]
-    if np.all(s[:-1] < s[1:]):
-        return order
-    return np.argsort(a, kind="stable")
-
-
 def _max_left_end(j, queries):
     """For each ``(vrank, t, c)`` in ``queries`` and each of its queries q:
     the largest j[a] over the positions a < t[q] with vrank[a] < c[q].
@@ -156,14 +146,14 @@ def significant_feature_intervals(
         # increase, then decrease: pair (a, b) with k[a] <= j[b] certifies
         # the direction iff vals[a] < thr[b]; for each b the tightest hull
         # comes from the certifying a with the largest left endpoint j[a].
-        # With vals ranked, a certifies b iff a < t[b] and vrank[a] < c[b]
-        by_val = _stable_argsort(vals)
+        # With vals ranked, a certifies b iff a < t[b] and vrank[a] < c[b],
+        # whatever order the ranking gives tied values
+        by_val = np.argsort(vals)
         vrank = np.empty_like(by_val)
         vrank[by_val] = np.arange(m)
         c = np.searchsorted(vals[by_val], thr, side="left")
         lowest = np.minimum.accumulate(np.concatenate(([m], vrank)))
         b = np.flatnonzero(lowest[t] < c)  # the right intervals with a partner
-        b = b[_stable_argsort(thr[b])]
         searches.append((vals, thr, vrank, c, b))
     left_ends = _max_left_end(j, [(vr, t[b], c[b]) for _, _, vr, c, b in searches])
 
@@ -174,8 +164,9 @@ def significant_feature_intervals(
         lo_v = x[left_end - 1]
         hi_v = x[k[b] - 1]
         # keep only hulls minimal under set inclusion: widest-left first,
-        # a hull survives when its right end beats every earlier one
-        order = np.lexsort((hi_v, -lo_v))
+        # a hull survives when its right end beats every earlier one; of equal
+        # hulls the one of lowest threshold, then lowest position, survives
+        order = np.lexsort((thr[b], hi_v, -lo_v))
         hi_sorted = hi_v[order]
         earlier = np.minimum.accumulate(np.concatenate(([np.inf], hi_sorted[:-1])))
         for q in order[hi_sorted < earlier]:
@@ -184,8 +175,11 @@ def significant_feature_intervals(
             cand = by_j[j_start[left_end[q]] : j_start[left_end[q] + 1]]
             cand = cand[(cand < tb) & (vrank[cand] < c[rb])]
             # the pick of a prefix-max Fenwick tree over positions, filled in
-            # vals order: the first node its query visits, then the first in
-            la = int(min(cand, key=lambda a: ((int(a) ^ tb).bit_length(), vrank[a])))
+            # vals order, ties by position: the first node its query visits,
+            # then the first in
+            la = int(
+                min(cand, key=lambda a: ((int(a) ^ tb).bit_length(), vals[a], a))
+            )
             out.append(
                 FeatureInterval(
                     hull=(float(lo_v[q]), float(hi_v[q])),

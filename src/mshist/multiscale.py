@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,34 @@ def penalty(p_hat):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=4)
+def _lattice(n: int):
+    """What the statistic for sample size n takes from the system: per level
+    its step, first lag, number of lags, row width and the flat indices into
+    its ``(lag, i)`` array of true masses of the entries that read past X_(n)
+    (row a ends in a of them); the +inf padding past X_(n) and the size of
+    the largest level array; the empirical masses of the counts in level
+    order and their penalties.  Cached for the last four n; arrays are
+    read-only.
+    """
+    system = levels(n)
+    if not system:
+        raise ValueError(f"interval system empty for n={n}; sample too small")
+    plan = []
+    for lev in system:
+        q0, nq = lev.lags[0], len(lev.lags)
+        width = lev.size - q0
+        edge = np.flatnonzero(np.arange(width) >= width - np.arange(nq)[:, None])
+        plan.append((lev.step, q0, nq, width, edge))
+    pad = max((nq - 1) * d for d, _, nq, _, _ in plan)
+    size = max(nq * width for _, _, nq, width, _ in plan)
+    p_hat = np.concatenate([lev.step * np.array(lev.lags) for lev in system]) / n
+    pen = penalty(p_hat)
+    for a in [edge for *_, edge in plan] + [p_hat, pen]:
+        a.flags.writeable = False
+    return tuple(plan), pad, size, p_hat, pen
+
+
 def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     """Global statistic: the maximum over the interval system of the
     penalized root-LR deviation between the true interval mass, given by the
@@ -65,23 +94,18 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     system's lattice, one strided array of true masses per level.
     """
     n = sample.n
-    system = levels(n)
-    if not system:
-        raise ValueError(f"interval system empty for n={n}; sample too small")
+    plan, pad, size, p_hat, pen = _lattice(n)
     values = np.asarray(cdf(sample.values), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("cdf returned non-finite values")
     # f[i] = F(X_(i)), so f[k] - f[j] is the true mass of (X_(j), X_(k)];
     # a level's longer lags run past X_(n) into the +inf padding
-    pad = max((len(lev.lags) - 1) * lev.step for lev in system)
     f = np.concatenate(([0.0], values, np.full(pad, np.inf)))
     # one buffer for every level's masses: a fresh array per level costs
     # more in page faults than the subtraction itself
-    buf = np.empty(max(len(lev.lags) * (lev.size - lev.lags[0]) for lev in system))
-    counts, lo, hi = [], [], []
-    for lev in system:
-        d, q0, nq = lev.step, lev.lags[0], len(lev.lags)
-        width = lev.size - q0
+    buf = np.empty(size)
+    lo, hi = [], []
+    for d, q0, nq, width, edge in plan:
         # mass[a, i] = f[1 + (i + q0 + a)*d] - f[1 + i*d]: the true mass of
         # the interval with left end 1 + i*d and count (q0 + a)*d, contiguous
         # along i; row a holds width - a intervals, then a entries that read
@@ -93,13 +117,10 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
         mass = buf[: nq * width].reshape(nq, width)
         np.subtract(ahead, f[1 : 1 + width * d : d], out=mass)
         lo.append(mass.min(axis=1))
-        for a in range(1, nq):
-            mass[a, width - a :] = -np.inf
+        buf[edge] = -np.inf
         hi.append(mass.max(axis=1))
-        counts.append(d * np.arange(q0, q0 + nq))
-    p_hat = np.concatenate(counts) / n
     ends = np.stack((np.concatenate(lo), np.concatenate(hi)))
-    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, ends, n)) - penalty(p_hat)
+    stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, ends, n)) - pen
     return float(stat.max())
 
 

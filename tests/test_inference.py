@@ -165,27 +165,16 @@ class TestFeatureSearch:
                 ])
         assert most_ties >= 2
 
-    def test_tied_bounds_match_tree_search(self, tables, monkeypatch):
+    def test_tied_bounds_match_tree_search(self, tables):
         """Two equally spaced stretches: all system intervals of one count
         inside a stretch have the same width, so the bounds tie exactly and
-        the ranking falls back to the stable sort."""
+        the witnesses and margins depend on how ties are broken."""
         sample = SortedSample(
             np.concatenate([np.arange(500.0), 500 + 0.25 * np.arange(1, 501)])
         )
-        alphas = (0.1, 0.5)
-        want = [feature_intervals_tree(sample, a, tables(1000)) for a in alphas]
-        stable_float_sorts = []
-        argsort = np.argsort
-
-        def spy(a, *args, **kwargs):
-            if kwargs.get("kind") == "stable" and np.asarray(a).dtype.kind == "f":
-                stable_float_sorts.append(np.size(a))
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", spy)
-        got = [significant_feature_intervals(sample, a, tables(1000)) for a in alphas]
-        assert got == want and all(got)
-        assert stable_float_sorts
+        for alpha in (0.1, 0.5):
+            got = significant_feature_intervals(sample, alpha, tables(1000))
+            assert got and got == feature_intervals_tree(sample, alpha, tables(1000))
 
     def test_witnesses_reverify(self, tables):
         from mshist.densities import get_density
