@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import densities, evaluate, inference, io, multiscale
 from .dp import essential_histogram
-from .intervals import interval_arrays, max_scale
+from .intervals import max_scale
 from .sample import DuplicateValuesError
 
 EXIT_OK = 0
@@ -32,13 +32,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _alpha_list(args) -> list[float]:
-    if getattr(args, "alphas", None):
-        return [float(a) for a in args.alphas.split(",")]
-    return [args.alpha]
+def _alpha_list(text: str) -> list[float]:
+    return [float(a) for a in text.split(",")]
 
 
 def _get_table(n: int, args) -> multiscale.QuantileTable:
+    if max_scale(n) < 2:  # the system has no level, so no intervals
+        raise ValueError(f"no calibration intervals exist for n={n}")
     path = multiscale.table_path(n, args.reps, args.seed, args.cache_dir)
     # too few reps is an error from simulate_quantiles, not a simulation
     if not path.exists() and args.reps >= multiscale.MIN_REPS:
@@ -52,9 +52,6 @@ def _get_table(n: int, args) -> multiscale.QuantileTable:
 
 
 def cmd_quantile(args) -> int:
-    if max_scale(args.n) < 2:  # the system has no level, so no intervals
-        print(f"error: no calibration intervals exist for n={args.n}", file=sys.stderr)
-        return EXIT_DATA
     table = _get_table(args.n, args)
     for a, k in zip(table.alphas, table.kappas):
         print(f"alpha={a:<6g} kappa={k:.6f}")
@@ -73,10 +70,8 @@ def _out_path(base: str, alpha: float, many: bool, suffix: str = "") -> Path:
 
 
 def cmd_fit(args) -> int:
-    sample = io.read_sample(args.input, jitter=args.jitter, seed=args.seed)
-    alphas = _alpha_list(args)
-    jj, _, _ = interval_arrays(sample.n)
-    small = jj.size == 0
+    sample = io.read_sample(args.input, jitter=args.jitter)
+    small = max_scale(sample.n) < 2
     if small:
         log.warning(
             f"n={sample.n} is too small for multiscale calibration; "
@@ -85,8 +80,8 @@ def cmd_fit(args) -> int:
         table = None
     else:
         table = _get_table(sample.n, args)
-    many = len(alphas) > 1
-    for alpha in alphas:
+    many = len(args.alpha) > 1
+    for alpha in args.alpha:
         fit = essential_histogram(sample, alpha, table)
         doc = io.histogram_document(fit, alpha)
         out = _out_path(args.out, alpha, many)
@@ -109,7 +104,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    sample = io.read_sample(args.input, jitter=args.jitter, seed=args.seed)
+    sample = io.read_sample(args.input, jitter=args.jitter)
     estimator = io.read_histogram(args.hist)
     table = _get_table(sample.n, args)
     report = evaluate.audit(sample, estimator, args.alpha, table)
@@ -126,12 +121,11 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     density = densities.get_density(args.density)
     methods = args.methods.split(",")
-    alphas = _alpha_list(args)
     table = None
     if "essential" in methods:
         table = _get_table(args.n, args)
     rows = densities.benchmark_rows(
-        density, args.n, args.bench_reps, methods, alphas, args.seed, table=table
+        density, args.n, args.bench_reps, methods, args.alpha, args.seed, table=table
     )
     io.write_benchmark_csv(rows, args.out)
     print(f"{len(rows)} rows -> {args.out}")
@@ -162,8 +156,9 @@ def _build_parser() -> _Parser:
 
     f = sub.add_parser("fit", help="fit the fewest-bins feasible histogram")
     f.add_argument("--input", required=True)
-    f.add_argument("--alpha", type=float, default=0.1)
-    f.add_argument("--alphas", default=None, help="comma list; one output per alpha")
+    f.add_argument(
+        "--alpha", type=_alpha_list, default=[0.1], help="comma list; one output per alpha"
+    )
     f.add_argument("--out", required=True)
     f.add_argument("--jitter", action="store_true")
     f.add_argument("--features", action="store_true")
@@ -184,8 +179,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--bench-reps", type=int, default=100, help="benchmark replications")
     s.add_argument("--methods", default="essential")
-    s.add_argument("--alpha", type=float, default=0.1)
-    s.add_argument("--alphas", default=None)
+    s.add_argument("--alpha", type=_alpha_list, default=[0.1], help="comma list")
     s.add_argument("--out", required=True)
     common(s)
     s.set_defaults(func=cmd_simulate)

@@ -65,6 +65,9 @@ class HistogramModel:
     def __post_init__(self):
         breaks = np.array(self.breaks, dtype=float)
         heights = np.array(self.heights, dtype=float)
+        # NaN fails every comparison below, so it must be caught first
+        if not (np.all(np.isfinite(breaks)) and np.all(np.isfinite(heights))):
+            raise ValueError("breaks and heights must be finite")
         if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0):
             raise ValueError("breaks must be strictly increasing, length >= 2")
         if heights.size != breaks.size - 1 or np.any(heights < 0):

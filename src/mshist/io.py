@@ -17,7 +17,7 @@ from .intervals import IntervalSpec
 from .sample import SortedSample
 
 
-def read_sample(path, *, jitter: bool = False, seed: int = 0) -> SortedSample:
+def read_sample(path, *, jitter: bool = False) -> SortedSample:
     """One numeric value per line; a single non-numeric first line is
     treated as a header.  Decimal point only, independent of locale."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
@@ -33,7 +33,7 @@ def read_sample(path, *, jitter: bool = False, seed: int = 0) -> SortedSample:
         values = np.array([float(t) for t in lines[start:]], dtype=float)
     except ValueError as e:
         raise ValueError(f"{path}: non-numeric value ({e})") from None
-    return SortedSample(values, jitter=jitter, seed=seed)
+    return SortedSample(values, jitter=jitter)
 
 
 # ---------------------------------------------------------------------------

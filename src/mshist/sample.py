@@ -5,7 +5,10 @@ import numpy as np
 
 
 class DuplicateValuesError(ValueError):
-    """Raised when a sample contains exact duplicates and jitter is off."""
+    """Raised when a sample contains exact duplicates and jitter is off, or
+    when its ties cannot be de-rounded: a single distinct value has no
+    resolution, or a resolution below the values' float spacing cannot
+    separate them."""
 
 
 class SortedSample:
@@ -13,13 +16,16 @@ class SortedSample:
 
     Exact duplicates are rejected by default: the methods here assume a
     continuous underlying distribution, so ties are a data-quality signal.
-    With ``jitter=True`` ties are spread deterministically (seeded) within
-    1e-9 times the local spacing.
+    With ``jitter=True`` tied or rounded data are de-rounded: the resolution
+    ``g`` is the smallest gap between adjacent distinct values, and the ``m``
+    copies of a value ``v`` move to ``v + g*((i + 1/2)/m - 1/2)``, i = 0 ...
+    m-1, spread evenly over the rounding cell of width ``g`` around ``v``.
+    The result is deterministic, and untied values keep their place.
     """
 
     __slots__ = ("_values",)
 
-    def __init__(self, values, *, jitter: bool = False, seed: int = 0):
+    def __init__(self, values, *, jitter: bool = False):
         v = np.sort(np.asarray(values, dtype=float))
         if v.ndim != 1 or v.size < 2:
             raise ValueError("need a 1-d sample with at least 2 values")
@@ -29,9 +35,9 @@ class SortedSample:
             if not jitter:
                 raise DuplicateValuesError(
                     "sample contains duplicate values; pass jitter=True to "
-                    "spread ties deterministically"
+                    "de-round ties"
                 )
-            v = _spread_ties(v, seed)
+            v = _deround(v)
         self._values = v
         self._values.flags.writeable = False
 
@@ -56,26 +62,16 @@ class SortedSample:
         return f"SortedSample(n={self.n}, range=[{self._values[0]:g}, {self._values[-1]:g}])"
 
 
-def _spread_ties(v: np.ndarray, seed: int) -> np.ndarray:
-    """Replace runs of equal values by a sorted uniform spread of width
-    1e-9 times the local spacing."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    out = v.copy()
-    n = v.size
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and v[j + 1] == v[i]:
-            j += 1
-        if j > i:
-            left = v[i - 1] if i > 0 else v[i] - 1.0
-            right = v[j + 1] if j + 1 < n else v[j] + 1.0
-            local = min(v[i] - left, right - v[i])
-            eps = 1e-9 * local
-            offsets = np.sort(rng.uniform(-eps, eps, size=j - i + 1))
-            out[i : j + 1] = v[i] + offsets
-        i = j + 1
-    out = np.sort(out)
-    if np.any(np.diff(out) == 0.0):
-        raise DuplicateValuesError("jitter failed to separate ties")
+def _deround(v: np.ndarray) -> np.ndarray:
+    """Spread each run of equal values in sorted ``v`` evenly over the
+    rounding cell around it; see ``SortedSample``."""
+    distinct, first, counts = np.unique(v, return_index=True, return_counts=True)
+    if distinct.size < 2:
+        raise DuplicateValuesError("a single distinct value has no resolution to de-round")
+    g = np.min(np.diff(distinct))
+    m = np.repeat(counts, counts)
+    i = np.arange(v.size) - np.repeat(first, counts)
+    out = v + g * ((i + 0.5) / m - 0.5)
+    if np.any(np.diff(out) <= 0.0):
+        raise DuplicateValuesError("ties too fine for the values' magnitude to separate")
     return out

@@ -73,7 +73,7 @@ class TestFit:
     def test_alpha_sweep_monotone(self, workdir):
         tmp, data = workdir
         out = tmp / "fit.json"
-        assert run("fit", "--input", data, "--alphas", "0.05,0.1,0.5,0.9",
+        assert run("fit", "--input", data, "--alpha", "0.05,0.1,0.5,0.9",
                    "--out", out, *CACHE2K) == 0
         bins = [
             read_histogram(tmp / f"fit_alpha{a}.json").nbins
@@ -142,6 +142,31 @@ class TestEvaluate:
         assert run("evaluate", "--input", data, "--hist", hp, "--alpha", "0.1",
                    "--out", rep, *CACHE2K) == 0
         assert json.loads(rep.read_text())["violations"]
+
+    def test_non_finite_histogram_exit_2(self, workdir, capsys):
+        tmp, data = workdir
+        hp = tmp / "nan.json"
+        # json.loads parses the bare NaN token
+        hp.write_text('{"type": "histogram", "breaks": [-9.0, NaN, 9.0], '
+                      '"heights": [0.05, 0.05], "n": 900}')
+        assert run("evaluate", "--input", data, "--hist", hp, *CACHE2K) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_small_sample_fails_before_calibrating(self, tmp_path, capsys, caplog):
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(str(0.1 * i) for i in range(1, 8)) + "\n")
+        hp = tmp_path / "h.json"
+        hp.write_text('{"type": "histogram", "breaks": [0.0, 1.0], '
+                      '"heights": [1.0], "n": 7}')
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        assert run("evaluate", "--input", data, "--hist", hp,
+                   "--cache-dir", cache, "--reps", "150") == 2
+        assert capsys.readouterr().err == (
+            "error: no calibration intervals exist for n=7\n"
+        )
+        assert [r for r in caplog.records if r.name == "mshist"] == []
+        assert list(cache.iterdir()) == []
 
 
 class TestSimulateAndPlot:

@@ -58,6 +58,17 @@ class TestHistogramModel:
         with pytest.raises(ValueError):
             HistogramModel(np.array([0.0, 1.0]), np.array([-1.0]), 10)
 
+    @pytest.mark.parametrize(
+        "breaks, heights",
+        [([0.0, math.nan, 1.0], [0.5, 0.5]), ([0.0, 1.0], [math.nan]),
+         ([0.0, math.inf], [0.0])],
+    )
+    def test_rejects_non_finite(self, breaks, heights):
+        # NaN passes every ordering and mass comparison, so only an explicit
+        # finiteness check catches it
+        with pytest.raises(ValueError, match="finite"):
+            HistogramModel.from_dict({"breaks": breaks, "heights": heights, "n": 10})
+
     def test_pdf_cdf(self):
         m = HistogramModel(np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.25]), 10)
         assert m.pdf([-0.1, 0.0, 0.5, 1.0, 2.0, 3.0, 3.1]).tolist() == [

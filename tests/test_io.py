@@ -97,7 +97,7 @@ class TestPlotData:
         m = HistogramModel(np.array([0.0, 2.0]), np.array([0.5]), 10)
         path = tmp_path / "h.csv"
         write_plot_data(histogram_document(m), path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["x", "y"]
         assert len(rows) == 3
 
@@ -107,7 +107,7 @@ class TestPlotData:
         doc = feature_document(feats, 0.1, lower_bound_modes(feats))
         path = tmp_path / "f.csv"
         write_plot_data(doc, path)
-        rows = list(csv.DictReader(path.open()))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert len(rows) == len(feats)
         for row, f in zip(rows, feats):
             assert (float(row["left"]), float(row["right"])) == f.hull
