@@ -9,7 +9,7 @@ a smooth scalar equation; dividing by the interval width turns it into a
 density band.  The fit and the audit both read their bands from
 :func:`constraint_table` and test membership with :func:`in_band`; the fit's
 last round and the audit's merge test take the band of a block from
-:func:`block_band`.
+:func:`block_band`.  The feature search's radius bands use :func:`system_table`.
 """
 from __future__ import annotations
 
@@ -72,12 +72,15 @@ def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
     counts, group = count_groups(n)
     x = sample.values
     q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
+    empty = np.isnan(q_lo)  # unsatisfiable counts get the empty band
+    q_lo[empty], q_hi[empty] = np.inf, -np.inf
     width = x[k - 1] - x[j - 1]
-    lo = q_lo[group] / width
-    hi = q_hi[group] / width
-    empty = np.isnan(lo)
-    lo = np.where(empty, np.inf, lo)
-    hi = np.where(empty, -np.inf, hi)
+    return system_table(n, q_lo[group] / width, q_hi[group] / width)
+
+
+def system_table(n: int, lo, hi) -> ConstraintTable:
+    """The system for sample size n with the bands (lo, hi), in its order."""
+    j, k, _ = interval_arrays(n)
     start = np.searchsorted(k, np.arange(n + 2))
     return ConstraintTable(a=j, b=k, lo=lo, hi=hi, start=start)
 

@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .dp import HistogramModel
+from .dp import HistogramModel, essential_histogram
 from .sample import SortedSample
 
 #: interval masses p of the standardized interval-mass errors in ``metrics``
@@ -451,8 +451,6 @@ def benchmark_rows(
     ``table`` (a calibrated quantile table) is required when "essential" is
     among the methods; classical rules ignore alpha (recorded as nan).
     """
-    from .dp import essential_histogram
-
     rows = []
     for rep in range(reps):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import ConstraintTable, system_table
 from .intervals import IntervalSpec, count_groups, interval_arrays
 from .multiscale import QuantileTable, lookup_kappa, penalty
 from .sample import SortedSample
@@ -36,9 +37,9 @@ class FeatureInterval:
             raise ValueError("margin must be strictly positive")
 
 
-def _radii(sample: SortedSample, kappa: float):
-    """Simultaneous confidence radii of the system intervals' average
-    densities, with those densities and the intervals' endpoints.
+def _radii(sample: SortedSample, kappa: float) -> ConstraintTable:
+    """The radius band of every system interval: its empirical average
+    density plus or minus half its simultaneous confidence radius.
 
     With p an interval's empirical mass and c = penalty(p) + kappa:
     r = (2c/width) * (sqrt(p*(1-p)/n) + c/(2n)).  The penalty depends on the
@@ -53,12 +54,15 @@ def _radii(sample: SortedSample, kappa: float):
     width = x[k - 1] - x[j - 1]
     r = (2.0 * c / width) * (np.sqrt(p * (1.0 - p) / n) + c / (2.0 * n))
     dens = p / width
-    return j, k, dens, r
+    return system_table(n, dens - 0.5 * r, dens + 0.5 * r)
 
 
 def _max_left_end(j, queries):
     """For each ``(vrank, t, c)`` in ``queries`` and each of its queries q:
     the largest j[a] over the positions a < t[q] with vrank[a] < c[q].
+    Returns the final arrangement ``pos`` and per set ``(best, start, count)``:
+    ``pos[start[q] : start[q] + count[q]]``, each query's last node, are the
+    positions a < t[q] with j[a] == best[q], ascending.
 
     ``vrank`` is a permutation of the positions, and every query must have
     such an a.  A wavelet matrix over the bits of the left end: level by level
@@ -100,7 +104,7 @@ def _max_left_end(j, queries):
             start[:] = np.where(take, zeros + before, start - before)
             count[:] = np.where(take, n1, count - n1)
             best[take] |= 1 << bit
-    return [best for _, _, _, best, _ in sets]
+    return pos, [(best, start, count) for _, start, count, best, _ in sets]
 
 
 def significant_feature_intervals(
@@ -113,36 +117,29 @@ def significant_feature_intervals(
     of the half-radii; decreases are symmetric.  All returned statements hold
     simultaneously with confidence at least 1 - alpha.
 
-    For each right interval b the tightest hull needs the largest left end
-    j[a] over the left intervals a with k[a] <= j[b] and a threshold below
-    b's, a 2-D dominance query.  The right intervals of both directions are
-    answered by one wavelet-matrix descent over the bits of the left ends,
-    log2(n) levels of a few O(m) array passes each.  Among the left intervals
-    with that largest left end, the witness and margin reported are those a
-    prefix-max binary indexed tree filled in threshold order would keep (the
-    candidate in the first tree node its query visits, then the first
-    inserted), so the output equals that of the tree search in
-    ``tests/reference.py``.
+    The search reads the radius band table of :func:`_radii`.  For each
+    right interval b the tightest hull needs the largest left end j[a] over
+    the left intervals a with k[a] <= j[b] and a threshold below b's, a 2-D
+    dominance query, answered for both directions by one wavelet-matrix
+    descent over the bits of the left ends (log2(n) levels of a few O(m)
+    array passes).  Of the candidates in a query's last node, the witness
+    and margin reported are those a prefix-max binary indexed tree filled in
+    threshold order would keep (the first tree node its query visits, then
+    the first inserted), as the tree search in ``tests/reference.py`` does.
     """
     n = sample.n
     _, _, scale = interval_arrays(n)
     if scale.size == 0:
         raise ValueError(f"interval system empty for n={n}")
     kappa = lookup_kappa(table, alpha, n)
-    j, k, dens, r = _radii(sample, kappa)
+    band = _radii(sample, kappa)
+    j, k = band.a, band.b
     x = sample.values
-    low = dens - 0.5 * r
-    high = dens + 0.5 * r
     m = j.size
-    # left candidates must end at or before the right interval starts: the
-    # rows before the first one whose right end passes j
-    t = np.searchsorted(k, np.arange(n + 2))[j + 1]
-    # the system intervals with left end e: by_j[j_start[e] : j_start[e + 1]]
-    by_j = np.argsort(j, kind="stable")
-    j_start = np.searchsorted(j[by_j], np.arange(n + 1))
+    t = band.start[j + 1]  # left candidates end by the right one's start
 
     searches = []
-    for vals, thr in ((high, low), (-low, -high)):
+    for vals, thr in ((band.hi, band.lo), (-band.lo, -band.hi)):
         # increase, then decrease: pair (a, b) with k[a] <= j[b] certifies
         # the direction iff vals[a] < thr[b]; for each b the tightest hull
         # comes from the certifying a with the largest left endpoint j[a].
@@ -155,11 +152,11 @@ def significant_feature_intervals(
         lowest = np.minimum.accumulate(np.concatenate(([m], vrank)))
         b = np.flatnonzero(lowest[t] < c)  # the right intervals with a partner
         searches.append((vals, thr, vrank, c, b))
-    left_ends = _max_left_end(j, [(vr, t[b], c[b]) for _, _, vr, c, b in searches])
+    pos, found = _max_left_end(j, [(vr, t[b], c[b]) for _, _, vr, c, b in searches])
 
     out: list[FeatureInterval] = []
-    for direction, (vals, thr, vrank, c, b), left_end in zip(
-        ("increase", "decrease"), searches, left_ends
+    for direction, (vals, thr, vrank, c, b), (left_end, start, count) in zip(
+        ("increase", "decrease"), searches, found
     ):
         lo_v = x[left_end - 1]
         hi_v = x[k[b] - 1]
@@ -172,8 +169,9 @@ def significant_feature_intervals(
         for q in order[hi_sorted < earlier]:
             rb = int(b[q])
             tb = int(t[rb])
-            cand = by_j[j_start[left_end[q]] : j_start[left_end[q] + 1]]
-            cand = cand[(cand < tb) & (vrank[cand] < c[rb])]
+            # the rows with that left end before t[rb], from the last node
+            cand = pos[start[q] : start[q] + count[q]]
+            cand = cand[vrank[cand] < c[rb]]
             # the pick of a prefix-max Fenwick tree over positions, filled in
             # vals order, ties by position: the first node its query visits,
             # then the first in

@@ -329,10 +329,9 @@ def feature_intervals_tree(
     if jj.size == 0:
         raise ValueError(f"interval system empty for n={n}")
     kappa = lookup_kappa(table, alpha, n)
-    j, k, dens, r = _radii(sample, kappa)
+    band = _radii(sample, kappa)
+    j, k = band.a, band.b
     x = sample.values
-    low = dens - 0.5 * r
-    high = dens + 0.5 * r
     m = j.size
 
     out: list[FeatureInterval] = []
@@ -341,11 +340,11 @@ def feature_intervals_tree(
         # vals[a] < thr[b]; for each b the tightest hull comes from the
         # certifying a with the largest left endpoint j[a]
         if direction == "increase":
-            vals = high
-            thr = low
+            vals = band.hi
+            thr = band.lo
         else:
-            vals = -low
-            thr = -high
+            vals = -band.lo
+            thr = -band.hi
         # prefix-max tree over positions in k-order (k is ascending already):
         # insert left intervals in ascending vals, query max j over a prefix
         tree = np.full(m + 1, -1, dtype=np.int64)  # stores candidate index a

@@ -58,21 +58,24 @@ def minimal_hulls_reference(sample, alpha, table):
 def certifying_at_left_end(sample, alpha, table, feature):
     """How many system intervals with the left witness's left end certify
     the feature together with its right witness."""
-    j, k, dens, r = _radii(sample, lookup_kappa(table, alpha, sample.n))
-    low, high = dens - 0.5 * r, dens + 0.5 * r
+    band = _radii(sample, lookup_kappa(table, alpha, sample.n))
+    j, k = band.a, band.b
     left, right = feature.witnesses
     b = np.flatnonzero((j == right.j) & (k == right.k))[0]
     a = (j == left.j) & (k <= right.j)
     if feature.direction == "increase":
-        return int(np.sum(high[a] < low[b]))
-    return int(np.sum(low[a] > high[b]))
+        return int(np.sum(band.hi[a] < band.lo[b]))
+    return int(np.sum(band.lo[a] > band.hi[b]))
 
 
 class TestConfidenceRadius:
     def test_direct_arithmetic(self):
         x = np.concatenate([np.linspace(0, 0.2, 50), np.linspace(1.0, 1.2, 50)])
         sample = SortedSample(x)
-        j, k, dens, r = _radii(sample, 2.0)
+        band = _radii(sample, 2.0)
+        j, k = band.a, band.b
+        # the band is dens -/+ r/2: recover both from its ends
+        dens, r = 0.5 * (band.lo + band.hi), band.hi - band.lo
         width = sample.values[k - 1] - sample.values[j - 1]
         expect = [radius_oracle(c, 100, w, 2.0) for c, w in zip(k - j, width)]
         np.testing.assert_allclose(r, expect, rtol=1e-12)
@@ -92,8 +95,8 @@ class TestConfidenceRadius:
         assert radius_oracle(100, 200, 1.0, 2.0) > radius_oracle(500, 1000, 1.0, 2.0)
 
     def test_strictly_positive(self):
-        _, _, _, r = _radii(SortedSample(np.linspace(0, 1, 10)), 0.0)
-        assert r.size and np.all(r > 0.0)
+        band = _radii(SortedSample(np.linspace(0, 1, 10)), 0.0)
+        assert band.lo.size and np.all(band.hi > band.lo)
 
 
 class TestMaxLeftEnd:
@@ -101,7 +104,9 @@ class TestMaxLeftEnd:
     def test_matches_brute_force(self, m):
         """Random left ends, with many rows per left end when ``top`` is small
         and the top bit set on some of them (8 is the top bit alone, 63 all
-        bits), and two rank permutations searched in one call."""
+        bits), and two rank permutations searched in one call.  Each query's
+        last node holds the positions a < t with j[a] equal to its answer,
+        ascending."""
         rng = np.random.default_rng(m)
         for top in (1, 3, 8, 63, 1000):
             j = rng.integers(1, top + 1, size=m)
@@ -113,10 +118,14 @@ class TestMaxLeftEnd:
                 c = rng.integers(1, m + 1, size=3 * m)
                 has = np.minimum.accumulate(vrank)[t - 1] < c
                 sets.append((vrank, t[has], c[has]))
-            for (vrank, t, c), got in zip(sets, _max_left_end(j, sets)):
+            pos, found = _max_left_end(j, sets)
+            for (vrank, t, c), (got, start, count) in zip(sets, found):
                 assert t.size
                 want = [j[:tq][vrank[:tq] < cq].max() for tq, cq in zip(t, c)]
                 assert got.tolist() == want
+                for tq, w, s, cnt in zip(t, want, start, count):
+                    node = pos[s : s + cnt].tolist()
+                    assert node == np.flatnonzero(j[:tq] == w).tolist()
 
 
 class TestFeatureSearch:
