@@ -10,10 +10,14 @@ density band.  The fit and the audit both read their bands from
 :func:`constraint_table` and test membership with :func:`in_band`; the fit's
 last round and the audit's merge test take the band of a block from
 :func:`block_band`.  The feature search's radius bands use :func:`system_table`.
+The per-count mass roots depend on (n, kappa) alone and the row offsets on n
+alone, so both are solved once and cached; per sample a table costs only
+its widths and the per-row gathers and divisions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,24 +69,49 @@ class ConstraintTable:
     start: np.ndarray  # start[i] .. start[i+1] rows have right endpoint i
 
 
+@lru_cache(maxsize=4)
+def _count_roots(n: int, kappa: float):
+    """Mass roots ``(q_lo, q_hi)`` of every count of the system for sample
+    size n, in the order of ``count_groups(n)``, with the unsatisfiable
+    counts mapped to the empty band (+inf, -inf).
+
+    They depend on (n, kappa) alone, not on the sample, so they are solved
+    once per pair; cached for the last four pairs, arrays read-only.
+    """
+    counts, _ = count_groups(n)
+    q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
+    empty = np.isnan(q_lo)
+    q_lo[empty], q_hi[empty] = np.inf, -np.inf
+    for a in (q_lo, q_hi):
+        a.flags.writeable = False
+    return q_lo, q_hi
+
+
+@lru_cache(maxsize=4)
+def _row_starts(n: int) -> np.ndarray:
+    """Row offsets of the system for n: rows ``start[i] .. start[i+1]`` have
+    right endpoint i.  Cached for the last four n, read-only."""
+    _, k, _ = interval_arrays(n)
+    start = np.searchsorted(k, np.arange(n + 2))
+    start.flags.writeable = False
+    return start
+
+
 def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
     """Feasible density band of every system interval at threshold ``kappa``."""
     n = sample.n
     j, k, _ = interval_arrays(n)
-    counts, group = count_groups(n)
-    x = sample.values
-    q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
-    empty = np.isnan(q_lo)  # unsatisfiable counts get the empty band
-    q_lo[empty], q_hi[empty] = np.inf, -np.inf
-    width = x[k - 1] - x[j - 1]
+    _, group = count_groups(n)
+    q_lo, q_hi = _count_roots(n, float(kappa))
+    xp = np.concatenate((sample.values[:1], sample.values))  # xp[i] = X_(i)
+    width = xp[k] - xp[j]
     return system_table(n, q_lo[group] / width, q_hi[group] / width)
 
 
 def system_table(n: int, lo, hi) -> ConstraintTable:
     """The system for sample size n with the bands (lo, hi), in its order."""
     j, k, _ = interval_arrays(n)
-    start = np.searchsorted(k, np.arange(n + 2))
-    return ConstraintTable(a=j, b=k, lo=lo, hi=hi, start=start)
+    return ConstraintTable(a=j, b=k, lo=lo, hi=hi, start=_row_starts(n))
 
 
 def block_band(table: ConstraintTable, t, i):

@@ -26,9 +26,11 @@ table rows.  Its invariants:
   right of the sweep are live: K is not monotone in the node index, so they
   may reach further than those already dead.
 
-Node n needs only the bands of the blocks (t, n], taken over the whole
-table once by ``bounds.block_band``, so each round first tries to reach n
-and sweeps only if it cannot.
+Node n needs only the bands of the blocks (t, n], so each round first tries
+to reach n and sweeps only if it cannot.  The first round starts from node 0
+alone, and the band of (0, n] is one max and one min over the whole table;
+the bands of every (t, n] are taken once by ``bounds.block_band``, and only
+when that round misses n.
 """
 from __future__ import annotations
 
@@ -237,11 +239,12 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
     # block (t, i] spans [edge[t], edge[i]] and holds i - t points; t = 0
     # is the virtual left edge at X_(1)
     edge = np.concatenate((x[:1], x))
-    lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # blocks (t, n]
     active = np.zeros(1, dtype=np.int64)
+    # the band of block (0, n], the tightest over the whole table
+    band = np.max(table.lo, initial=-np.inf), np.min(table.hi, initial=np.inf)
     k = 1
     while True:
-        cost = _block_cost(edge, V, n, active, n, lo_n[active], hi_n[active])
+        cost = _block_cost(edge, V, n, active, n, *band)
         pos = int(np.argmin(cost))
         if cost[pos] < np.inf:
             K[n], V[n], pred[n] = k, cost[pos], active[pos]
@@ -249,6 +252,9 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
         active = _sweep(table, edge, K, V, pred, active, k)
         if not active.size:
             raise RuntimeError("dynamic program stalled; constraint table inconsistent")
+        if k == 1:
+            lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # blocks (t, n]
+        band = lo_n[active], hi_n[active]
         k += 1
 
 

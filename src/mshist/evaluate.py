@@ -28,7 +28,7 @@ class AuditReport:
     violations: list[IntervalSpec]
     removable: list[tuple[int, int]]  # (change-point index, merge multiplicity)
     alpha: float
-    kappa: float
+    kappa: float | None  # None when the system is empty and no table is read
 
     @property
     def clean(self) -> bool:
@@ -143,11 +143,12 @@ def audit(
     table: QuantileTable,
 ) -> AuditReport:
     """Full audit: violation intervals plus removable change-points, from
-    one band table."""
-    kappa = lookup_kappa(table, alpha, sample.n)
+    one band table.  A sample too small for the interval system gets the
+    empty report with ``kappa`` None; ``table`` is not read then."""
     j, _, _ = interval_arrays(sample.n)
     if j.size == 0:
-        return AuditReport(violations=[], removable=[], alpha=alpha, kappa=kappa)
+        return AuditReport(violations=[], removable=[], alpha=alpha, kappa=None)
+    kappa = lookup_kappa(table, alpha, sample.n)
     ctab = constraint_table(sample, kappa)
     return AuditReport(
         violations=_violations(sample, estimator, ctab),

@@ -73,7 +73,9 @@ def _max_left_end(j, queries):
     and sets that bit of its answer, when the child's first members hold a
     rank below c, which a running min of the ranks within each node shows.
     The arrangement and the node bounds depend on j alone and serve every
-    query set; per set a level is a gather, an OR and a running max.
+    query set; per set a level is a gather, an OR and a running max.  A set
+    with no queries is not descended, and when no set has a query no level
+    is built: ``pos`` is then the identity.
     """
     m = j.size
     shift = m.bit_length()
@@ -87,7 +89,9 @@ def _max_left_end(j, queries):
         (m - 1 - vrank, np.zeros_like(t), t.copy(), np.zeros_like(t), m - 1 - c)
         for vrank, t, c in queries
     ]
-    for bit in range(int(j.max()).bit_length() - 1, -1, -1):
+    busy = [s for s in sets if s[1].size]
+    top = int(j.max()).bit_length() if busy else 0
+    for bit in range(top - 1, -1, -1):
         one = (key >> bit & 1).astype(bool)
         np.cumsum(one, out=ones[1:])
         zeros = m - ones[m]
@@ -96,7 +100,7 @@ def _max_left_end(j, queries):
         # the node number in the high bits restarts the running max per node
         node = key >> bit
         hi = np.concatenate(([0], np.cumsum(node[1:] != node[:-1]))) << shift
-        for rev, start, count, best, bar in sets:
+        for rev, start, count, best, bar in busy:
             run = np.maximum.accumulate(hi | rev[pos])
             before = ones[start]
             n1 = ones[start + count] - before

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mshist import bounds
 from mshist.bounds import block_band, constraint_table, in_band, mass_roots_batch
+from mshist.intervals import count_groups, interval_arrays
 from mshist.multiscale import log_likelihood_ratio, penalty
 from mshist.sample import SortedSample
 
@@ -96,6 +98,64 @@ class TestConstraintInterval:
         bands = [constraint_interval(iv, sample, 1.0) for iv in system]
         np.testing.assert_allclose(t.lo, [b.lower for b in bands], rtol=1e-8)
         np.testing.assert_allclose(t.hi, [b.upper for b in bands], rtol=1e-8)
+
+
+def inline_table(sample, kappa):
+    """lo, hi and start of the band table, solved in full on every call."""
+    n = sample.n
+    j, k, _ = interval_arrays(n)
+    counts, group = count_groups(n)
+    x = sample.values
+    q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
+    empty = np.isnan(q_lo)
+    q_lo[empty], q_hi[empty] = np.inf, -np.inf
+    width = x[k - 1] - x[j - 1]
+    start = np.searchsorted(k, np.arange(n + 2))
+    return q_lo[group] / width, q_hi[group] / width, start, empty.any()
+
+
+class TestCachedRoots:
+    def test_roots_solved_once_per_n_and_kappa(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return mass_roots_batch(*args)
+
+        bounds._count_roots.cache_clear()
+        monkeypatch.setattr(bounds, "mass_roots_batch", counting)
+        rng = np.random.default_rng(4)
+        first, second = (SortedSample(rng.random(200)) for _ in range(2))
+        constraint_table(first, 1.0)
+        constraint_table(second, 1.0)
+        assert len(calls) == 1
+        constraint_table(first, 0.5)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [64, 500])
+    def test_table_equals_inline_formula(self, n):
+        """Two samples per kappa, and kappa revisited after another one, so
+        a cache that kept a sample's widths or the wrong kappa's roots fails.
+        -2.3 leaves some bands empty."""
+        rng = np.random.default_rng(n)
+        samples = [SortedSample(rng.random(n)), SortedSample(rng.exponential(size=n))]
+        for kappa in (1.0, -2.3, 1.0):
+            for sample in samples:
+                lo, hi, start, some_empty = inline_table(sample, kappa)
+                assert some_empty == (kappa < 0)
+                t = constraint_table(sample, kappa)
+                assert np.array_equal(t.lo, lo)
+                assert np.array_equal(t.hi, hi)
+                assert np.array_equal(t.start, start)
+
+    def test_cached_arrays_are_read_only(self):
+        n = 100
+        t = constraint_table(SortedSample(np.random.default_rng(5).random(n)), 1.0)
+        q_lo, q_hi = bounds._count_roots(n, 1.0)
+        for a in (q_lo, q_hi, t.start):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestFeasibleBand:

@@ -222,6 +222,26 @@ class TestEssentialHistogram:
                 assert np.array_equal(a.heights, b.heights)
                 assert (va, ka) == (vb, kb)
 
+    def test_all_t_block_bands_only_past_the_first_round(self, tables, monkeypatch):
+        """The first round tests the one bin (0, n] from the whole table; the
+        bands of every (t, n] are built once, when that round misses n."""
+        from mshist import dp
+        from mshist.bounds import block_band
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return block_band(*args)
+
+        monkeypatch.setattr(dp, "block_band", counting)
+        for family, want_calls in (("uniform", 0), ("claw", 1)):
+            sample = get_density(family).sampler(0, 1000)
+            del calls[:]
+            fit = essential_histogram(sample, 0.1, tables(1000))
+            assert (fit.nbins == 1) == (family == "uniform")
+            assert len(calls) == want_calls, family
+
     def test_affine_equivariance(self, tables):
         rng = np.random.default_rng(9)
         x = rng.exponential(size=100)

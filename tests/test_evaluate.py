@@ -7,12 +7,14 @@ from mshist.bounds import constraint_table, in_band
 from mshist.densities import classical_histogram, get_density
 from mshist.dp import HistogramModel, essential_histogram
 from mshist.evaluate import (
+    AuditReport,
     audit,
     removable_changepoints,
     violation_intervals,
 )
 from mshist.io import audit_document
 from mshist.multiscale import lookup_kappa
+from mshist.sample import SortedSample
 
 from reference import build_interval_system, mass_roots, removable_reference
 
@@ -137,6 +139,20 @@ class TestAudit:
             assert report.removable == removable
             assert report.kappa == lookup_kappa(table, 0.1, 500)
         assert any(v or r for v, r in halves_of)
+
+    def test_small_sample_reads_no_table(self):
+        """Below the interval system's threshold the audit, like the fit and
+        the two halves, returns without a table: kappa is None, JSON null."""
+        sample = SortedSample(np.linspace(0.0, 1.0, 7))
+        est = halves(sample)
+        report = audit(sample, est, 0.1, None)
+        assert report == AuditReport(
+            violations=[], removable=[], alpha=0.1, kappa=None
+        )
+        assert violation_intervals(sample, est, 0.1, None) == []
+        assert removable_changepoints(sample, est, 0.1, None) == []
+        doc = json.loads(json.dumps(audit_document(report, sample)))
+        assert doc["kappa"] is None and doc["clean"] is True
 
     def test_report_holds_python_ints(self, tables):
         """The audit document writes the report's indices to JSON as they are."""

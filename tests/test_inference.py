@@ -126,6 +126,19 @@ class TestMaxLeftEnd:
                 for tq, w, s, cnt in zip(t, want, start, count):
                     node = pos[s : s + cnt].tolist()
                     assert node == np.flatnonzero(j[:tq] == w).tolist()
+            # a set with no queries next to one with queries, then only
+            # empty sets: those get empty answers, and with no query at all
+            # no level is built, so the arrangement is the identity
+            vrank, t, c = sets[0]
+            empty = (vrank, t[:0], c[:0])
+            pos_mixed, mixed = _max_left_end(j, [empty, sets[1]])
+            assert np.array_equal(pos_mixed, pos)
+            assert [a.size for a in mixed[0]] == [0, 0, 0]
+            for got, want in zip(mixed[1], found[1]):
+                assert np.array_equal(got, want)
+            pos_none, none = _max_left_end(j, [empty, empty])
+            assert pos_none.tolist() == list(range(m))
+            assert [a.size for found_set in none for a in found_set] == [0] * 6
 
 
 class TestFeatureSearch:

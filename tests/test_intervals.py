@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mshist.bounds import constraint_table
+from mshist.bounds import _count_roots, _row_starts, constraint_table
 from mshist.intervals import (
     IntervalSpec,
     count_groups,
@@ -148,10 +148,13 @@ def test_band_tables_share_the_cached_grouping():
 
 
 def test_per_n_caches_are_bounded():
+    """The system's caches and the band table's per-(n, kappa) roots and
+    per-n row offsets."""
+    caches = (interval_arrays, count_groups, levels, _count_roots, _row_starts)
     bound = interval_arrays.cache_info().maxsize
-    assert bound == count_groups.cache_info().maxsize == levels.cache_info().maxsize
+    assert all(cache.cache_info().maxsize == bound for cache in caches)
     assert bound is not None and bound <= 4
     for n in range(20, 22 + 2 * bound):
-        count_groups(n)
-        for cache in (interval_arrays, count_groups, levels):
+        constraint_table(SortedSample(np.linspace(0.0, 1.0, n)), 1.0)
+        for cache in caches:
             assert cache.cache_info().currsize <= bound
