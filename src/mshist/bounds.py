@@ -9,7 +9,8 @@ a smooth scalar equation; dividing by the interval width turns it into a
 density band.  The fit and the audit both read their bands from
 :func:`constraint_table` and test membership with :func:`in_band`; the fit's
 last round and the audit's merge test take the band of a block from
-:func:`block_band`.  The feature search's radius bands use :func:`system_table`.
+:func:`block_band`.  Every band table, the feature search's radius band
+included, is laid out by :func:`band_table` from per-count mass bounds.
 The per-count mass roots depend on (n, kappa) alone and the row offsets on n
 alone, so both are solved once and cached; per sample a table costs only
 its widths and the per-row gathers and divisions.
@@ -97,21 +98,23 @@ def _row_starts(n: int) -> np.ndarray:
     return start
 
 
-def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
-    """Feasible density band of every system interval at threshold ``kappa``."""
+def band_table(sample: SortedSample, q_lo, q_hi) -> ConstraintTable:
+    """The system's density bands from the mass bounds ``(q_lo, q_hi)`` of
+    every count, in the order of ``count_groups(n)``: each bound divided by
+    the interval's width in ``sample``."""
     n = sample.n
     j, k, _ = interval_arrays(n)
     _, group = count_groups(n)
-    q_lo, q_hi = _count_roots(n, float(kappa))
     xp = np.concatenate((sample.values[:1], sample.values))  # xp[i] = X_(i)
     width = xp[k] - xp[j]
-    return system_table(n, q_lo[group] / width, q_hi[group] / width)
+    return ConstraintTable(
+        a=j, b=k, lo=q_lo[group] / width, hi=q_hi[group] / width, start=_row_starts(n)
+    )
 
 
-def system_table(n: int, lo, hi) -> ConstraintTable:
-    """The system for sample size n with the bands (lo, hi), in its order."""
-    j, k, _ = interval_arrays(n)
-    return ConstraintTable(a=j, b=k, lo=lo, hi=hi, start=_row_starts(n))
+def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
+    """Feasible density band of every system interval at threshold ``kappa``."""
+    return band_table(sample, *_count_roots(sample.n, float(kappa)))
 
 
 def block_band(table: ConstraintTable, t, i):

@@ -15,8 +15,7 @@ from pathlib import Path
 
 from . import densities, evaluate, inference, io, multiscale
 from .dp import essential_histogram
-from .intervals import max_scale
-from .sample import DuplicateValuesError
+from .intervals import levels
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,7 +36,7 @@ def _alpha_list(text: str) -> list[float]:
 
 
 def _get_table(n: int, args) -> multiscale.QuantileTable:
-    if max_scale(n) < 2:  # the system has no level, so no intervals
+    if not levels(n):
         raise ValueError(f"no calibration intervals exist for n={n}")
     path = multiscale.table_path(n, args.reps, args.seed, args.cache_dir)
     # too few reps is an error from simulate_quantiles, not a simulation
@@ -71,7 +70,7 @@ def _out_path(base: str, alpha: float, many: bool, suffix: str = "") -> Path:
 
 def cmd_fit(args) -> int:
     sample = io.read_sample(args.input, jitter=args.jitter)
-    small = max_scale(sample.n) < 2
+    small = not levels(sample.n)
     if small:
         log.warning(
             f"n={sample.n} is too small for multiscale calibration; "
@@ -204,9 +203,6 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     try:
         return args.func(args)
-    except DuplicateValuesError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BAND_SLACK, ConstraintTable, block_band, constraint_table, in_band
-from .intervals import interval_arrays
+from .intervals import levels
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
@@ -302,8 +302,7 @@ def essential_histogram(
     small for multiscale calibration); ``table`` is not read then.
     """
     n = sample.n
-    j, _, _ = interval_arrays(n)
-    if j.size == 0:
+    if not levels(n):
         return _model_from_cuts(sample, [0, n])
     kappa = lookup_kappa(table, alpha, n)
     _, _, pred = _bellman_pruned(sample, constraint_table(sample, kappa))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bounds import block_band, constraint_table, in_band
 from .dp import HistogramModel
-from .intervals import IntervalSpec, interval_arrays
+from .intervals import IntervalSpec, interval_arrays, levels
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
@@ -104,8 +104,7 @@ def violation_intervals(
     piece over sample points, for instance, is always flagged.
     """
     n = sample.n
-    j, _, _ = interval_arrays(n)
-    if j.size == 0:
+    if not levels(n):
         return []
     ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
     return _violations(sample, estimator, ctab)
@@ -129,8 +128,7 @@ def removable_changepoints(
     if estimator.nbins < 2:
         return []
     n = sample.n
-    j, _, _ = interval_arrays(n)
-    if j.size == 0:
+    if not levels(n):
         return []
     ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
     return _removable(sample, estimator, ctab)
@@ -145,8 +143,7 @@ def audit(
     """Full audit: violation intervals plus removable change-points, from
     one band table.  A sample too small for the interval system gets the
     empty report with ``kappa`` None; ``table`` is not read then."""
-    j, _, _ = interval_arrays(sample.n)
-    if j.size == 0:
+    if not levels(sample.n):
         return AuditReport(violations=[], removable=[], alpha=alpha, kappa=None)
     kappa = lookup_kappa(table, alpha, sample.n)
     ctab = constraint_table(sample, kappa)

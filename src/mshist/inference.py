@@ -2,10 +2,12 @@
 
 For each interval of the multiscale system the empirical average density is
 within half a computable radius of the true average density, simultaneously
-over the whole system, with probability at least 1 - alpha.  Comparing two
-disjoint intervals whose average densities differ by more than the sum of
-half-radii therefore certifies a point of increase (or decrease) of the
-density between them.
+over the whole system, with probability at least 1 - alpha.  The radius in
+mass depends on the interval's count alone, so it is evaluated once per
+count as a mass band and laid out over the system by ``bounds.band_table``,
+the builder of the fit's bands.  Comparing two disjoint intervals whose
+average densities differ by more than the sum of half-radii therefore
+certifies a point of increase (or decrease) of the density between them.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConstraintTable, system_table
-from .intervals import IntervalSpec, count_groups, interval_arrays
+from .bounds import ConstraintTable, band_table
+from .intervals import IntervalSpec, count_groups, interval_arrays, levels
 from .multiscale import QuantileTable, lookup_kappa, penalty
 from .sample import SortedSample
 
@@ -41,20 +43,17 @@ def _radii(sample: SortedSample, kappa: float) -> ConstraintTable:
     """The radius band of every system interval: its empirical average
     density plus or minus half its simultaneous confidence radius.
 
-    With p an interval's empirical mass and c = penalty(p) + kappa:
-    r = (2c/width) * (sqrt(p*(1-p)/n) + c/(2n)).  The penalty depends on the
-    count alone, so it is evaluated once per count group.
+    With p a count's empirical mass and c = penalty(p) + kappa, the half
+    radius in mass is h = c * (sqrt(p*(1-p)/n) + c/(2n)); the mass band
+    [p - h, p + h] of every count goes to :func:`bounds.band_table`, which
+    divides it by each interval's width.
     """
     n = sample.n
-    j, k, _ = interval_arrays(n)
-    counts, group = count_groups(n)
-    x = sample.values
-    p = (k - j) / n
-    c = (penalty(counts / n) + kappa)[group]
-    width = x[k - 1] - x[j - 1]
-    r = (2.0 * c / width) * (np.sqrt(p * (1.0 - p) / n) + c / (2.0 * n))
-    dens = p / width
-    return system_table(n, dens - 0.5 * r, dens + 0.5 * r)
+    counts, _ = count_groups(n)
+    p = counts / n
+    c = penalty(p) + kappa
+    h = c * (np.sqrt(p * (1.0 - p) / n) + c / (2.0 * n))
+    return band_table(sample, p - h, p + h)
 
 
 def _max_left_end(j, queries):
@@ -132,12 +131,12 @@ def significant_feature_intervals(
     the first inserted), as the tree search in ``tests/reference.py`` does.
     """
     n = sample.n
-    _, _, scale = interval_arrays(n)
-    if scale.size == 0:
+    if not levels(n):
         raise ValueError(f"interval system empty for n={n}")
     kappa = lookup_kappa(table, alpha, n)
     band = _radii(sample, kappa)
     j, k = band.a, band.b
+    _, _, scale = interval_arrays(n)
     x = sample.values
     m = j.size
     t = band.start[j + 1]  # left candidates end by the right one's start

@@ -156,7 +156,6 @@ class QuantileTable:
     kappas: tuple[float, ...]
     reps: int
     seed: int
-    version: int = TABLE_VERSION
 
     def __post_init__(self):
         a = np.asarray(self.alphas)
@@ -170,7 +169,7 @@ class QuantileTable:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": TABLE_VERSION,
             "n": self.n,
             "reps": self.reps,
             "seed": self.seed,

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mshist import inference
+from mshist.bounds import _count_roots
 from mshist.inference import (
     FeatureInterval,
     _max_left_end,
@@ -97,6 +99,23 @@ class TestConfidenceRadius:
     def test_strictly_positive(self):
         band = _radii(SortedSample(np.linspace(0, 1, 10)), 0.0)
         assert band.lo.size and np.all(band.hi > band.lo)
+
+    @pytest.mark.parametrize("n", [100, 1000, 30000])
+    @pytest.mark.parametrize("kappa", [-0.5, 0.2, 1.3, 3.0])
+    def test_mass_band_holds_the_exact_roots(self, monkeypatch, n, kappa):
+        """Per count, the mass band [p - h, p + h] that ``_radii`` lays out
+        contains the exact mass roots of the fit's band wherever the count is
+        satisfiable: the radius band is an outer bound on the fit's band.  The
+        slack is under 1% of h at n = 30000 and kappa = -0.5."""
+        seen = {}
+        monkeypatch.setattr(
+            inference, "band_table", lambda _, q_lo, q_hi: seen.update(lo=q_lo, hi=q_hi)
+        )
+        _radii(SortedSample(np.arange(n, dtype=float)), kappa)
+        q_lo, q_hi = _count_roots(n, kappa)
+        ok = np.isfinite(q_lo)
+        assert ok.any()
+        assert np.all(seen["lo"][ok] <= q_lo[ok]) and np.all(q_hi[ok] <= seen["hi"][ok])
 
 
 class TestMaxLeftEnd:
