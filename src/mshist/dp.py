@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import BAND_SLACK, ConstraintTable, block_band, constraint_table, in_band
 from .intervals import levels
-from .multiscale import QuantileTable, lookup_kappa
+from .multiscale import QuantileTable, check_alpha, lookup_kappa
 from .sample import SortedSample
 
 #: relative tolerance for merging equal-height neighbor bins
@@ -301,6 +301,7 @@ def essential_histogram(
     Falls back to a single bin when the interval system is empty (sample too
     small for multiscale calibration); ``table`` is not read then.
     """
+    check_alpha(alpha)
     n = sample.n
     if not levels(n):
         return _model_from_cuts(sample, [0, n])

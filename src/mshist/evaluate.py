@@ -4,6 +4,14 @@ Two complementary diagnostics: system intervals inside a constant stretch of
 the estimator where the estimator's value fails the local likelihood-ratio
 test (features the estimator missed), and change-points whose neighborhoods
 could be merged into one feasible block (structure the data do not support).
+
+Every band the audit tests is indexed by order statistics, so the breaks are
+placed among the sample once per audit and both diagnostics read that map:
+``below[e]`` and ``upto[e]`` count the sample points below break e and up to
+it, and ``piece[i]`` is the piece just right of X_(i+1), 0 left of the support
+and nbins + 1 right of it.  A system row (a, b] lies in the piece p of X_(a)
+when ``b <= upto[p]``, or always past the support; a merge window of segments
+first..last is the sample range (below[first], upto[last + 1]].
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ import numpy as np
 from .bounds import block_band, constraint_table, in_band
 from .dp import HistogramModel
 from .intervals import IntervalSpec, interval_arrays, levels
-from .multiscale import QuantileTable, lookup_kappa
+from .multiscale import QuantileTable, check_alpha, lookup_kappa
 from .sample import SortedSample
 
 #: longest run of adjacent segments considered when counting merges
@@ -35,53 +43,43 @@ class AuditReport:
         return not self.violations and not self.removable
 
 
-def _piece_values(estimator: HistogramModel, lo: np.ndarray, hi: np.ndarray):
-    """Constant estimator value on each value interval (lo, hi], or nan when
-    the interval straddles a breakpoint.
-
-    Regions outside the estimator's support count as zero-height pieces, so
-    an interval beyond the last break is constant at 0.
-    """
-    breaks = estimator.breaks
-    # piece id: -1 left of support, nbins right of support
-    id_lo = np.searchsorted(breaks, lo, side="right") - 1
-    id_hi = np.searchsorted(breaks, hi, side="left") - 1
-    same = id_lo == id_hi
-    ext = np.concatenate(([0.0], estimator.heights, [0.0]))
-    vals = ext[np.clip(id_lo, -1, estimator.nbins) + 1]
-    return np.where(same, vals, np.nan)
+def _prologue(sample: SortedSample, estimator: HistogramModel, alpha, table):
+    """``(kappa, band table, (below, upto, piece))`` for both halves, or None
+    when the interval system is empty; ``table`` is not read then."""
+    check_alpha(alpha)
+    if not levels(sample.n):
+        return None
+    kappa = lookup_kappa(table, alpha, sample.n)
+    x, e = sample.values, estimator.breaks
+    below, upto = (np.searchsorted(x, e, side=s) for s in ("left", "right"))
+    piece = np.searchsorted(e, x, side="right")
+    return kappa, constraint_table(sample, kappa), (below, upto, piece)
 
 
-def _violations(
-    sample: SortedSample, estimator: HistogramModel, ctab
-) -> list[IntervalSpec]:
-    x = sample.values
-    c = _piece_values(estimator, x[ctab.a - 1], x[ctab.b - 1])
-    viol = ~np.isnan(c) & ~in_band(c, ctab.lo, ctab.hi)
+def _violations(sample, estimator, ctab, where) -> list[IntervalSpec]:
+    _, upto, piece = where
+    p = piece[ctab.a - 1]
+    inside = ctab.b <= np.append(upto, sample.n)[p]
+    height = np.concatenate(([0.0], estimator.heights, [0.0]))[p]
+    viol = inside & ~in_band(height, ctab.lo, ctab.hi)
     _, _, scale = interval_arrays(sample.n)
     cols = (ctab.a[viol].tolist(), ctab.b[viol].tolist(), scale[viol].tolist())
     return [IntervalSpec(a, b, s) for a, b, s in zip(*cols)]
 
 
-def _removable(
-    sample: SortedSample, estimator: HistogramModel, ctab
-) -> list[tuple[int, int]]:
+def _removable(sample, estimator, ctab, where) -> list[tuple[int, int]]:
+    below, upto, _ = where
     nb = estimator.nbins
-    n = sample.n
     # every run of segments first..last, 2..MERGE_WINDOW long
     first = np.repeat(np.arange(nb), MERGE_WINDOW - 1)
     last = first + np.tile(np.arange(1, MERGE_WINDOW), nb)
     keep = last < nb
     first, last = first[keep], last[keep]
-    x = sample.values
     lo_v, hi_v = estimator.breaks[first], estimator.breaks[last + 1]
-    left = np.searchsorted(x, lo_v, side="left")
-    b_max = np.searchsorted(x, hi_v, side="right")
-    count = b_max - np.where(first == 0, left, np.searchsorted(x, lo_v, side="right"))
-    mu = count / (n * (hi_v - lo_v))
-    # the system intervals inside the block are the rows (a, b] with
-    # x[a-1] >= lo_v and x[b-1] <= hi_v
-    ok = in_band(mu, *block_band(ctab, left + 1, b_max))
+    # the first segment is closed on the left
+    count = upto[last + 1] - np.where(first == 0, below[0], upto[first])
+    mu = count / (sample.n * (hi_v - lo_v))
+    ok = in_band(mu, *block_band(ctab, below[first] + 1, upto[last + 1]))
     # merges covering change-point cp: first < cp <= last
     cover = np.cumsum(
         np.bincount(first[ok] + 1, minlength=nb + 1)
@@ -103,11 +101,8 @@ def violation_intervals(
     The bands and their slack are the ones the fit obeys, so a zero-height
     piece over sample points, for instance, is always flagged.
     """
-    n = sample.n
-    if not levels(n):
-        return []
-    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
-    return _violations(sample, estimator, ctab)
+    setup = _prologue(sample, estimator, alpha, table)
+    return [] if setup is None else _violations(sample, estimator, *setup[1:])
 
 
 def removable_changepoints(
@@ -126,12 +121,10 @@ def removable_changepoints(
     estimator.breaks, multiplicity).
     """
     if estimator.nbins < 2:
+        check_alpha(alpha)
         return []
-    n = sample.n
-    if not levels(n):
-        return []
-    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
-    return _removable(sample, estimator, ctab)
+    setup = _prologue(sample, estimator, alpha, table)
+    return [] if setup is None else _removable(sample, estimator, *setup[1:])
 
 
 def audit(
@@ -141,15 +134,16 @@ def audit(
     table: QuantileTable,
 ) -> AuditReport:
     """Full audit: violation intervals plus removable change-points, from
-    one band table.  A sample too small for the interval system gets the
-    empty report with ``kappa`` None; ``table`` is not read then."""
-    if not levels(sample.n):
+    one band table and one placement of the breaks.  A sample too small for
+    the interval system gets the empty report with ``kappa`` None; ``table``
+    is not read then."""
+    setup = _prologue(sample, estimator, alpha, table)
+    if setup is None:
         return AuditReport(violations=[], removable=[], alpha=alpha, kappa=None)
-    kappa = lookup_kappa(table, alpha, sample.n)
-    ctab = constraint_table(sample, kappa)
+    kappa, *rest = setup
     return AuditReport(
-        violations=_violations(sample, estimator, ctab),
-        removable=_removable(sample, estimator, ctab),
+        violations=_violations(sample, estimator, *rest),
+        removable=_removable(sample, estimator, *rest),
         alpha=alpha,
         kappa=kappa,
     )

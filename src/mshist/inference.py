@@ -138,7 +138,6 @@ def significant_feature_intervals(
     j, k = band.a, band.b
     _, _, scale = interval_arrays(n)
     x = sample.values
-    m = j.size
     t = band.start[j + 1]  # left candidates end by the right one's start
 
     searches = []
@@ -146,16 +145,16 @@ def significant_feature_intervals(
         # increase, then decrease: pair (a, b) with k[a] <= j[b] certifies
         # the direction iff vals[a] < thr[b]; for each b the tightest hull
         # comes from the certifying a with the largest left endpoint j[a].
-        # With vals ranked, a certifies b iff a < t[b] and vrank[a] < c[b],
-        # whatever order the ranking gives tied values
-        by_val = np.argsort(vals)
+        # A prefix min of vals finds the b with a partner; vals are ranked
+        # only then: a certifies b iff a < t[b] and vrank[a] < c, however ties rank
+        lowest = np.minimum.accumulate(np.concatenate(([np.inf], vals)))
+        b = np.flatnonzero(lowest[t] < thr)  # the right intervals with a partner
+        by_val = np.argsort(vals) if b.size else b
         vrank = np.empty_like(by_val)
-        vrank[by_val] = np.arange(m)
-        c = np.searchsorted(vals[by_val], thr, side="left")
-        lowest = np.minimum.accumulate(np.concatenate(([m], vrank)))
-        b = np.flatnonzero(lowest[t] < c)  # the right intervals with a partner
+        vrank[by_val] = np.arange(by_val.size)
+        c = np.searchsorted(vals[by_val], thr[b], side="left")  # per b
         searches.append((vals, thr, vrank, c, b))
-    pos, found = _max_left_end(j, [(vr, t[b], c[b]) for _, _, vr, c, b in searches])
+    pos, found = _max_left_end(j, [(vr, t[b], c) for _, _, vr, c, b in searches])
 
     out: list[FeatureInterval] = []
     for direction, (vals, thr, vrank, c, b), (left_end, start, count) in zip(
@@ -174,7 +173,7 @@ def significant_feature_intervals(
             tb = int(t[rb])
             # the rows with that left end before t[rb], from the last node
             cand = pos[start[q] : start[q] + count[q]]
-            cand = cand[vrank[cand] < c[rb]]
+            cand = cand[vrank[cand] < c[q]]
             # the pick of a prefix-max Fenwick tree over positions, filled in
             # vals order, ties by position: the first node its query visits,
             # then the first in

@@ -257,6 +257,12 @@ def save_table(table: QuantileTable, path) -> None:
     Path(path).write_text(json.dumps(table.to_dict()))
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the level alpha lies in (0, 1); nan does not."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def lookup_kappa(table: QuantileTable, alpha: float, n: int) -> float:
     """Threshold for level alpha and sample size n.
 
@@ -264,8 +270,7 @@ def lookup_kappa(table: QuantileTable, alpha: float, n: int) -> float:
     must match the capped request.  Alpha is linearly interpolated on the
     grid; extrapolation outside the grid is an error.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     n_capped = min(n, TABLE_N_CAP)
     if table.n != n_capped:
         raise ValueError(

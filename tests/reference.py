@@ -3,11 +3,12 @@
 Plain and exhaustive versions of what ``mshist`` computes faster: the
 scalar brentq band solver, the per-interval bands built on it, the list form
 of the interval system, the plain Bellman recursion over all predecessors,
-the exhaustive-search oracle, the audit's merge test one window at a
-time, the feature search on a binary indexed (Fenwick) tree, and the
-multiscale statistic evaluated on every system interval.  The
-oracle solves its own bands, so it shares only the membership test
-:func:`mshist.bounds.in_band` with the fit.
+the exhaustive-search oracle, the audit's violation test one system interval
+at a time in value space and its merge test one window at a time, the
+feature search on a binary indexed (Fenwick) tree, and the multiscale
+statistic evaluated on every system interval.  The oracle solves its own
+bands, so it shares only the membership test :func:`mshist.bounds.in_band`
+with the fit.
 """
 from __future__ import annotations
 
@@ -250,7 +251,39 @@ def brute_force_histogram(
 
 
 # ---------------------------------------------------------------------------
-# merge test of the audit
+# the audit
+
+
+def violation_reference(
+    sample: SortedSample,
+    estimator: HistogramModel,
+    alpha: float,
+    table: QuantileTable,
+) -> list[IntervalSpec]:
+    """:func:`mshist.evaluate.violation_intervals` one system interval at a
+    time, in value space.  The pieces are (-inf, e_0], (e_0, e_1], ...,
+    (e_nb, inf), the two outside the support at height 0; an interval
+    (X_(j), X_(k)] inside one piece is flagged when the piece's height lies
+    outside its band."""
+    n = sample.n
+    j, k, scale = interval_arrays(n)
+    if j.size == 0:
+        return []
+    ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
+    x = sample.values
+    edges = [-np.inf, *estimator.breaks.tolist(), np.inf]
+    pieces = list(zip(edges, edges[1:], [0.0, *estimator.heights.tolist(), 0.0]))
+    out = []
+    for r in range(j.size):
+        lo, hi = x[j[r] - 1], x[k[r] - 1]
+        for left, right, height in pieces:
+            if left <= lo and hi <= right:
+                if not in_band(height, ctab.lo[r], ctab.hi[r]):
+                    out.append(IntervalSpec(int(j[r]), int(k[r]), int(scale[r])))
+                break
+    return out
+
+
 
 
 def _merge_admissible(sample, estimator, first, last, ctab) -> bool:

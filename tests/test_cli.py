@@ -89,6 +89,13 @@ class TestFit:
         assert read_histogram(out).nbins == 1
         assert "too small" in capsys.readouterr().err
 
+    def test_tiny_sample_alpha_outside_unit_interval_exit_2(self, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("0.1\n0.4\n0.6\n0.9\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", data, "--out", out, "--alpha", "2", *CACHE2K) == 2
+        assert not out.exists()
+
     def test_too_small_is_a_logged_warning(self, tmp_path, caplog):
         data = tmp_path / "d.txt"
         data.write_text("0.1\n0.4\n0.6\n0.9\n")

@@ -16,7 +16,12 @@ from mshist.io import audit_document
 from mshist.multiscale import lookup_kappa
 from mshist.sample import SortedSample
 
-from reference import build_interval_system, mass_roots, removable_reference
+from reference import (
+    build_interval_system,
+    mass_roots,
+    removable_reference,
+    violation_reference,
+)
 
 
 def single_bin(sample):
@@ -154,6 +159,18 @@ class TestAudit:
         doc = json.loads(json.dumps(audit_document(report, sample)))
         assert doc["kappa"] is None and doc["clean"] is True
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, float("nan"), -1.0])
+    def test_alpha_outside_unit_interval_raises(self, tables, alpha):
+        """Also where the system is empty and no table is read."""
+        for sample, table in ((SortedSample([0.1, 0.4, 0.6, 0.9]), None),
+                              (get_density("claw").sampler(3, 300), tables(300))):
+            est = halves(sample)
+            for call in (audit, violation_intervals, removable_changepoints):
+                with pytest.raises(ValueError, match="alpha must lie in"):
+                    call(sample, est, alpha, table)
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                essential_histogram(sample, alpha, table)
+
     def test_report_holds_python_ints(self, tables):
         """The audit document writes the report's indices to JSON as they are."""
         sample = get_density("bimodal").sampler(7, 500)
@@ -164,6 +181,43 @@ class TestAudit:
             assert {type(v.j), type(v.k), type(v.scale)} == {int}
         assert {type(x) for pair in report.removable for x in pair} == {int}
         json.dumps(audit_document(report, sample))
+
+
+def histogram_on(sample, breaks, zero=None):
+    """Histogram on ``breaks`` with the sample's relative counts as heights,
+    the piece ``zero`` at height 0."""
+    counts = np.histogram(sample.values, breaks)[0].astype(float)
+    if zero is not None:
+        counts[zero] = 0.0
+    return HistogramModel(breaks, counts / np.sum(counts) / np.diff(breaks), sample.n)
+
+
+class TestViolationsMatchReference:
+    @pytest.mark.parametrize("density", ["claw", "uniform"])
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_estimators(self, tables, density, n):
+        sample = get_density(density).sampler(17, n)
+        x = sample.values
+        span = x[-1] - x[0]
+        idx = np.linspace(n // 10, n - n // 10, 9).astype(int)
+        quartiles = x[[0, n // 4, n // 2, 3 * n // 4, n - 1]]
+        synthetic = [
+            histogram_on(sample, 0.5 * (x[idx - 1] + x[idx])),  # inside, off x
+            histogram_on(sample, np.linspace(x[0] - 0.1 * span, x[-1] + 0.1 * span, 9)),
+            histogram_on(sample, np.append(x[::7], x[-1])),
+            histogram_on(sample, quartiles, zero=2),
+        ]
+        rules = [
+            classical_histogram(sample, r) for r in ("sturges", "scott_width", "scott_area")
+        ]
+        flagged = 0
+        for alpha in (0.1, 0.5):
+            fit = essential_histogram(sample, alpha, tables(n))
+            for est in [fit] + rules + synthetic:
+                got = violation_intervals(sample, est, alpha, tables(n))
+                assert got == violation_reference(sample, est, alpha, tables(n))
+                flagged += len(got)
+        assert flagged
 
 
 class TestRemovable:
