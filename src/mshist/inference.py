@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConstraintTable, band_table
-from .intervals import IntervalSpec, count_groups, interval_arrays, levels
+from .intervals import (
+    IntervalSpec,
+    count_groups,
+    interval_arrays,
+    levels,
+    minimal_intervals,
+)
 from .multiscale import QuantileTable, lookup_kappa, penalty
 from .sample import SortedSample
 
@@ -67,47 +73,58 @@ def _max_left_end(j, queries):
     such an a.  A wavelet matrix over the bits of the left end: level by level
     from the top bit of j, the arrangement is stably split by that bit, zeros
     first, so every node (the positions whose j shares the bits above) is a
-    contiguous run in position order.  A query keeps its node start and the
-    number of the node's members with position < t.  It takes the one child,
-    and sets that bit of its answer, when the child's first members hold a
-    rank below c, which a running min of the ranks within each node shows.
-    The arrangement and the node bounds depend on j alone and serve every
-    query set; per set a level is a gather, an OR and a running max.  A set
-    with no queries is not descended, and when no set has a query no level
-    is built: ``pos`` is then the identity.
+    contiguous run in position order.  A query keeps its node's start and the
+    end of the node's members with position < t.  It takes the one child when
+    the child's first members hold a rank below c, which a running max of the
+    rank complements m - 1 - vrank within each node shows.  Its answer is the
+    left end of its last node.
+
+    Per set every position carries one packed word, ``node << shift | rank
+    complement``, that moves with the arrangement.  After a level's split the
+    arrangement is sorted by the bit-reversed prefix of j, so OR-ing the
+    level's bit into the node code of the one-part keeps the codes ascending
+    and distinct per node: the running max restarts at each node by itself.
+    Queries read only the one-part, so the running max is taken there alone,
+    into a buffer whose first slot stands before it, and the query updates
+    are branch-free.  The split depends on j alone and serves every query
+    set.  A set with no queries is not descended, and when no set has a query
+    no level is built: ``pos`` is then the identity.
     """
     m = j.size
     shift = m.bit_length()
     low = (1 << shift) - 1
-    pos = np.arange(m)  # the positions in the current arrangement
-    key = j.copy()  # and their left ends
-    ones = np.zeros(m + 1, dtype=np.int64)
-    # a running max of the rank complement m - 1 - vrank is a running min of
-    # vrank; per set: complement, node start, count, answer, complement of c
+    # per set: packed words, node start, node end, complement of c
     sets = [
-        (m - 1 - vrank, np.zeros_like(t), t.copy(), np.zeros_like(t), m - 1 - c)
+        [m - 1 - vrank, np.zeros_like(t), t.copy(), m - 1 - c]
         for vrank, t, c in queries
     ]
     busy = [s for s in sets if s[1].size]
     top = int(j.max()).bit_length() if busy else 0
-    for bit in range(top - 1, -1, -1):
-        one = (key >> bit & 1).astype(bool)
+    assert top + shift <= 62, "packed words overflow int64"
+    key = j << shift | np.arange(m)  # left end and position, moved together
+    ones = np.zeros(m + 1, dtype=np.int64)
+    run = np.zeros(m + 1, dtype=np.int64)  # slot 0 stands before the one-part
+    for level, bit in enumerate(range(top - 1, -1, -1)):
+        one = (key & (1 << (shift + bit))) != 0
         np.cumsum(one, out=ones[1:])
         zeros = m - ones[m]
-        pos = np.concatenate((pos[~one], pos[one]))
-        key = np.concatenate((key[~one], key[one]))
-        # the node number in the high bits restarts the running max per node
-        node = key >> bit
-        hi = np.concatenate(([0], np.cumsum(node[1:] != node[:-1]))) << shift
-        for rev, start, count, best, bar in busy:
-            run = np.maximum.accumulate(hi | rev[pos])
+        split = np.concatenate((np.flatnonzero(~one), np.flatnonzero(one)))
+        key = key[split]
+        for s in busy:
+            words, start, end, bar = s
+            words = s[0] = words[split]
+            words[zeros:] |= 1 << (shift + level)
+            np.maximum.accumulate(words[zeros:], out=run[1 : m - zeros + 1])
             before = ones[start]
-            n1 = ones[start + count] - before
-            take = (n1 > 0) & ((run[zeros + before + n1 - 1] & low) > bar)
-            start[:] = np.where(take, zeros + before, start - before)
-            count[:] = np.where(take, n1, count - n1)
-            best[take] |= 1 << bit
-    return pos, [(best, start, count) for _, start, count, best, _ in sets]
+            after = ones[end]
+            take = (after > before) & ((run[after] & low) > bar)
+            start -= before
+            start += take * (zeros + before - start)
+            end -= after
+            end += take * (zeros + after - end)
+    found = [(key[start] >> shift, start, end - start) for _, start, end, _ in sets]
+    key &= low
+    return key, found
 
 
 def significant_feature_intervals(
@@ -125,10 +142,14 @@ def significant_feature_intervals(
     the left intervals a with k[a] <= j[b] and a threshold below b's, a 2-D
     dominance query, answered for both directions by one wavelet-matrix
     descent over the bits of the left ends (log2(n) levels of a few O(m)
-    array passes).  Of the candidates in a query's last node, the witness
-    and margin reported are those a prefix-max binary indexed tree filled in
-    threshold order would keep (the first tree node its query visits, then
-    the first inserted), as the tree search in ``tests/reference.py`` does.
+    array passes, see :func:`_max_left_end`).  The sample has no ties, so
+    the hulls are filtered to the inclusion-minimal ones on their index ends
+    by :func:`intervals.minimal_intervals`, in linear time; of equal hulls
+    the one of lowest threshold, then lowest position, is kept.  Of the
+    candidates in a query's last node, the witness and margin reported are
+    those a prefix-max binary indexed tree filled in threshold order would
+    keep (the first tree node its query visits, then the first inserted), as
+    the tree search in ``tests/reference.py`` does.
     """
     n = sample.n
     if not levels(n):
@@ -160,15 +181,12 @@ def significant_feature_intervals(
     for direction, (vals, thr, vrank, c, b), (left_end, start, count) in zip(
         ("increase", "decrease"), searches, found
     ):
-        lo_v = x[left_end - 1]
-        hi_v = x[k[b] - 1]
-        # keep only hulls minimal under set inclusion: widest-left first,
-        # a hull survives when its right end beats every earlier one; of equal
-        # hulls the one of lowest threshold, then lowest position, survives
-        order = np.lexsort((thr[b], hi_v, -lo_v))
-        hi_sorted = hi_v[order]
-        earlier = np.minimum.accumulate(np.concatenate(([np.inf], hi_sorted[:-1])))
-        for q in order[hi_sorted < earlier]:
+        # keep only hulls minimal under set inclusion; equal ones share their
+        # left end, and of those the lowest threshold, then position, survives
+        keep = minimal_intervals(left_end, k[b])
+        keep = keep[np.lexsort((thr[b[keep]], left_end[keep]))]
+        lead = np.diff(left_end[keep], prepend=0) != 0  # left ends are >= 1
+        for q in keep[lead]:
             rb = int(b[q])
             tb = int(t[rb])
             # the rows with that left end before t[rb], from the last node
@@ -182,7 +200,7 @@ def significant_feature_intervals(
             )
             out.append(
                 FeatureInterval(
-                    hull=(float(lo_v[q]), float(hi_v[q])),
+                    hull=(float(x[left_end[q] - 1]), float(x[k[rb] - 1])),
                     direction=direction,
                     margin=float(thr[rb] - vals[la]),
                     witnesses=(

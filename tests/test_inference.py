@@ -118,33 +118,46 @@ class TestConfidenceRadius:
         assert np.all(seen["lo"][ok] <= q_lo[ok]) and np.all(q_hi[ok] <= seen["hi"][ok])
 
 
+def random_query_sets(rng, m):
+    """Two rank permutations with 3m queries each, kept where some a < t has
+    a rank below c."""
+    out = []
+    for _ in range(2):
+        vrank = rng.permutation(m)
+        t = rng.integers(1, m + 1, size=3 * m)
+        c = rng.integers(1, m + 1, size=3 * m)
+        has = np.minimum.accumulate(vrank)[t - 1] < c
+        out.append((vrank, t[has], c[has]))
+    return out
+
+
+def assert_brute_force(j, sets):
+    """``_max_left_end`` answers every query as a scan does, and each query's
+    last node holds the positions a < t with j[a] equal to its answer,
+    ascending.  Returns the call's result."""
+    pos, found = _max_left_end(j, sets)
+    for (vrank, t, c), (got, start, count) in zip(sets, found):
+        assert t.size
+        want = [j[:tq][vrank[:tq] < cq].max() for tq, cq in zip(t, c)]
+        assert got.tolist() == want
+        for tq, w, s, cnt in zip(t, want, start, count):
+            node = pos[s : s + cnt].tolist()
+            assert node == np.flatnonzero(j[:tq] == w).tolist()
+    return pos, found
+
+
 class TestMaxLeftEnd:
     @pytest.mark.parametrize("m", [1, 2, 16, 17, 64, 65, 300])
     def test_matches_brute_force(self, m):
         """Random left ends, with many rows per left end when ``top`` is small
         and the top bit set on some of them (8 is the top bit alone, 63 all
-        bits), and two rank permutations searched in one call.  Each query's
-        last node holds the positions a < t with j[a] equal to its answer,
-        ascending."""
+        bits), and two rank permutations searched in one call."""
         rng = np.random.default_rng(m)
         for top in (1, 3, 8, 63, 1000):
             j = rng.integers(1, top + 1, size=m)
             j[rng.integers(m)] = top
-            sets = []
-            for _ in range(2):
-                vrank = rng.permutation(m)
-                t = rng.integers(1, m + 1, size=3 * m)
-                c = rng.integers(1, m + 1, size=3 * m)
-                has = np.minimum.accumulate(vrank)[t - 1] < c
-                sets.append((vrank, t[has], c[has]))
-            pos, found = _max_left_end(j, sets)
-            for (vrank, t, c), (got, start, count) in zip(sets, found):
-                assert t.size
-                want = [j[:tq][vrank[:tq] < cq].max() for tq, cq in zip(t, c)]
-                assert got.tolist() == want
-                for tq, w, s, cnt in zip(t, want, start, count):
-                    node = pos[s : s + cnt].tolist()
-                    assert node == np.flatnonzero(j[:tq] == w).tolist()
+            sets = random_query_sets(rng, m)
+            pos, found = assert_brute_force(j, sets)
             # a set with no queries next to one with queries, then only
             # empty sets: those get empty answers, and with no query at all
             # no level is built, so the arrangement is the identity
@@ -158,6 +171,18 @@ class TestMaxLeftEnd:
             pos_none, none = _max_left_end(j, [empty, empty])
             assert pos_none.tolist() == list(range(m))
             assert [a.size for found_set in none for a in found_set] == [0] * 6
+
+    @pytest.mark.parametrize("m", [1, 300])
+    def test_wide_left_ends_and_empty_one_parts(self, m):
+        """Left ends up to 2**40 take 41 levels of node code above the
+        m.bit_length() bits of rank in each packed word.  When every left end
+        is the top bit alone, the one-part of every level below it is empty,
+        so the queries read the buffer slot before it."""
+        rng = np.random.default_rng(m)
+        wide = rng.integers(1, 2**40 + 1, size=m)
+        wide[rng.integers(m)] = 2**40
+        for j in (wide, np.full(m, 2**40), np.full(m, 8)):
+            assert_brute_force(j, random_query_sets(rng, m))
 
 
 class TestFeatureSearch:

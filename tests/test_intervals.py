@@ -10,6 +10,7 @@ from mshist.intervals import (
     interval_arrays,
     levels,
     max_scale,
+    minimal_intervals,
 )
 from mshist.sample import SortedSample
 
@@ -158,3 +159,53 @@ def test_per_n_caches_are_bounded():
         constraint_table(SortedSample(np.linspace(0.0, 1.0, n)), 1.0)
         for cache in caches:
             assert cache.cache_info().currsize <= bound
+
+
+def minimal_scan(left, right):
+    """Positions of the intervals that contain no other, unequal interval of
+    the set: an O(Q**2) containment scan."""
+    pairs = list(zip(left.tolist(), right.tolist()))
+    return [
+        i
+        for i, (a, b) in enumerate(pairs)
+        if not any((c, d) != (a, b) and a <= c and d <= b for c, d in pairs)
+    ]
+
+
+class TestMinimalIntervals:
+    def test_empty(self):
+        empty = np.empty(0, dtype=np.int64)
+        got = minimal_intervals(empty, empty)
+        assert got.size == 0 and got.dtype == np.intp
+
+    @pytest.mark.parametrize("q", [1, 2, 5, 40, 400])
+    def test_matches_containment_scan(self, q):
+        """Random index intervals, from a small range of ends so that equal
+        and nested intervals are common."""
+        rng = np.random.default_rng(q)
+        for span in (3, 30, 1000):
+            left = rng.integers(0, span, size=q)
+            right = left + rng.integers(0, span // 3 + 2, size=q)
+            got = minimal_intervals(left, right)
+            assert got.tolist() == minimal_scan(left, right)
+
+    def test_nested_runs_and_duplicates(self):
+        """Two nested runs, each with its innermost interval twice; a third
+        interval inside neither survives too."""
+        left = np.array([0, 1, 2, 3, 3, 10, 11, 12, 12, 7])
+        right = np.array([9, 8, 7, 6, 6, 19, 18, 17, 17, 11])
+        got = minimal_intervals(left, right)
+        assert got.tolist() == [3, 4, 7, 8, 9] == minimal_scan(left, right)
+
+    def test_equal_intervals_left_to_the_caller(self):
+        """Equal minimal intervals all come back, in position order, so a
+        caller that sorts them stably by its own key and keeps the first per
+        left end keeps the lowest key, then the lowest position."""
+        left = np.array([5, 2, 5, 2, 5, 2, 9])
+        right = np.array([8, 4, 8, 4, 8, 6, 12])
+        key = np.array([0.3, 0.1, 0.2, 0.1, 0.2, 0.0, 1.0])
+        got = minimal_intervals(left, right)
+        assert got.tolist() == [0, 1, 2, 3, 4, 6]
+        kept = got[np.lexsort((key[got], left[got]))]
+        kept = kept[np.diff(left[kept], prepend=-1) != 0]
+        assert kept.tolist() == [1, 2, 6]
