@@ -7,9 +7,10 @@ The left side is strictly convex in q with its minimum at q = p, so the
 feasible set is a single mass interval whose endpoints are the two roots of
 a smooth scalar equation; dividing by the interval width turns it into a
 density band.  The fit and the audit both read their bands from
-:func:`constraint_table` and test membership with :func:`in_band`; the fit's
-last round and the audit's merge test take the band of a block from
-:func:`block_band`.  Every band table, the feature search's radius band
+:func:`constraint_table` and test membership with :func:`in_band`, whose
+slack :func:`widen` applies (the fit's sweep carries bands widened by it);
+the fit's last round and the audit's merge test take the band of a block
+from :func:`block_band`.  Every band table, the feature search's radius band
 included, is laid out by :func:`band_table` from per-count mass bounds.
 The per-count mass roots depend on (n, kappa) alone and the row offsets on n
 alone, so both are solved once and cached; per sample a table costs only
@@ -30,12 +31,21 @@ from .sample import SortedSample
 BAND_SLACK = 1e-9
 
 
+def widen(lo, hi):
+    """The band [lo, hi] widened by the relative BAND_SLACK, the bounds that
+    :func:`in_band` compares with.  Each bound is scaled by a positive
+    constant, which commutes with the max/min that combine bands, so bands
+    may be widened before or after they are combined.  Vectorized."""
+    return lo * (1.0 - BAND_SLACK), hi * (1.0 + BAND_SLACK)
+
+
 def in_band(mu, lo, hi):
     """Whether density ``mu`` lies in the band [lo, hi], up to BAND_SLACK.
 
     An empty band (lo = +inf, hi = -inf) admits nothing.  Vectorized.
     """
-    return (mu >= lo * (1.0 - BAND_SLACK)) & (mu <= hi * (1.0 + BAND_SLACK))
+    lo, hi = widen(lo, hi)
+    return (mu >= lo) & (mu <= hi)
 
 
 def mass_roots_batch(p_hat: np.ndarray, kappa: float, n: int):
@@ -125,8 +135,9 @@ def block_band(table: ConstraintTable, t, i):
     The rows are read once, in order of b: at each distinct end the new rows
     are scattered into per-left-end arrays, whose suffix max/min is read at t.
     """
-    ends = np.unique(i)
     t, i = np.broadcast_arrays(t, i)
+    ends = np.sort(i, axis=None)
+    ends = ends[np.diff(ends, prepend=-1) != 0]  # distinct, ascending
     lo = np.empty(t.shape)
     hi = np.empty(t.shape)
     lmax = np.full(table.start.size, -np.inf)  # per left end, over the rows read

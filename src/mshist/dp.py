@@ -26,6 +26,17 @@ table rows.  Its invariants:
   right of the sweep are live: K is not monotone in the node index, so they
   may reach further than those already dead.
 
+A chunk's table rows (a, b] bind the live nodes t <= a, so the bands they
+add change along the nodes only at the held nodes, the last live node at or
+left of some row's a.  The rows are combined on a (column x held node) grid,
+a prefix over the columns and a suffix over the held nodes, and each live
+node reads the first held node at or right of it.  The band carried from
+earlier chunks is already monotone along the nodes (it only narrows as t
+falls), so one max/min with it after that read gives the exact band.  The
+bands are carried widened by the membership slack (``bounds.widen``), which
+commutes with max and min, so the membership and death tests are plain
+comparisons.
+
 Node n needs only the bands of the blocks (t, n], so each round first tries
 to reach n and sweeps only if it cannot.  The first round starts from node 0
 alone, and the band of (0, n] is one max and one min over the whole table;
@@ -38,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BAND_SLACK, ConstraintTable, block_band, constraint_table, in_band
+from .bounds import ConstraintTable, block_band, constraint_table, widen
 from .intervals import levels
 from .multiscale import QuantileTable, check_alpha, lookup_kappa
 from .sample import SortedSample
@@ -152,13 +163,23 @@ CHUNK = 64
 
 def _block_cost(edge, V, n, t, i, lo, hi):
     """Cost V[t] - count*log(mu) of blocks (t, i] (broadcast over t and i);
-    +inf where the block has no width or its density mu leaves [lo, hi]."""
+    +inf where the block has no width or its density mu leaves the widened
+    band [lo, hi] (see ``bounds.widen``)."""
     w = edge[i] - edge[t]
-    counts = i - t
+    ok = w > 0.0
+    # float counts are exact (indices stay far below 2**53) and spare the
+    # grid two int-to-float casts; the passes below reuse their operands'
+    # memory, as each is a full pass over a round's (column x candidate) grid
+    counts = np.asarray(i, dtype=float) - np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = counts / (n * w)
-        cost = V[t] - counts * np.log(mu)
-    return np.where((w > 0.0) & in_band(mu, lo, hi), cost, np.inf)
+        mu = np.divide(counts, np.multiply(w, n, out=w), out=w)
+        ok &= mu >= lo
+        ok &= mu <= hi
+        cost = np.log(mu, out=mu)
+        cost *= counts
+        np.subtract(V[t], cost, out=cost)
+    cost[~ok] = np.inf
+    return cost
 
 
 def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
@@ -168,7 +189,7 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
     n = edge.size - 1
     big = n + 2
     live = active
-    lo_t = np.full(live.size, -np.inf)  # band of blocks (t, i0 - 1], t in live
+    lo_t = np.full(live.size, -np.inf)  # widened band of (t, i0 - 1], t in live
     hi_t = np.full(live.size, np.inf)
     reached = []
     i0 = 1
@@ -188,19 +209,31 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
         rows = slice(table.start[i0], table.start[i1])
         g = np.searchsorted(lv, table.a[rows], "right") - 1
         keep = g >= 0  # rows left of every live node bound none of them
-        cell = np.searchsorted(cols, table.b[rows][keep]) * m + g[keep]
-        L = np.full((cols.size, m), -np.inf)
-        H = np.full((cols.size, m), np.inf)
-        np.fmax.at(L.reshape(-1), cell, table.lo[rows][keep])
-        np.fmin.at(H.reshape(-1), cell, table.hi[rows][keep])
-        np.fmax(L[0], lo_t[:m], out=L[0])
-        np.fmin(H[0], hi_t[:m], out=H[0])
-        # prefix over columns, then suffix over nodes: the band of (t, i] is
-        # the tightest over rows with a >= t and b <= i
+        g = g[keep]
+        # a row (a, b] binds the live nodes t <= a and is held by the last
+        # of them; a node reads the first held node at or right of it, and
+        # the slot past the last held node holds no row
+        held = np.zeros(m, dtype=bool)
+        held[g] = True
+        rank = np.cumsum(held)
+        first = rank - held
+        slots = int(rank[-1]) + 1
+        cell = np.searchsorted(cols, table.b[rows][keep]) * slots + first[g]
+        lo, hi = widen(table.lo[rows][keep], table.hi[rows][keep])
+        L = np.full((cols.size, slots), -np.inf)
+        H = np.full((cols.size, slots), np.inf)
+        np.fmax.at(L.reshape(-1), cell, lo)
+        np.fmin.at(H.reshape(-1), cell, hi)
+        # prefix over columns, then suffix over held nodes: the band of
+        # (t, i] is the tightest over rows with a >= t and b <= i
         np.fmax.accumulate(L, axis=0, out=L)
         np.fmin.accumulate(H, axis=0, out=H)
         L = np.fmax.accumulate(L[:, ::-1], axis=1)[:, ::-1]
         H = np.fmin.accumulate(H[:, ::-1], axis=1)[:, ::-1]
+        # exact: the carried band is already monotone along the nodes
+        L, H = L[:, first], H[:, first]
+        np.fmax(L, lo_t[:m], out=L)
+        np.fmin(H, hi_t[:m], out=H)
         if todo.size:
             cost = _block_cost(
                 edge, V, n, lv, todo[:, None], L[: todo.size], H[: todo.size]
@@ -217,7 +250,7 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
         hi_t[:m] = H[-1]
         # an empty band stays empty as i grows (L never falls, H never
         # rises) and empties every longer block too: the dead are a prefix
-        alive = lo_t * (1.0 - BAND_SLACK) <= hi_t * (1.0 + BAND_SLACK)
+        alive = lo_t <= hi_t
         live, lo_t, hi_t = live[alive], lo_t[alive], hi_t[alive]
         i0 = i1
     return np.concatenate(reached) if reached else np.empty(0, dtype=np.int64)
@@ -241,7 +274,7 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
     edge = np.concatenate((x[:1], x))
     active = np.zeros(1, dtype=np.int64)
     # the band of block (0, n], the tightest over the whole table
-    band = np.max(table.lo, initial=-np.inf), np.min(table.hi, initial=np.inf)
+    band = widen(np.max(table.lo, initial=-np.inf), np.min(table.hi, initial=np.inf))
     k = 1
     while True:
         cost = _block_cost(edge, V, n, active, n, *band)
@@ -253,7 +286,7 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
         if not active.size:
             raise RuntimeError("dynamic program stalled; constraint table inconsistent")
         if k == 1:
-            lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # blocks (t, n]
+            lo_n, hi_n = widen(*block_band(table, np.arange(n + 1), n))  # (t, n]
         band = lo_n[active], hi_n[active]
         k += 1
 

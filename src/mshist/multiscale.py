@@ -263,15 +263,18 @@ def check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
-def lookup_kappa(table: QuantileTable, alpha: float, n: int) -> float:
+def lookup_kappa(table: QuantileTable | None, alpha: float, n: int) -> float:
     """Threshold for level alpha and sample size n.
 
     Sizes above the cap are served by the capped table; the table's own n
-    must match the capped request.  Alpha is linearly interpolated on the
-    grid; extrapolation outside the grid is an error.
+    must match the capped request, and a missing table is an error.  Alpha
+    is linearly interpolated on the grid; extrapolation outside the grid is
+    an error.
     """
     check_alpha(alpha)
     n_capped = min(n, TABLE_N_CAP)
+    if table is None:
+        raise ValueError(f"a calibrated kappa table is needed for n={n}, got None")
     if table.n != n_capped:
         raise ValueError(
             f"table was simulated for n={table.n}, but the request needs n={n_capped}"

@@ -42,6 +42,30 @@ def gapped_sample(seed, n=100):
     )
 
 
+def bumps_sample(n):
+    """Uniform bulk and two narrow bumps right of it: a round starts from
+    almost every bulk node, and in most chunks few of those live nodes hold
+    a table row."""
+    rng = np.random.default_rng(0)
+    k = n // 50
+    return SortedSample(np.concatenate([
+        rng.random(n - 2 * k), 1 + 0.001 * rng.random(k), 1.01 + 0.1 * rng.random(k)
+    ]))
+
+
+def assert_set_nodes_match(sample, kappa):
+    """K, V and pred of the pruned solver equal the plain recursion's on
+    every node the pruned one sets, not only on n."""
+    table = constraint_table(sample, kappa)
+    K, V, pred = _bellman_pruned(sample, table)
+    K_ref, V_ref, pred_ref = _bellman_unpruned(sample, table)
+    set_ = np.flatnonzero(K < sample.n + 2)
+    assert set_[-1] == sample.n
+    assert np.array_equal(K[set_], K_ref[set_])
+    assert np.array_equal(V[set_], V_ref[set_])
+    assert np.array_equal(pred[set_], pred_ref[set_])
+
+
 def solve(solver, sample, kappa):
     """Fit, V[n] and K[n] of one Bellman solver at threshold kappa."""
     K, V, pred = solver(sample, constraint_table(sample, kappa))
@@ -221,6 +245,23 @@ class TestEssentialHistogram:
                 assert a.cut_indices == b.cut_indices
                 assert np.array_equal(a.heights, b.heights)
                 assert (va, ka) == (vb, kb)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 1.5])
+    def test_every_set_node_matches_reference_on_gapped_data(self, kappa):
+        for seed in range(60):
+            assert_set_nodes_match(gapped_sample(seed), kappa)
+
+    @pytest.mark.parametrize("family", ["claw", "harp"])
+    def test_every_set_node_matches_reference_in_many_chunks(self, family):
+        for seed in range(2):
+            for kappa in (0.5, 1.2):
+                assert_set_nodes_match(get_density(family).sampler(seed, 1500), kappa)
+
+    def test_every_set_node_matches_reference_with_few_held_nodes(self):
+        # round 2 starts from about 1450 nodes, of which about 130 hold a
+        # row in a chunk
+        for kappa in (0.5, 1.2):
+            assert_set_nodes_match(bumps_sample(1500), kappa)
 
     def test_all_t_block_bands_only_past_the_first_round(self, tables, monkeypatch):
         """The first round tests the one bin (0, n] from the whole table; the

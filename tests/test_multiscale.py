@@ -5,6 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from mshist import audit, essential_histogram, significant_feature_intervals
 from mshist.densities import get_density
 from mshist.intervals import count_groups, interval_arrays
 from mshist.multiscale import (
@@ -294,6 +295,20 @@ class TestLookup:
             lookup_kappa(t, 0.95, 500)
         with pytest.raises(ValueError):
             lookup_kappa(t, 0.1, 200)
+
+    def test_missing_table_is_a_clear_error(self, tables):
+        """Every call that needs kappa says so when given no table, rather
+        than failing on an attribute of None."""
+        sample = get_density("claw").sampler(0, 500)
+        fit = essential_histogram(sample, 0.1, tables(500))
+        calls = (
+            lambda: essential_histogram(sample, 0.1, None),
+            lambda: significant_feature_intervals(sample, 0.1, None),
+            lambda: audit(sample, fit, 0.1, None),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="calibrated kappa table"):
+                call()
 
     def test_large_n_served_by_capped_table(self):
         t = QuantileTable(10_000, DEFAULT_ALPHAS, tuple(np.linspace(3, 1, 8)), 100, 0)

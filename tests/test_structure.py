@@ -181,3 +181,28 @@ def test_import_leaves_out_scipy_stats_and_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_fit_from_a_file_leaves_out_numpy_ma(tmp_path):
+    """``numpy.ma`` costs about 10 ms to import; ``np.unique`` without
+    optional outputs imports it, so the fit and the feature search keep
+    clear of that call.  The claw sample misses n in the first round, so the
+    fit also takes the bands of every (t, n]."""
+    data = tmp_path / "claw.txt"
+    sample = mshist.get_density("claw").sampler(0, 1000)
+    data.write_text("\n".join(repr(float(v)) for v in sample.values))
+    table = Path(__file__).resolve().parent.parent / "tables"
+    table = table / "kappa_v1_n1000_reps5000_seed20250823.json"
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "import sys, mshist; from mshist.io import read_sample; "
+        f"s = read_sample({str(data)!r}); t = mshist.load_table({str(table)!r}); "
+        "fit = mshist.essential_histogram(s, 0.1, t); "
+        "mshist.significant_feature_intervals(s, 0.1, t); "
+        "print(fit.nbins > 1, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["True", "False"]
