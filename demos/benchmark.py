@@ -1,7 +1,11 @@
 """Small benchmark run: essential histogram versus classical rules.
 
 Writes a CSV with per-replication bin counts, extrema counts, integrated
-squared error, sup-CDF distance and skewness, and prints a summary.
+squared error, sup-CDF distance, skewness and standardized interval-mass
+errors, and prints a summary.  The two tasks of a histogram show side by
+side: the mode count for detecting features, ``d_0.01`` (the worst
+standardized error of the fitted mass over intervals of true mass 0.01)
+for estimating probabilities.
 """
 import numpy as np
 
@@ -19,7 +23,7 @@ rows = mshist.benchmark_rows(
 write_benchmark_csv(rows, "benchmark_claw.csv")
 
 print(f"claw, n={n}, {reps} replications (true density has 5 modes):\n")
-print(f"{'method':>12} {'bins':>6} {'modes':>6} {'ise':>8} {'ks':>8}")
+print(f"{'method':>12} {'bins':>6} {'modes':>6} {'ise':>8} {'ks':>8} {'d_0.01':>8}")
 for method in ("essential", "sturges", "scott_width"):
     sel = [r for r in rows if r["method"] == method]
     print(
@@ -28,5 +32,6 @@ for method in ("essential", "sturges", "scott_width"):
         f" {np.mean([r['modes'] for r in sel]):6.2f}"
         f" {np.mean([r['mise_sq'] for r in sel]):8.4f}"
         f" {np.mean([r['kolmogorov'] for r in sel]):8.4f}"
+        f" {np.mean([r['d_0.01'] for r in sel]):8.4f}"
     )
 print("\nfull table in benchmark_claw.csv")

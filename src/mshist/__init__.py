@@ -14,7 +14,6 @@ from .densities import (
     classical_histogram,
     get_density,
     metrics,
-    proposition1_check,
 )
 from .dp import HistogramModel, essential_histogram
 from .evaluate import AuditReport, audit, removable_changepoints, violation_intervals
@@ -65,7 +64,6 @@ __all__ = [
     "metrics",
     "multiscale_statistic",
     "penalty",
-    "proposition1_check",
     "removable_changepoints",
     "save_table",
     "significant_feature_intervals",

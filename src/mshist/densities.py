@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,12 @@ class ReferenceDensity:
     pdf_sq_integral: float
     true_skewness: Optional[float] = None
     mise_defined: bool = True
+
+    @cached_property
+    def quantile_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (x, F(x)) grid the interval-mass errors interpolate on,
+        built on first use and kept on the density."""
+        return _quantile_grid(self)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -230,10 +237,11 @@ CLASSICAL_RULES = ("sturges", "scott_width", "scott_area")
 
 
 def _from_breaks(sample: SortedSample, breaks: np.ndarray) -> HistogramModel:
-    """Histogram on given breaks; empty and equal-height neighbors merged."""
+    """Histogram on given breaks; each run of adjacent empty bins merged."""
     x = sample.values
     n = sample.n
-    breaks = np.unique(np.asarray(breaks, dtype=float))
+    breaks = np.sort(np.asarray(breaks, dtype=float))
+    breaks = breaks[np.concatenate(([True], np.diff(breaks) != 0))]  # distinct
     if breaks.size < 2:
         breaks = np.array([x[0], x[-1]])
     idx = np.clip(np.searchsorted(breaks, x, side="left") - 1, 0, breaks.size - 2)
@@ -271,7 +279,13 @@ def classical_histogram(sample: SortedSample, rule: str) -> HistogramModel:
         if rule == "scott_width":
             breaks = np.linspace(x[0], x[-1], k + 1)
         else:
-            breaks = np.quantile(x, np.linspace(0.0, 1.0, k + 1))
+            # np.quantile's linear rule on the sorted sample, written out
+            # because np.quantile imports numpy.ma
+            v = (n - 1) * np.linspace(0.0, 1.0, k + 1)
+            i = np.minimum(v.astype(np.intp), n - 2)
+            g = v - i
+            d = x[i + 1] - x[i]
+            breaks = np.where(g >= 0.5, x[i + 1] - d * (1 - g), x[i] + d * g)
     else:
         raise ValueError(f"unknown rule {rule!r}; use one of {CLASSICAL_RULES}")
     return _from_breaks(sample, breaks)
@@ -345,13 +359,11 @@ def _invert_cdf(cdf, u, lo, hi, steps):
 
 
 def standardized_mass_error(
-    fit: HistogramModel, truth: ReferenceDensity, p: float, grid=None
+    fit: HistogramModel, truth: ReferenceDensity, p: float
 ) -> float:
     """sup over intervals of truth-mass p of |fit mass - p| / sqrt(p(1-p)),
-    approximated on a fine quantile grid."""
-    if grid is None:
-        grid = _quantile_grid(truth)
-    xg, Fg = grid
+    approximated on the truth's quantile grid."""
+    xg, Fg = truth.quantile_grid
     u = np.linspace(Fg[0], Fg[-1] - p, DP_GRID_SIZE)
     left = np.interp(u, Fg, xg)
     right = np.interp(u + p, Fg, xg)
@@ -379,8 +391,7 @@ def metrics(fit: HistogramModel, truth: ReferenceDensity) -> MetricSet:
     ks = float(np.max(np.abs(np.asarray(truth.cdf(xs)) - fit.cdf(xs))))
     ks = max(ks, float(F[0]), float(1.0 - F[-1]))
     modes, troughs = count_extrema(fit.heights)
-    grid = _quantile_grid(truth)
-    d_p = {p: standardized_mass_error(fit, truth, p, grid) for p in DEFAULT_P_GRID}
+    d_p = {p: standardized_mass_error(fit, truth, p) for p in DEFAULT_P_GRID}
     return MetricSet(
         mise_component=mise,
         mise_defined=truth.mise_defined,
@@ -393,33 +404,11 @@ def metrics(fit: HistogramModel, truth: ReferenceDensity) -> MetricSet:
     )
 
 
-def proposition1_check(k_n: int) -> tuple[float, float]:
-    """Deterministic lower-bound check for the population equal-width
-    histogram of the two-level step density on [0, 1].
-
-    For odd k_n the bin straddling 1/2 averages the two density levels; the
-    interval of truth-mass p = 1/(4 k_n) just right of 1/2 then shows a
-    standardized mass error of at least sqrt(p/(1-p)) > p-free bound
-    0.5*sqrt(p).  Returns (lhs, rhs) with lhs >= rhs always.
-    """
-    if k_n < 3 or k_n % 2 == 0:
-        raise ValueError("k_n must be odd and >= 3")
-    truth = get_density("step")
-    breaks = np.linspace(0.0, 1.0, k_n + 1)
-    mass = np.diff(np.asarray(truth.cdf(breaks), dtype=float))
-    model = HistogramModel(breaks=breaks, heights=mass * k_n, n=2)
-    p = 1.0 / (4.0 * k_n)
-    # truth-mass p immediately right of the jump at 1/2: width 2p there
-    left, right = 0.5, 0.5 + 2.0 * p
-    h_mass = float(model.cdf(right) - model.cdf(left))
-    lhs = abs(h_mass - p) / math.sqrt(p * (1.0 - p))
-    rhs = 0.5 * math.sqrt(p)
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # benchmark harness
 
+#: the benchmark CSV's columns: the run, every metric of ``metrics``, the
+#: fit's time
 BENCHMARK_COLUMNS = (
     "density",
     "method",
@@ -432,6 +421,7 @@ BENCHMARK_COLUMNS = (
     "mise_sq",
     "kolmogorov",
     "skewness",
+    *(f"d_{p}" for p in DEFAULT_P_GRID),
     "runtime_ms",
 )
 
@@ -446,44 +436,36 @@ def benchmark_rows(
     table=None,
 ) -> list:
     """Replicated fits of each method on fresh samples; one dict per
-    (rep, method, alpha) combination, CSV-ready.
+    (rep, method, alpha) combination, keyed by ``BENCHMARK_COLUMNS``.
 
     ``table`` (a calibrated quantile table) is required when "essential" is
     among the methods; classical rules ignore alpha (recorded as nan).
     """
+    unknown = sorted(set(methods) - {"essential", *CLASSICAL_RULES})
+    if unknown:
+        raise ValueError(
+            f"unknown methods {unknown}; use 'essential' or one of {CLASSICAL_RULES}"
+        )
+    if "essential" in methods and table is None:
+        raise ValueError("essential method needs a quantile table")
     rows = []
     for rep in range(reps):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
         rep_seed = int(ss.generate_state(1)[0])
         sample = density.sampler(rep_seed, n)
         for method in methods:
-            if method == "essential":
-                if table is None:
-                    raise ValueError("essential method needs a quantile table")
-                jobs = [(a, lambda a=a: essential_histogram(sample, a, table)) for a in alphas]
-            elif method in CLASSICAL_RULES:
-                jobs = [(float("nan"), lambda: classical_histogram(sample, method))]
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            for alpha, fitter in jobs:
+            for alpha in alphas if method == "essential" else [float("nan")]:
                 t0 = time.perf_counter()
-                fit = fitter()
-                dt = (time.perf_counter() - t0) * 1000.0
+                if method == "essential":
+                    fit = essential_histogram(sample, alpha, table)
+                else:
+                    fit = classical_histogram(sample, method)
+                ms = (time.perf_counter() - t0) * 1000.0
                 m = metrics(fit, density)
-                rows.append(
-                    {
-                        "density": density.name,
-                        "method": method,
-                        "alpha": alpha,
-                        "n": n,
-                        "rep": rep,
-                        "n_bins": m.n_bins,
-                        "modes": m.modes,
-                        "troughs": m.troughs,
-                        "mise_sq": m.mise_component,
-                        "kolmogorov": m.kolmogorov,
-                        "skewness": m.skewness,
-                        "runtime_ms": dt,
-                    }
+                cells = (
+                    density.name, method, alpha, n, rep,
+                    m.n_bins, m.modes, m.troughs, m.mise_component, m.kolmogorov,
+                    m.skewness, *(m.d_p[p] for p in DEFAULT_P_GRID), ms,
                 )
+                rows.append(dict(zip(BENCHMARK_COLUMNS, cells, strict=True)))
     return rows

@@ -120,9 +120,6 @@ def removable_changepoints(
     (a model's ``counts`` play no part).  Returned as (breakpoint index into
     estimator.breaks, multiplicity).
     """
-    if estimator.nbins < 2:
-        check_alpha(alpha)
-        return []
     setup = _prologue(sample, estimator, alpha, table)
     return [] if setup is None else _removable(sample, estimator, *setup[1:])
 

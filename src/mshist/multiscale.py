@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -212,6 +213,9 @@ def simulate_quantiles(
 ) -> QuantileTable:
     """Calibrate thresholds for sample size n on the ``DEFAULT_ALPHAS`` grid.
 
+    ``lookup_kappa`` serves a level between grid points from the next
+    smaller grid level, whose threshold is at least as large.
+
     Sample sizes above the cap share one table.  That is a known
     approximation, not a converged limit: above the cap the statistic's
     quantiles keep drifting up with n, so there the shared thresholds are
@@ -268,8 +272,9 @@ def lookup_kappa(table: QuantileTable | None, alpha: float, n: int) -> float:
 
     Sizes above the cap are served by the capped table; the table's own n
     must match the capped request, and a missing table is an error.  Alpha
-    is linearly interpolated on the grid; extrapolation outside the grid is
-    an error.
+    is served by the largest grid level at or below it, not interpolated:
+    that level's threshold is at least as large, so rounding never makes
+    the confidence set smaller.  Alpha below the grid is an error.
     """
     check_alpha(alpha)
     n_capped = min(n, TABLE_N_CAP)
@@ -279,10 +284,9 @@ def lookup_kappa(table: QuantileTable | None, alpha: float, n: int) -> float:
         raise ValueError(
             f"table was simulated for n={table.n}, but the request needs n={n_capped}"
         )
-    a = np.asarray(table.alphas)
-    k = np.asarray(table.kappas)
-    if alpha < a[0] or alpha > a[-1]:
+    i = bisect_right(table.alphas, alpha) - 1
+    if i < 0:
         raise ValueError(
-            f"alpha={alpha} outside the calibrated grid [{a[0]}, {a[-1]}]"
+            f"alpha={alpha} is below the grid, which starts at {table.alphas[0]}"
         )
-    return float(np.interp(alpha, a, k))
+    return float(table.kappas[i])

@@ -5,13 +5,15 @@ scalar brentq band solver, the per-interval bands built on it, the list form
 of the interval system, the plain Bellman recursion over all predecessors,
 the exhaustive-search oracle, the audit's violation test one system interval
 at a time in value space and its merge test one window at a time, the
-feature search on a binary indexed (Fenwick) tree, and the multiscale
-statistic evaluated on every system interval.  The oracle solves its own
+feature search on a binary indexed (Fenwick) tree, the multiscale
+statistic evaluated on every system interval, and the deterministic check
+of the paper's Proposition 1.  The oracle solves its own
 bands, so it shares only the membership test :func:`mshist.bounds.in_band`
 with the fit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,6 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from mshist.bounds import ConstraintTable, constraint_table, in_band
+from mshist.densities import get_density
 from mshist.dp import HistogramModel, _backtrack, _model_from_cuts
 from mshist.evaluate import MERGE_WINDOW
 from mshist.inference import FeatureInterval, _radii
@@ -452,3 +455,31 @@ def multiscale_statistic_full(sample: SortedSample, *, cdf) -> float:
     p_hat = (k - j) / n
     stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, p0, n)) - penalty(p_hat)
     return float(stat.max())
+
+
+# ---------------------------------------------------------------------------
+# the paper's Proposition 1
+
+
+def proposition1_check(k_n: int) -> tuple[float, float]:
+    """Deterministic lower-bound check for the population equal-width
+    histogram of the two-level step density on [0, 1].
+
+    For odd k_n the bin straddling 1/2 averages the two density levels; the
+    interval of truth-mass p = 1/(4 k_n) just right of 1/2 then shows a
+    standardized mass error of at least sqrt(p/(1-p)) > p-free bound
+    0.5*sqrt(p).  Returns (lhs, rhs) with lhs >= rhs always.
+    """
+    if k_n < 3 or k_n % 2 == 0:
+        raise ValueError("k_n must be odd and >= 3")
+    truth = get_density("step")
+    breaks = np.linspace(0.0, 1.0, k_n + 1)
+    mass = np.diff(np.asarray(truth.cdf(breaks), dtype=float))
+    model = HistogramModel(breaks=breaks, heights=mass * k_n, n=2)
+    p = 1.0 / (4.0 * k_n)
+    # truth-mass p immediately right of the jump at 1/2: width 2p there
+    left, right = 0.5, 0.5 + 2.0 * p
+    h_mass = float(model.cdf(right) - model.cdf(left))
+    lhs = abs(h_mass - p) / math.sqrt(p * (1.0 - p))
+    rhs = 0.5 * math.sqrt(p)
+    return lhs, rhs

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from mshist.densities import count_extrema, get_density, proposition1_check
+from mshist.densities import count_extrema, get_density
 from mshist.dp import essential_histogram
 from mshist.evaluate import audit
 from mshist.intervals import interval_arrays
@@ -22,7 +22,7 @@ from mshist.multiscale import (
 from mshist.sample import SortedSample
 
 from conftest import SEED, table_for
-from reference import brute_force_histogram, unpruned_histogram
+from reference import brute_force_histogram, proposition1_check, unpruned_histogram
 
 DENSITY_CYCLE = ("uniform", "claw", "exponential")
 

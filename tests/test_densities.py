@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from mshist import densities
 from mshist.densities import (
+    BENCHMARK_COLUMNS,
     DEFAULT_P_GRID,
     catalog,
     classical_histogram,
@@ -13,12 +15,12 @@ from mshist.densities import (
     get_density,
     histogram_skewness,
     metrics,
-    proposition1_check,
     standardized_mass_error,
     benchmark_rows,
-    _quantile_grid,
 )
-from mshist.dp import HistogramModel
+from mshist.dp import HistogramModel, essential_histogram
+
+from reference import proposition1_check
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,15 @@ class TestClassicalRules:
         k = fit.nbins
         assert np.all(np.abs(fit.counts - 1000 / k) <= 1.0)
 
+    def test_scott_area_breaks_are_linear_quantiles(self, by_name):
+        """The breaks equal np.quantile's default (linear) rule bit for bit."""
+        cases = (("exponential", 1000), ("claw", 3000), ("harp", 7), ("cauchy", 501))
+        for name, n in cases:
+            s = by_name[name].sampler(4, n)
+            fit = classical_histogram(s, "scott_area")
+            q = np.quantile(s.values, np.linspace(0.0, 1.0, fit.nbins + 1))
+            assert np.array_equal(fit.breaks, q), name
+
     def test_empty_bins_merged(self, by_name):
         s = by_name["cauchy"].sampler(3, 300)
         fit = classical_histogram(s, "scott_width")
@@ -189,10 +200,9 @@ class TestMetrics:
     def test_dp_symmetry(self, by_name):
         step = by_name["step"]
         fit = HistogramModel(np.array([0.0, 1.0]), np.array([1.0]), 2)
-        grid = _quantile_grid(step)
         for p in (0.1, 0.25, 0.4):
-            d1 = standardized_mass_error(fit, step, p, grid)
-            d2 = standardized_mass_error(fit, step, 1 - p, grid)
+            d1 = standardized_mass_error(fit, step, p)
+            d2 = standardized_mass_error(fit, step, 1 - p)
             assert d1 == pytest.approx(d2, abs=2e-3)
 
     def test_mise_nan_for_undefined(self, by_name):
@@ -240,3 +250,56 @@ class TestBenchmark:
     def test_requires_table_for_essential(self, by_name):
         with pytest.raises(ValueError):
             benchmark_rows(by_name["uniform"], 100, 1, ["essential"], [0.1], 0)
+
+    def test_rejects_unknown_method_before_fitting(self, by_name, monkeypatch):
+        monkeypatch.setattr(densities, "metrics", None)
+        with pytest.raises(ValueError, match="unknown methods"):
+            benchmark_rows(by_name["uniform"], 100, 2, ["sturges", "fd"], [0.1], 0)
+
+    def test_rows_hold_every_metric(self, tables, by_name):
+        claw = by_name["claw"]
+        rows = benchmark_rows(
+            claw, 300, 2, ["essential", "scott_area"], [0.1, 0.5], 3, table=tables(300)
+        )
+        methods = ["essential", "essential", "scott_area"]
+        assert [r["method"] for r in rows] == methods * 2
+        for r in rows:
+            assert tuple(r) == BENCHMARK_COLUMNS
+        ss = np.random.SeedSequence(entropy=3, spawn_key=(1,))
+        sample = claw.sampler(int(ss.generate_state(1)[0]), 300)
+        fits = [essential_histogram(sample, a, tables(300)) for a in (0.1, 0.5)]
+        fits.append(classical_histogram(sample, "scott_area"))
+        for r, fit in zip(rows[3:], fits):
+            m = metrics(fit, claw)
+            assert r["n_bins"] == m.n_bins and r["mise_sq"] == m.mise_component
+            assert [r[f"d_{p}"] for p in DEFAULT_P_GRID] == list(m.d_p.values())
+
+    def test_one_quantile_grid_per_density(self, tables, monkeypatch):
+        """The grid depends on the density alone, so a call builds it once
+        however many rows it scores, and a later call reuses it."""
+        built = []
+        grid = densities._quantile_grid
+
+        def counted(truth):
+            built.append(truth.name)
+            return grid(truth)
+
+        monkeypatch.setattr(densities, "_quantile_grid", counted)
+        claw, step = get_density("claw"), get_density("step")
+        for density in (claw, step, claw):
+            methods = ["essential", "sturges"]
+            benchmark_rows(density, 100, 3, methods, [0.1, 0.5], 0, table=tables(100))
+        assert built == ["claw", "step"]
+
+    def test_essential_estimates_probabilities_better_than_sturges(self, tables):
+        """The paper's first task on the step density: Sturges' 13 bins at
+        n = 3000 are the odd count of Proposition 1, whose middle bin
+        straddles the jump, while the fewest-bins fit places its break
+        there."""
+        step = get_density("step")
+        for seed in range(5):
+            sample = step.sampler(seed, 3000)
+            essential = metrics(essential_histogram(sample, 0.1, tables(3000)), step)
+            sturges = metrics(classical_histogram(sample, "sturges"), step)
+            assert sturges.n_bins == 13
+            assert essential.d_p[0.01] < sturges.d_p[0.01], seed

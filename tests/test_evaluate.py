@@ -230,6 +230,15 @@ class TestRemovable:
         sample = get_density("uniform").sampler(2, 300)
         assert removable_changepoints(sample, single_bin(sample), 0.1, tables(300)) == []
 
+    def test_single_bin_reads_the_table(self, tables):
+        """A one-bin estimator takes the merge test audit() takes, so a
+        table for another n is an error here as it is there."""
+        sample = get_density("uniform").sampler(2, 300)
+        est = single_bin(sample)
+        for call in (audit, removable_changepoints):
+            with pytest.raises(ValueError, match="simulated for n=500"):
+                call(sample, est, 0.1, tables(500))
+
     def test_essential_fit_has_none(self, tables):
         cases = [(seed, "claw", 500) for seed in range(5)]
         cases += [(0, "claw", 3000), (1, "harp", 3000)]

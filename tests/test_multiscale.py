@@ -279,20 +279,31 @@ class TestQuantileTable:
 
 
 class TestLookup:
-    def test_interpolates_on_grid(self, tables):
+    def test_rounds_down_to_grid(self, tables):
+        """A level between grid points takes the next smaller grid level's
+        kappa, never an interpolated smaller one; a level above the grid
+        takes the largest grid level's."""
         t = tables(500)
-        assert lookup_kappa(t, 0.1, 500) == t.kappas[list(t.alphas).index(0.1)]
-        mid = lookup_kappa(t, 0.15, 500)
-        k01 = lookup_kappa(t, 0.1, 500)
-        k02 = lookup_kappa(t, 0.2, 500)
-        assert k02 < mid < k01
+        kappa = dict(zip(t.alphas, t.kappas))
+        assert lookup_kappa(t, 0.1, 500) == kappa[0.1]
+        assert lookup_kappa(t, 0.15, 500) == lookup_kappa(t, 0.19999, 500) == kappa[0.1]
+        assert lookup_kappa(t, 0.95, 500) == kappa[0.9]
+        t = tables(1000)
+        assert lookup_kappa(t, 0.8, 1000) == dict(zip(t.alphas, t.kappas))[0.7]
+
+    def test_served_kappa_holds_the_level(self, tables):
+        """Off the grid, the statistic exceeds the served kappa no more
+        often than alpha allows.  Linear interpolation between grid levels
+        gave an exceedance of 0.807 at alpha = 0.8 over 40,000 replications."""
+        stats = simulate_statistics(1000, 2000, seed=5)
+        for alpha in (0.15, 0.4, 0.8, 0.95):
+            exceed = np.mean(stats > lookup_kappa(tables(1000), alpha, 1000))
+            assert exceed <= alpha, alpha
 
     def test_rejects_off_grid_and_mismatched_n(self, tables):
         t = tables(500)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below the grid"):
             lookup_kappa(t, 0.001, 500)
-        with pytest.raises(ValueError):
-            lookup_kappa(t, 0.95, 500)
         with pytest.raises(ValueError):
             lookup_kappa(t, 0.1, 200)
 
