@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -240,8 +240,7 @@ def _from_breaks(sample: SortedSample, breaks: np.ndarray) -> HistogramModel:
     """Histogram on given breaks; each run of adjacent empty bins merged."""
     x = sample.values
     n = sample.n
-    breaks = np.sort(np.asarray(breaks, dtype=float))
-    breaks = breaks[np.concatenate(([True], np.diff(breaks) != 0))]  # distinct
+    breaks = np.unique(np.asarray(breaks, dtype=float))
     if breaks.size < 2:
         breaks = np.array([x[0], x[-1]])
     idx = np.clip(np.searchsorted(breaks, x, side="left") - 1, 0, breaks.size - 2)
@@ -279,13 +278,7 @@ def classical_histogram(sample: SortedSample, rule: str) -> HistogramModel:
         if rule == "scott_width":
             breaks = np.linspace(x[0], x[-1], k + 1)
         else:
-            # np.quantile's linear rule on the sorted sample, written out
-            # because np.quantile imports numpy.ma
-            v = (n - 1) * np.linspace(0.0, 1.0, k + 1)
-            i = np.minimum(v.astype(np.intp), n - 2)
-            g = v - i
-            d = x[i + 1] - x[i]
-            breaks = np.where(g >= 0.5, x[i + 1] - d * (1 - g), x[i] + d * g)
+            breaks = np.quantile(x, np.linspace(0.0, 1.0, k + 1))
     else:
         raise ValueError(f"unknown rule {rule!r}; use one of {CLASSICAL_RULES}")
     return _from_breaks(sample, breaks)
@@ -441,31 +434,35 @@ def benchmark_rows(
     ``table`` (a calibrated quantile table) is required when "essential" is
     among the methods; classical rules ignore alpha (recorded as nan).
     """
-    unknown = sorted(set(methods) - {"essential", *CLASSICAL_RULES})
-    if unknown:
-        raise ValueError(
-            f"unknown methods {unknown}; use 'essential' or one of {CLASSICAL_RULES}"
-        )
-    if "essential" in methods and table is None:
-        raise ValueError("essential method needs a quantile table")
+    runs = []  # (method, alpha, fitter) of each row in a replication
+    for method in methods:
+        if method == "essential":
+            if table is None:
+                raise ValueError("essential method needs a quantile table")
+            runs += [
+                (method, a, partial(essential_histogram, alpha=a, table=table))
+                for a in alphas
+            ]
+        elif method in CLASSICAL_RULES:
+            runs.append((method, float("nan"), partial(classical_histogram, rule=method)))
+        else:
+            raise ValueError(
+                f"unknown method {method!r}; use 'essential' or one of {CLASSICAL_RULES}"
+            )
     rows = []
     for rep in range(reps):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
         rep_seed = int(ss.generate_state(1)[0])
         sample = density.sampler(rep_seed, n)
-        for method in methods:
-            for alpha in alphas if method == "essential" else [float("nan")]:
-                t0 = time.perf_counter()
-                if method == "essential":
-                    fit = essential_histogram(sample, alpha, table)
-                else:
-                    fit = classical_histogram(sample, method)
-                ms = (time.perf_counter() - t0) * 1000.0
-                m = metrics(fit, density)
-                cells = (
-                    density.name, method, alpha, n, rep,
-                    m.n_bins, m.modes, m.troughs, m.mise_component, m.kolmogorov,
-                    m.skewness, *(m.d_p[p] for p in DEFAULT_P_GRID), ms,
-                )
-                rows.append(dict(zip(BENCHMARK_COLUMNS, cells, strict=True)))
+        for method, alpha, fitter in runs:
+            t0 = time.perf_counter()
+            fit = fitter(sample)
+            ms = (time.perf_counter() - t0) * 1000.0
+            m = metrics(fit, density)
+            cells = (
+                density.name, method, alpha, n, rep,
+                m.n_bins, m.modes, m.troughs, m.mise_component, m.kolmogorov,
+                m.skewness, *(m.d_p[p] for p in DEFAULT_P_GRID), ms,
+            )
+            rows.append(dict(zip(BENCHMARK_COLUMNS, cells, strict=True)))
     return rows

@@ -126,15 +126,6 @@ class TestClassicalRules:
         k = fit.nbins
         assert np.all(np.abs(fit.counts - 1000 / k) <= 1.0)
 
-    def test_scott_area_breaks_are_linear_quantiles(self, by_name):
-        """The breaks equal np.quantile's default (linear) rule bit for bit."""
-        cases = (("exponential", 1000), ("claw", 3000), ("harp", 7), ("cauchy", 501))
-        for name, n in cases:
-            s = by_name[name].sampler(4, n)
-            fit = classical_histogram(s, "scott_area")
-            q = np.quantile(s.values, np.linspace(0.0, 1.0, fit.nbins + 1))
-            assert np.array_equal(fit.breaks, q), name
-
     def test_empty_bins_merged(self, by_name):
         s = by_name["cauchy"].sampler(3, 300)
         fit = classical_histogram(s, "scott_width")
@@ -253,10 +244,12 @@ class TestBenchmark:
 
     def test_rejects_unknown_method_before_fitting(self, by_name, monkeypatch):
         monkeypatch.setattr(densities, "metrics", None)
-        with pytest.raises(ValueError, match="unknown methods"):
+        with pytest.raises(ValueError, match="unknown method 'fd'"):
             benchmark_rows(by_name["uniform"], 100, 2, ["sturges", "fd"], [0.1], 0)
 
     def test_rows_hold_every_metric(self, tables, by_name):
+        """Each cell holds what its column names, checked by name against the
+        run and a fresh ``metrics`` call, so swapped cells show."""
         claw = by_name["claw"]
         rows = benchmark_rows(
             claw, 300, 2, ["essential", "scott_area"], [0.1, 0.5], 3, table=tables(300)
@@ -267,12 +260,26 @@ class TestBenchmark:
             assert tuple(r) == BENCHMARK_COLUMNS
         ss = np.random.SeedSequence(entropy=3, spawn_key=(1,))
         sample = claw.sampler(int(ss.generate_state(1)[0]), 300)
-        fits = [essential_histogram(sample, a, tables(300)) for a in (0.1, 0.5)]
+        alphas = [0.1, 0.5, float("nan")]
+        fits = [essential_histogram(sample, a, tables(300)) for a in alphas[:2]]
         fits.append(classical_histogram(sample, "scott_area"))
-        for r, fit in zip(rows[3:], fits):
+        for r, method, alpha, fit in zip(rows[3:], methods, alphas, fits):
             m = metrics(fit, claw)
-            assert r["n_bins"] == m.n_bins and r["mise_sq"] == m.mise_component
-            assert [r[f"d_{p}"] for p in DEFAULT_P_GRID] == list(m.d_p.values())
+            expected = {
+                "density": "claw",
+                "method": method,
+                "alpha": alpha,
+                "n": 300,
+                "rep": 1,
+                "n_bins": m.n_bins,
+                "modes": m.modes,
+                "troughs": m.troughs,
+                "mise_sq": m.mise_component,
+                "kolmogorov": m.kolmogorov,
+                "skewness": m.skewness,
+                **{f"d_{p}": d for p, d in m.d_p.items()},
+            }
+            np.testing.assert_equal({k: r[k] for k in BENCHMARK_COLUMNS[:-1]}, expected)
 
     def test_one_quantile_grid_per_density(self, tables, monkeypatch):
         """The grid depends on the density alone, so a call builds it once

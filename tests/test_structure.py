@@ -185,11 +185,9 @@ def test_import_leaves_out_scipy_stats_and_optimize():
 
 def test_fit_from_a_file_leaves_out_numpy_ma(tmp_path):
     """``numpy.ma`` costs about 10 ms to import; ``np.unique`` without
-    optional outputs imports it, so the fit, the feature search and the
-    classical rules keep clear of that call.  The claw sample misses n in
-    the first round, so the fit also takes the bands of every (t, n].  The
-    sample comes from the file: ``catalog()`` loads ``scipy.special``, which
-    imports ``numpy.ma`` by itself."""
+    optional outputs imports it, so the fit and the feature search keep
+    clear of that call.  The claw sample misses n in the first round, so the
+    fit also takes the bands of every (t, n]."""
     data = tmp_path / "claw.txt"
     sample = mshist.get_density("claw").sampler(0, 1000)
     data.write_text("\n".join(repr(float(v)) for v in sample.values))
@@ -202,8 +200,6 @@ def test_fit_from_a_file_leaves_out_numpy_ma(tmp_path):
         f"s = read_sample({str(data)!r}); t = mshist.load_table({str(table)!r}); "
         "fit = mshist.essential_histogram(s, 0.1, t); "
         "mshist.significant_feature_intervals(s, 0.1, t); "
-        "[mshist.classical_histogram(s, r) for r in "
-        "('sturges', 'scott_width', 'scott_area')]; "
         "print(fit.nbins > 1, 'numpy.ma' in sys.modules)"
     )
     out = subprocess.run(
