@@ -50,6 +50,15 @@ def _get_table(n: int, args) -> multiscale.QuantileTable:
     )
 
 
+def _table_unless_small(n: int, args, instead: str):
+    """The threshold table for n, or None with a warning saying what is done
+    ``instead`` when n is too small for the interval system."""
+    if levels(n):
+        return _get_table(n, args)
+    log.warning(f"n={n} is too small for multiscale calibration; {instead}")
+    return None
+
+
 def cmd_quantile(args) -> int:
     table = _get_table(args.n, args)
     for a, k in zip(table.alphas, table.kappas):
@@ -70,15 +79,7 @@ def _out_path(base: str, alpha: float, many: bool, suffix: str = "") -> Path:
 
 def cmd_fit(args) -> int:
     sample = io.read_sample(args.input, jitter=args.jitter)
-    small = not levels(sample.n)
-    if small:
-        log.warning(
-            f"n={sample.n} is too small for multiscale calibration; "
-            "returning a single-bin histogram"
-        )
-        table = None
-    else:
-        table = _get_table(sample.n, args)
+    table = _table_unless_small(sample.n, args, "returning a single-bin histogram")
     many = len(args.alpha) > 1
     for alpha in args.alpha:
         fit = essential_histogram(sample, alpha, table)
@@ -87,7 +88,7 @@ def cmd_fit(args) -> int:
         io.write_json(doc, out)
         print(f"alpha={alpha:g}: {fit.nbins} bins -> {out}")
         if args.features:
-            if small:
+            if table is None:
                 log.warning("feature detection skipped: sample too small")
                 continue
             feats = inference.significant_feature_intervals(sample, alpha, table)
@@ -105,7 +106,7 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     sample = io.read_sample(args.input, jitter=args.jitter)
     estimator = io.read_histogram(args.hist)
-    table = _get_table(sample.n, args)
+    table = _table_unless_small(sample.n, args, "the audit checks no interval")
     report = evaluate.audit(sample, estimator, args.alpha, table)
     doc = io.audit_document(report, sample)
     if args.out:

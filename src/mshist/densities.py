@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -198,13 +198,15 @@ def _cauchy() -> ReferenceDensity:
     )
 
 
-def catalog() -> list:
-    """All built-in reference densities."""
+@lru_cache(maxsize=None)
+def _catalog() -> tuple:
+    """The built-in reference densities, built once per process so that each
+    keeps its cached quantile grid between lookups."""
     claw_w = [0.5] + [0.1] * 5
     claw_mu = [0.0] + [l / 2.0 - 1.0 for l in range(5)]
     claw_sd = [1.0] + [0.1] * 5
     harp = ([0.2] * 5, [0.0, 5.0, 15.0, 30.0, 60.0], [0.5, 1.0, 2.0, 4.0, 8.0])
-    return [
+    return (
         _uniform(),
         _exponential(),
         _piecewise(
@@ -218,14 +220,19 @@ def catalog() -> list:
         _cauchy(),
         _gaussian_mixture("bimodal", [0.5, 0.5], [-3.0, 3.0], [1.0, 1.0], modes=2),
         _piecewise("step", [0.0, 0.5, 1.0], [1.5, 0.5], modes=1),
-    ]
+    )
+
+
+def catalog() -> list:
+    """All built-in reference densities, the same objects on every call."""
+    return list(_catalog())
 
 
 def get_density(name: str) -> ReferenceDensity:
-    for d in catalog():
+    for d in _catalog():
         if d.name == name:
             return d
-    raise KeyError(f"unknown density {name!r}; known: {[d.name for d in catalog()]}")
+    raise KeyError(f"unknown density {name!r}; known: {[d.name for d in _catalog()]}")
 
 
 # ---------------------------------------------------------------------------

@@ -82,27 +82,48 @@ def levels(n: int) -> tuple[Level, ...]:
 def interval_arrays(n: int):
     """(j, k, scale) index arrays of the full system, sorted by (k, j).
 
+    Laid out by counting, without a sort.  At a grid point ``p >= q0`` of a
+    level with ``lags = q0 .. q1``, right end ``k = 1 + p*step`` closes one
+    interval per lag ``q0 .. min(p, q1)``: a run of left ends ascending by
+    ``step``.  Within one k the rows go by ascending j, which is ascending
+    scale, then descending lag, so the rows are these runs ordered by right
+    end, then scale.  Each run's slot comes from a count of the runs per
+    right end; the runs are then expanded with ``np.repeat``, and j with a
+    cumulative sum of its steps.
+
     Cached for the last four n used (one n = 3e4 holds about 22 MB); arrays
     are read-only.
     """
-    js, ks, ls = [], [], []
-    for lev in levels(n):
-        for q in lev.lags:
-            j = np.arange(1, 1 + (lev.size - q) * lev.step, lev.step, dtype=np.int64)
-            js.append(j)
-            ks.append(j + q * lev.step)
-            ls.append(np.full(j.size, lev.scale, dtype=np.int64))
-    if not js:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    j = np.concatenate(js)
-    k = np.concatenate(ks)
-    lev = np.concatenate(ls)
-    order = np.lexsort((j, k))
-    j, k, lev = j[order], k[order], lev[order]
-    for a in (j, k, lev):
+    system = levels(n)
+    runs_per_k = np.zeros(n + 1, dtype=np.int64)
+    for lev in system:
+        runs_per_k[1 + np.arange(lev.lags[0], lev.size) * lev.step] += 1
+    free = np.cumsum(runs_per_k) - runs_per_k  # next free run slot per right end
+    # per run: its right end, length, first left end, step and scale
+    end, length, first, step, scale = (
+        np.empty(int(runs_per_k.sum()), dtype=np.int64) for _ in range(5)
+    )
+    for lev in system:
+        p = np.arange(lev.lags[0], lev.size)
+        right = 1 + p * lev.step
+        slot = free[right]
+        free[right] += 1
+        top = np.minimum(p, lev.lags[-1])
+        end[slot] = right
+        length[slot] = top - lev.lags[0] + 1
+        first[slot] = right - top * lev.step
+        step[slot] = lev.step
+        scale[slot] = lev.scale
+    k = np.repeat(end, length)
+    j = np.repeat(step, length)
+    # a run's first row steps from the previous run's last left end
+    last = first + step * (length - 1)
+    j[np.cumsum(length) - length] = first - np.concatenate(([0], last[:-1]))
+    np.cumsum(j, out=j)
+    scale = np.repeat(scale, length)
+    for a in (j, k, scale):
         a.flags.writeable = False
-    return j, k, lev
+    return j, k, scale
 
 
 @lru_cache(maxsize=4)
@@ -113,13 +134,20 @@ def count_groups(n: int):
     index of every interval, in system order, so that
     ``counts[group] == k - j``.  Every per-interval quantity but the width
     depends on the count alone, so the band table and the radii each evaluate
-    it once per group.
+    it once per group.  The counts are each level's ``lag*step``, read from
+    :func:`levels` in descending scale, and the groups a lookup by count, so
+    nothing is sorted.
 
     Cached for the last four n apart from :func:`interval_arrays`, which does
     not pay for it; arrays are read-only.
     """
     j, k, _ = interval_arrays(n)
-    counts, group = np.unique(k - j, return_inverse=True)
+    counts = np.array(
+        [q * lev.step for lev in reversed(levels(n)) for q in lev.lags], dtype=np.int64
+    )
+    by_count = np.zeros(n + 1, dtype=np.intp)
+    by_count[counts] = np.arange(counts.size)
+    group = by_count[k - j]
     for a in (counts, group):
         a.flags.writeable = False
     return counts, group

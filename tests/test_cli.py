@@ -159,7 +159,9 @@ class TestEvaluate:
         assert run("evaluate", "--input", data, "--hist", hp, *CACHE2K) == 2
         assert "finite" in capsys.readouterr().err
 
-    def test_small_sample_fails_before_calibrating(self, tmp_path, capsys, caplog):
+    def test_small_sample_gets_the_empty_report(self, tmp_path, capsys, caplog):
+        """A sample too small for the system is audited against no interval:
+        a warning, the empty report, and no table read or calibrated."""
         data = tmp_path / "d.txt"
         data.write_text("\n".join(str(0.1 * i) for i in range(1, 8)) + "\n")
         hp = tmp_path / "h.json"
@@ -167,13 +169,27 @@ class TestEvaluate:
                       '"heights": [1.0], "n": 7}')
         cache = tmp_path / "cache"
         cache.mkdir()
-        assert run("evaluate", "--input", data, "--hist", hp,
-                   "--cache-dir", cache, "--reps", "150") == 2
-        assert capsys.readouterr().err == (
-            "error: no calibration intervals exist for n=7\n"
-        )
-        assert [r for r in caplog.records if r.name == "mshist"] == []
+        rep = tmp_path / "audit.json"
+        assert run("evaluate", "--input", data, "--hist", hp, "--out", rep,
+                   "--cache-dir", cache, "--reps", "150") == 0
+        assert "too small" in capsys.readouterr().err
+        warned = [r for r in caplog.records if r.name == "mshist"]
+        assert [r.levelno for r in warned] == [logging.WARNING]
         assert list(cache.iterdir()) == []
+        doc = json.loads(rep.read_text())
+        assert doc["kappa"] is None and doc["clean"] is True
+        assert doc["violations"] == [] and doc["removable"] == []
+
+    def test_evaluates_its_own_small_fit(self, tmp_path):
+        """fit and evaluate agree on a five-point file: both exit 0."""
+        data = tmp_path / "d.txt"
+        data.write_text("0.1\n0.3\n0.4\n0.6\n0.9\n")
+        out = tmp_path / "fit.json"
+        rep = tmp_path / "audit.json"
+        assert run("fit", "--input", data, "--out", out, *CACHE2K) == 0
+        assert run("evaluate", "--input", data, "--hist", out, "--out", rep,
+                   *CACHE2K) == 0
+        assert json.loads(rep.read_text())["kappa"] is None
 
 
 class TestSimulateAndPlot:

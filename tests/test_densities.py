@@ -76,6 +76,26 @@ class TestCatalog:
         local_max = np.sum((f[1:-1] > f[:-2]) & (f[1:-1] > f[2:]))
         assert local_max == 5 == d.true_mode_count
 
+    def test_lookups_share_one_density(self, monkeypatch):
+        """A name gives the same object on every lookup, so its quantile grid
+        is built once however often the density is looked up."""
+        assert get_density("claw") is get_density("claw") is catalog()[3]
+        assert catalog() is not catalog()
+        built = []
+        grid = densities._quantile_grid
+
+        def counted(truth):
+            built.append(truth.name)
+            return grid(truth)
+
+        monkeypatch.setattr(densities, "_quantile_grid", counted)
+        monkeypatch.delitem(vars(get_density("claw")), "quantile_grid", raising=False)
+        fit = classical_histogram(get_density("claw").sampler(0, 500), "sturges")
+        first = metrics(fit, get_density("claw"))
+        second = metrics(fit, get_density("claw"))
+        assert built == ["claw"]
+        assert first == second
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_density("nope")
@@ -293,6 +313,8 @@ class TestBenchmark:
 
         monkeypatch.setattr(densities, "_quantile_grid", counted)
         claw, step = get_density("claw"), get_density("step")
+        for density in (claw, step):  # built by an earlier test, if any
+            monkeypatch.delitem(vars(density), "quantile_grid", raising=False)
         for density in (claw, step, claw):
             methods = ["essential", "sturges"]
             benchmark_rows(density, 100, 3, methods, [0.1, 0.5], 0, table=tables(100))

@@ -79,9 +79,11 @@ def test_interval_spec_count():
 
 
 def test_arrays_read_only():
-    j, k, lev = interval_arrays(100)
+    """Read-only for every n, the empty system included."""
+    for n in (8, 100):
+        assert not any(a.flags.writeable for a in interval_arrays(n))
     with pytest.raises(ValueError):
-        j[0] = 5
+        interval_arrays(100)[0][0] = 5
 
 
 def per_width_levels(n):
@@ -103,7 +105,12 @@ def per_width_levels(n):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 8, 9, 10, 60, 61, 1000, 10000, 30000])
+@pytest.mark.parametrize(
+    "n",
+    # around the steps of max_scale (9, 27, 68, 4282) and of the dyadic counts
+    [2, 8, 9, 10, 26, 27, 60, 61, 64, 65, 67, 68, 1000, 1023, 1024, 1025, 4099,
+     4281, 4282, 10000, 30000],
+)
 def test_levels_materialize_to_the_system(n):
     system = levels(n)
     assert [
@@ -113,6 +120,8 @@ def test_levels_materialize_to_the_system(n):
     for lev in system:
         # size counts the grid points 1 + i*step <= n
         assert 1 + (lev.size - 1) * lev.step <= n < 1 + lev.size * lev.step
+        # 2m <= n/2 <= n - 1, so the top lag never reaches size - 1
+        assert lev.lags[-1] < lev.size - 1
         for q in lev.lags:
             for i in range(lev.size - q):
                 js.append(1 + i * lev.step)
@@ -123,21 +132,45 @@ def test_levels_materialize_to_the_system(n):
     assert np.array_equal(j, np.array(js, dtype=np.int64)[order])
     assert np.array_equal(k, np.array(ks, dtype=np.int64)[order])
     assert np.array_equal(lev, np.array(ls, dtype=np.int64)[order])
+    for a in (j, k, lev):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert np.array_equal(_row_starts(n), np.searchsorted(ks, np.arange(n + 2), sorter=order))
     # every count belongs to exactly one level, and counts fall with scale
     counts = [q * lev.step for lev in system for q in reversed(lev.lags)]
     assert counts == sorted(set(counts), reverse=True)
     assert (len(system) == 0) == (n < 9)
 
 
-@pytest.mark.parametrize("n", [8, 9, 60, 1000, 10000])
+@pytest.mark.parametrize("n", [8, 9, 60, 1000, 10000, 30000, 100000])
 def test_count_groups(n):
     j, k, _ = interval_arrays(n)
     counts, group = count_groups(n)
     assert np.array_equal(counts, np.unique(k - j))
     assert np.array_equal(counts[group], k - j)
+    assert counts.dtype == np.int64 and group.dtype == np.intp
     for a in (counts, group):
         assert not a.flags.writeable
     assert (counts.size == 0) == (n < 9)
+
+
+def test_layout_sorts_nothing(monkeypatch):
+    """The system, its count groups and its row offsets are laid out by
+    counting: a fresh n builds with numpy's sorts unavailable."""
+    layout = (interval_arrays, count_groups, _row_starts)
+    for cache in layout:
+        cache.cache_clear()
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the layout sorted")
+
+    for name in ("lexsort", "argsort", "sort", "unique"):
+        monkeypatch.setattr(np, name, no_sort)
+    n = 4099
+    j, k, _ = interval_arrays(n)
+    counts, group = count_groups(n)
+    start = _row_starts(n)
+    assert all(cache.cache_info().misses == 1 for cache in layout)
+    assert np.array_equal(counts[group], k - j) and start[-1] == j.size
 
 
 def test_band_tables_share_the_cached_grouping():
