@@ -30,7 +30,6 @@ from .multiscale import (
     lookup_kappa,
     multiscale_statistic,
     penalty,
-    save_table,
     simulate_quantiles,
     simulate_statistics,
     table_path,
@@ -65,7 +64,6 @@ __all__ = [
     "multiscale_statistic",
     "penalty",
     "removable_changepoints",
-    "save_table",
     "significant_feature_intervals",
     "simulate_quantiles",
     "simulate_statistics",

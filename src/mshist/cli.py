@@ -35,36 +35,23 @@ def _alpha_list(text: str) -> list[float]:
     return [float(a) for a in text.split(",")]
 
 
-def _get_table(n: int, args) -> multiscale.QuantileTable:
-    if not levels(n):
-        raise ValueError(f"no calibration intervals exist for n={n}")
-    path = multiscale.table_path(n, args.reps, args.seed, args.cache_dir)
-    # too few reps is an error from simulate_quantiles, not a simulation
-    if not path.exists() and args.reps >= multiscale.MIN_REPS:
-        log.warning(
-            f"no calibrated thresholds at {path}; "
-            f"simulating now ({args.reps} replications) -- this can take a while"
-        )
-    return multiscale.simulate_quantiles(
-        n, reps=args.reps, seed=args.seed, cache_dir=args.cache_dir
-    )
-
-
-def _table_unless_small(n: int, args, instead: str):
+def _table(n: int, args, instead: str):
     """The threshold table for n, or None with a warning saying what is done
     ``instead`` when n is too small for the interval system."""
     if levels(n):
-        return _get_table(n, args)
+        return multiscale.simulate_quantiles(
+            n, reps=args.reps, seed=args.seed, cache_dir=args.cache_dir
+        )
     log.warning(f"n={n} is too small for multiscale calibration; {instead}")
     return None
 
 
 def cmd_quantile(args) -> int:
-    table = _get_table(args.n, args)
+    table = multiscale.simulate_quantiles(
+        args.n, reps=args.reps, seed=args.seed, cache_dir=args.cache_dir
+    )
     for a, k in zip(table.alphas, table.kappas):
         print(f"alpha={a:<6g} kappa={k:.6f}")
-    if args.out:
-        multiscale.save_table(table, args.out)
     return EXIT_OK
 
 
@@ -79,7 +66,7 @@ def _out_path(base: str, alpha: float, many: bool, suffix: str = "") -> Path:
 
 def cmd_fit(args) -> int:
     sample = io.read_sample(args.input, jitter=args.jitter)
-    table = _table_unless_small(sample.n, args, "returning a single-bin histogram")
+    table = _table(sample.n, args, "returning a single-bin histogram")
     many = len(args.alpha) > 1
     for alpha in args.alpha:
         fit = essential_histogram(sample, alpha, table)
@@ -88,9 +75,6 @@ def cmd_fit(args) -> int:
         io.write_json(doc, out)
         print(f"alpha={alpha:g}: {fit.nbins} bins -> {out}")
         if args.features:
-            if table is None:
-                log.warning("feature detection skipped: sample too small")
-                continue
             feats = inference.significant_feature_intervals(sample, alpha, table)
             bounds = inference.lower_bound_modes(feats)
             fdoc = io.feature_document(feats, alpha, bounds)
@@ -106,7 +90,7 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     sample = io.read_sample(args.input, jitter=args.jitter)
     estimator = io.read_histogram(args.hist)
-    table = _table_unless_small(sample.n, args, "the audit checks no interval")
+    table = _table(sample.n, args, "the audit checks no interval")
     report = evaluate.audit(sample, estimator, args.alpha, table)
     doc = io.audit_document(report, sample)
     if args.out:
@@ -123,7 +107,9 @@ def cmd_simulate(args) -> int:
     methods = args.methods.split(",")
     table = None
     if "essential" in methods:
-        table = _get_table(args.n, args)
+        table = multiscale.simulate_quantiles(
+            args.n, reps=args.reps, seed=args.seed, cache_dir=args.cache_dir
+        )
     rows = densities.benchmark_rows(
         density, args.n, args.bench_reps, methods, args.alpha, args.seed, table=table
     )
@@ -150,7 +136,6 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("quantile", help="calibrate and cache thresholds")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--out", default=None)
     common(q)
     q.set_defaults(func=cmd_quantile)
 

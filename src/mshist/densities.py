@@ -24,8 +24,8 @@ DP_GRID_SIZE = 2048
 @dataclass(frozen=True)
 class ReferenceDensity:
     """A known density with sampler and the analytic quantities the metrics
-    need.  ``true_skewness`` is None when undefined; ``mise_defined`` turns
-    the integrated-squared-error metric off for heavy-tailed cases."""
+    need.  ``true_skewness`` is None when undefined; ``pdf_sq_integral``,
+    the integral of pdf**2, is finite for all of them, the Cauchy one too."""
 
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
@@ -34,7 +34,6 @@ class ReferenceDensity:
     true_mode_count: int
     pdf_sq_integral: float
     true_skewness: Optional[float] = None
-    mise_defined: bool = True
 
     @cached_property
     def quantile_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +193,6 @@ def _cauchy() -> ReferenceDensity:
         true_mode_count=1,
         pdf_sq_integral=1.0 / (2.0 * np.pi),
         true_skewness=None,
-        mise_defined=False,
     )
 
 
@@ -299,8 +297,7 @@ def classical_histogram(sample: SortedSample, rule: str) -> HistogramModel:
 class MetricSet:
     """Evaluation metrics of one fitted histogram against a known density."""
 
-    mise_component: float  # nan when mise_defined is False
-    mise_defined: bool
+    mise_component: float
     kolmogorov: float
     skewness: float
     modes: int
@@ -378,14 +375,11 @@ def metrics(fit: HistogramModel, truth: ReferenceDensity) -> MetricSet:
     b = fit.breaks
     w = np.diff(b)
     F = np.asarray(truth.cdf(b), dtype=float)
-    if truth.mise_defined:
-        mise = float(
-            truth.pdf_sq_integral
-            - 2.0 * np.sum(fit.heights * np.diff(F))
-            + np.sum(fit.heights**2 * w)
-        )
-    else:
-        mise = float("nan")
+    mise = float(
+        truth.pdf_sq_integral
+        - 2.0 * np.sum(fit.heights * np.diff(F))
+        + np.sum(fit.heights**2 * w)
+    )
     # sup |F - H| over breakpoints and a dense grid inside the support
     xs = np.concatenate([b] + [np.linspace(b[0], b[-1], 4096)])
     ks = float(np.max(np.abs(np.asarray(truth.cdf(xs)) - fit.cdf(xs))))
@@ -394,7 +388,6 @@ def metrics(fit: HistogramModel, truth: ReferenceDensity) -> MetricSet:
     d_p = {p: standardized_mass_error(fit, truth, p) for p in DEFAULT_P_GRID}
     return MetricSet(
         mise_component=mise,
-        mise_defined=truth.mise_defined,
         kolmogorov=ks,
         skewness=float(histogram_skewness(fit)),
         modes=modes,

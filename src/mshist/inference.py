@@ -23,7 +23,7 @@ from .intervals import (
     levels,
     minimal_intervals,
 )
-from .multiscale import QuantileTable, lookup_kappa, penalty
+from .multiscale import QuantileTable, check_alpha, lookup_kappa, penalty
 from .sample import SortedSample
 
 
@@ -128,14 +128,16 @@ def _max_left_end(j, queries):
 
 
 def significant_feature_intervals(
-    sample: SortedSample, alpha: float, table: QuantileTable
+    sample: SortedSample, alpha: float, table: QuantileTable | None
 ) -> list[FeatureInterval]:
     """All inclusion-minimal certified increase/decrease hulls at level alpha.
 
     A pair of disjoint system intervals (left, right) certifies an increase
     when the right average density exceeds the left one by more than the sum
     of the half-radii; decreases are symmetric.  All returned statements hold
-    simultaneously with confidence at least 1 - alpha.
+    simultaneously with confidence at least 1 - alpha.  A sample too small
+    for the interval system (n < 9) has no pair, so nothing is certified:
+    the list is empty and ``table`` is not read.
 
     The search reads the radius band table of :func:`_radii`.  For each
     right interval b the tightest hull needs the largest left end j[a] over
@@ -151,9 +153,10 @@ def significant_feature_intervals(
     keep (the first tree node its query visits, then the first inserted), as
     the tree search in ``tests/reference.py`` does.
     """
+    check_alpha(alpha)
     n = sample.n
     if not levels(n):
-        raise ValueError(f"interval system empty for n={n}")
+        return []
     kappa = lookup_kappa(table, alpha, n)
     band = _radii(sample, kappa)
     j, k = band.a, band.b

@@ -223,13 +223,24 @@ def simulate_quantiles(
 
     Tables are cached as write-once JSON files keyed by (capped n, reps,
     seed, format version): an existing file is returned as it is and never
-    replaced, not even by a concurrent writer.
+    replaced, not even by a concurrent writer; a miss is announced as a
+    WARNING on the ``mshist`` logger before the replications run.  Too few
+    replications or n < 9 (an empty interval system) raise ValueError first.
     """
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}")
+    if not levels(n):
+        raise ValueError(f"interval system empty for n={n}; cannot calibrate")
     path = table_path(n, reps, seed, cache_dir)
     if path.exists():
         return load_table(path)
+    # imported here so that ``import mshist`` does not load logging
+    import logging
+
+    logging.getLogger("mshist").warning(
+        f"no calibrated thresholds at {path}; "
+        f"simulating now ({reps} replications) -- this can take a while"
+    )
     n_capped = min(n, TABLE_N_CAP)
     t = simulate_statistics(n_capped, reps, seed)
     t.sort()
@@ -255,10 +266,6 @@ def simulate_quantiles(
 
 def load_table(path) -> QuantileTable:
     return QuantileTable.from_dict(json.loads(Path(path).read_text()))
-
-
-def save_table(table: QuantileTable, path) -> None:
-    Path(path).write_text(json.dumps(table.to_dict()))
 
 
 def check_alpha(alpha: float) -> None:

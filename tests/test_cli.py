@@ -35,11 +35,18 @@ class TestQuantile:
         assert kappas == sorted(kappas, reverse=True)
 
     def test_idempotent(self, tmp_path, capsys):
+        """The first call calibrates and says so; the second, a cache hit,
+        says nothing and leaves the file as it was."""
         args = ["quantile", "--n", "30", "--reps", "150", "--seed", "3",
                 "--cache-dir", tmp_path]
         assert run(*args) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: no calibrated thresholds at ")
+        assert "simulating now (150 replications)" in err
+        assert err.count("\n") == 1
         first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert run(*args) == 0
+        assert capsys.readouterr().err == ""
         second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert first == second
 
@@ -114,6 +121,19 @@ class TestFit:
         local = ["--cache-dir", tmp_path, "--reps", "150", "--seed", "1"]
         assert run("fit", "--input", data, "--out", out, *local) == 2
         assert run("fit", "--input", data, "--out", out, "--jitter", *local) == 0
+
+    def test_tiny_sample_features_certify_nothing(self, tmp_path, capsys):
+        """The feature search on a sample too small for the system writes
+        the features document with no features, as the fit writes one bin."""
+        data = tmp_path / "d.txt"
+        data.write_text("0.1\n0.3\n0.4\n0.6\n0.9\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", data, "--out", out, "--features",
+                   *CACHE2K) == 0
+        assert capsys.readouterr().err.count("too small") == 1
+        fdoc = json.loads((tmp_path / "fit.features.json").read_text())
+        assert fdoc["modes_lb"] == 0 and fdoc["troughs_lb"] == 0
+        assert read_features(tmp_path / "fit.features.json") == []
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run("fit", "--input", tmp_path / "nope.txt",

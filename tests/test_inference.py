@@ -292,6 +292,15 @@ class TestFeatureSearch:
         feats = significant_feature_intervals(sample, 0.9, tables(20))
         assert any(f.direction == "increase" for f in feats)
 
+    def test_small_sample_certifies_nothing(self):
+        """Below the interval system's threshold there is no interval pair:
+        no feature, no table read, and alpha is still checked."""
+        sample = SortedSample([0.1, 0.3, 0.4, 0.6, 0.9])
+        assert significant_feature_intervals(sample, 0.1, None) == []
+        for alpha in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                significant_feature_intervals(sample, alpha, None)
+
 
 class TestLowerBoundModes:
     def _feat(self, lo, hi, direction):

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import tempfile
 
@@ -16,7 +17,6 @@ from mshist.multiscale import (
     lookup_kappa,
     multiscale_statistic,
     penalty,
-    save_table,
     simulate_quantiles,
     simulate_statistics,
     table_path,
@@ -209,7 +209,7 @@ class TestQuantileTable:
     def test_roundtrip(self, tmp_path):
         t = QuantileTable(10, (0.1, 0.5), (2.0, 1.0), 100, 0)
         assert QuantileTable.from_dict(t.to_dict()) == t
-        save_table(t, tmp_path / "t.json")
+        (tmp_path / "t.json").write_text(json.dumps(t.to_dict()))
         assert load_table(tmp_path / "t.json") == t
 
     def test_rejects_other_format_version(self):
@@ -218,17 +218,27 @@ class TestQuantileTable:
             with pytest.raises(ValueError):
                 QuantileTable.from_dict({**d, "version": version})
 
-    def test_cache_hit_is_exact(self, tmp_path):
+    def test_cache_hit_is_exact(self, tmp_path, caplog):
+        """The miss is announced by one warning naming the cache file; the
+        hit returns the same table silently and writes nothing."""
+        caplog.set_level(logging.WARNING, logger="mshist")
         t1 = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
+        warned = [r for r in caplog.records if r.name == "mshist"]
+        assert [r.levelno for r in warned] == [logging.WARNING]
+        message = warned[0].getMessage()
+        assert str(table_path(20, 150, 9, tmp_path)) in message
+        assert "simulating now (150 replications)" in message
+        caplog.clear()
         files = list(tmp_path.iterdir())
         t2 = simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
+        assert [r for r in caplog.records if r.name == "mshist"] == []
         assert t1 == t2
         assert list(tmp_path.iterdir()) == files
 
     def test_cache_file_is_write_once(self, tmp_path):
         path = table_path(20, 150, 9, tmp_path)
         kept = QuantileTable(20, DEFAULT_ALPHAS, tuple(np.linspace(3, 1, 8)), 150, 9)
-        save_table(kept, path)
+        path.write_text(json.dumps(kept.to_dict()))
         before = path.read_bytes()
         assert simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path) == kept
         assert list(tmp_path.iterdir()) == [path]
