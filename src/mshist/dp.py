@@ -50,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConstraintTable, block_band, constraint_table, widen
-from .intervals import levels
-from .multiscale import QuantileTable, check_alpha, lookup_kappa
+from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
 #: relative tolerance for merging equal-height neighbor bins
@@ -334,10 +333,9 @@ def essential_histogram(
     Falls back to a single bin when the interval system is empty (sample too
     small for multiscale calibration); ``table`` is not read then.
     """
-    check_alpha(alpha)
     n = sample.n
-    if not levels(n):
-        return _model_from_cuts(sample, [0, n])
     kappa = lookup_kappa(table, alpha, n)
+    if kappa is None:
+        return _model_from_cuts(sample, [0, n])
     _, _, pred = _bellman_pruned(sample, constraint_table(sample, kappa))
     return _model_from_cuts(sample, _backtrack(pred, n))

@@ -21,8 +21,8 @@ import numpy as np
 
 from .bounds import block_band, constraint_table, in_band
 from .dp import HistogramModel
-from .intervals import IntervalSpec, interval_arrays, levels
-from .multiscale import QuantileTable, check_alpha, lookup_kappa
+from .intervals import IntervalSpec, interval_arrays
+from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
 #: longest run of adjacent segments considered when counting merges
@@ -46,10 +46,9 @@ class AuditReport:
 def _prologue(sample: SortedSample, estimator: HistogramModel, alpha, table):
     """``(kappa, band table, (below, upto, piece))`` for both halves, or None
     when the interval system is empty; ``table`` is not read then."""
-    check_alpha(alpha)
-    if not levels(sample.n):
-        return None
     kappa = lookup_kappa(table, alpha, sample.n)
+    if kappa is None:
+        return None
     x, e = sample.values, estimator.breaks
     below, upto = (np.searchsorted(x, e, side=s) for s in ("left", "right"))
     piece = np.searchsorted(e, x, side="right")

@@ -20,10 +20,9 @@ from .intervals import (
     IntervalSpec,
     count_groups,
     interval_arrays,
-    levels,
     minimal_intervals,
 )
-from .multiscale import QuantileTable, check_alpha, lookup_kappa, penalty
+from .multiscale import QuantileTable, lookup_kappa, penalty
 from .sample import SortedSample
 
 
@@ -153,11 +152,10 @@ def significant_feature_intervals(
     keep (the first tree node its query visits, then the first inserted), as
     the tree search in ``tests/reference.py`` does.
     """
-    check_alpha(alpha)
     n = sample.n
-    if not levels(n):
-        return []
     kappa = lookup_kappa(table, alpha, n)
+    if kappa is None:
+        return []
     band = _radii(sample, kappa)
     j, k = band.a, band.b
     _, _, scale = interval_arrays(n)

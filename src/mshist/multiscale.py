@@ -57,30 +57,21 @@ def penalty(p_hat):
 
 @lru_cache(maxsize=4)
 def _lattice(n: int):
-    """What the statistic for sample size n takes from the system: per level
-    its step, first lag, number of lags, row width and the flat indices into
-    its ``(lag, i)`` array of true masses of the entries that read past X_(n)
-    (row a ends in a of them); the +inf padding past X_(n) and the size of
-    the largest level array; the empirical masses of the counts in level
-    order and their penalties.  Cached for the last four n; arrays are
+    """What the statistic for sample size n keeps between calls: the length
+    of the NaN padding past X_(n) that the longest lags read, the size of the
+    largest level array, and the empirical masses of the counts in level
+    order with their penalties.  Cached for the last four n; arrays are
     read-only.
     """
     system = levels(n)
     if not system:
         raise ValueError(f"interval system empty for n={n}; sample too small")
-    plan = []
-    for lev in system:
-        q0, nq = lev.lags[0], len(lev.lags)
-        width = lev.size - q0
-        edge = np.flatnonzero(np.arange(width) >= width - np.arange(nq)[:, None])
-        plan.append((lev.step, q0, nq, width, edge))
-    pad = max((nq - 1) * d for d, _, nq, _, _ in plan)
-    size = max(nq * width for _, _, nq, width, _ in plan)
+    pad = max((len(lev.lags) - 1) * lev.step for lev in system)
+    size = max(len(lev.lags) * (lev.size - lev.lags[0]) for lev in system)
     p_hat = np.concatenate([lev.step * np.array(lev.lags) for lev in system]) / n
     pen = penalty(p_hat)
-    for a in [edge for *_, edge in plan] + [p_hat, pen]:
-        a.flags.writeable = False
-    return tuple(plan), pad, size, p_hat, pen
+    p_hat.flags.writeable = pen.flags.writeable = False
+    return pad, size, p_hat, pen
 
 
 def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
@@ -91,36 +82,40 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     All intervals of one count share the empirical mass and the penalty, and
     the root-LR is convex in the true mass with its minimum at the empirical
     one, so each count's maximum sits at its smallest or its largest true
-    mass; only those two are evaluated.  They come level by level from the
-    system's lattice, one strided array of true masses per level.
+    mass; only those two are evaluated.  They come level by level from
+    :func:`intervals.levels`, one strided array of true masses per level,
+    whose entries past X_(n) are NaN and skipped by ``np.fmin`` and
+    ``np.fmax``.
     """
     n = sample.n
-    plan, pad, size, p_hat, pen = _lattice(n)
+    pad, size, p_hat, pen = _lattice(n)
     values = np.asarray(cdf(sample.values), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("cdf returned non-finite values")
     # f[i] = F(X_(i)), so f[k] - f[j] is the true mass of (X_(j), X_(k)];
-    # a level's longer lags run past X_(n) into the +inf padding
-    f = np.concatenate(([0.0], values, np.full(pad, np.inf)))
+    # a level's longer lags run past X_(n) into the NaN padding
+    f = np.concatenate(([0.0], values, np.full(pad, np.nan)))
     # one buffer for every level's masses: a fresh array per level costs
     # more in page faults than the subtraction itself
     buf = np.empty(size)
-    lo, hi = [], []
-    for d, q0, nq, width, edge in plan:
+    ends = np.empty((2, p_hat.size))
+    c = 0
+    for lev in levels(n):
+        d, q0, nq = lev.step, lev.lags[0], len(lev.lags)
+        width = lev.size - q0
         # mass[a, i] = f[1 + (i + q0 + a)*d] - f[1 + i*d]: the true mass of
         # the interval with left end 1 + i*d and count (q0 + a)*d, contiguous
-        # along i; row a holds width - a intervals, then a entries that read
-        # the +inf padding, set to -inf for the max
+        # along i; row a holds width - a intervals, then a NaN entries.  The
+        # last lag is at most size - 1, so every row holds an interval
         ahead = np.ndarray(
             (nq, width), float, f, offset=f.itemsize * (1 + q0 * d),
             strides=(f.itemsize * d,) * 2,
         )
         mass = buf[: nq * width].reshape(nq, width)
         np.subtract(ahead, f[1 : 1 + width * d : d], out=mass)
-        lo.append(mass.min(axis=1))
-        buf[edge] = -np.inf
-        hi.append(mass.max(axis=1))
-    ends = np.stack((np.concatenate(lo), np.concatenate(hi)))
+        np.fmin.reduce(mass, axis=1, out=ends[0, c : c + nq])
+        np.fmax.reduce(mass, axis=1, out=ends[1, c : c + nq])
+        c += nq
     stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, ends, n)) - pen
     return float(stat.max())
 
@@ -139,8 +134,6 @@ def simulate_statistics(n: int, reps: int, seed: int = 0) -> np.ndarray:
     Replication ``rep`` draws from its own counter-derived RNG stream, so a
     value depends only on (n, seed, rep).
     """
-    if not levels(n):
-        raise ValueError(f"interval system empty for n={n}; cannot calibrate")
     return np.array([_replication_statistic(n, seed, r) for r in range(reps)])
 
 
@@ -268,22 +261,21 @@ def load_table(path) -> QuantileTable:
     return QuantileTable.from_dict(json.loads(Path(path).read_text()))
 
 
-def check_alpha(alpha: float) -> None:
-    """Raise ValueError unless the level alpha lies in (0, 1); nan does not."""
+def lookup_kappa(table: QuantileTable | None, alpha: float, n: int) -> float | None:
+    """Threshold for level alpha and sample size n, or None for a sample too
+    small for the interval system (n < 9), whose ``table`` is not read.
+
+    Alpha must lie in (0, 1) whatever n is; nan does not.  Sizes above the
+    cap are served by the capped table; the table's own n must match the
+    capped request, and a missing table is an error.  Alpha is served by the
+    largest grid level at or below it, not interpolated: that level's
+    threshold is at least as large, so rounding never makes the confidence
+    set smaller.  Alpha below the grid is an error.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-
-
-def lookup_kappa(table: QuantileTable | None, alpha: float, n: int) -> float:
-    """Threshold for level alpha and sample size n.
-
-    Sizes above the cap are served by the capped table; the table's own n
-    must match the capped request, and a missing table is an error.  Alpha
-    is served by the largest grid level at or below it, not interpolated:
-    that level's threshold is at least as large, so rounding never makes
-    the confidence set smaller.  Alpha below the grid is an error.
-    """
-    check_alpha(alpha)
+    if not levels(n):
+        return None
     n_capped = min(n, TABLE_N_CAP)
     if table is None:
         raise ValueError(f"a calibrated kappa table is needed for n={n}, got None")

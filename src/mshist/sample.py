@@ -6,9 +6,9 @@ import numpy as np
 
 class DuplicateValuesError(ValueError):
     """Raised when a sample contains exact duplicates and jitter is off, or
-    when its ties cannot be de-rounded: a single distinct value has no
-    resolution, or a resolution below the values' float spacing cannot
-    separate them."""
+    when its ties cannot be de-rounded: they are not rounding, a single
+    distinct value has no resolution, or a resolution below the values'
+    float spacing cannot separate them."""
 
 
 class SortedSample:
@@ -16,11 +16,12 @@ class SortedSample:
 
     Exact duplicates are rejected by default: the methods here assume a
     continuous underlying distribution, so ties are a data-quality signal.
-    With ``jitter=True`` tied or rounded data are de-rounded: the resolution
-    ``g`` is the smallest gap between adjacent distinct values, and the ``m``
-    copies of a value ``v`` move to ``v + g*((i + 1/2)/m - 1/2)``, i = 0 ...
-    m-1, spread evenly over the rounding cell of width ``g`` around ``v``.
-    The result is deterministic, and untied values keep their place.
+    With ``jitter=True`` ties must be rounding, and are de-rounded: the
+    resolution ``g`` is the smallest gap between adjacent distinct values,
+    every such gap must be a whole multiple of ``g`` up to float error, and
+    the ``m`` copies of a value ``v`` move to ``v + g*((i + 1/2)/m - 1/2)``,
+    i = 0 ... m-1, spread evenly over the rounding cell around ``v``.  The
+    result is deterministic, and untied values keep their place.
     """
 
     __slots__ = ("_values",)
@@ -68,7 +69,18 @@ def _deround(v: np.ndarray) -> np.ndarray:
     distinct, first, counts = np.unique(v, return_index=True, return_counts=True)
     if distinct.size < 2:
         raise DuplicateValuesError("a single distinct value has no resolution to de-round")
-    g = np.min(np.diff(distinct))
+    gaps = np.diff(distinct)
+    g = np.min(gaps)
+    r = gaps / g
+    # rounded values are whole multiples of g apart, up to the float error of
+    # their differences; 4 is a safety factor over the largest error measured
+    tol = 4 * (1 + r) * np.spacing(np.max(np.abs(distinct))) / g
+    if np.any(np.abs(r - np.rint(r)) > tol):
+        tied = [f"{float(x)!r} ({c} times)" for x, c in zip(distinct, counts) if c > 1]
+        raise DuplicateValuesError(
+            f"repeated values {', '.join(tied[:5])}: the distinct values do not "
+            "lie on a rounding grid, so the ties are not rounding"
+        )
     m = np.repeat(counts, counts)
     i = np.arange(v.size) - np.repeat(first, counts)
     out = v + g * ((i + 0.5) / m - 0.5)

@@ -125,6 +125,13 @@ class TestStatistics:
                     i = int(np.argmax(stat - penalty(p_hat)))
                     sides.add("lower" if p0[i] < p_hat[i] else "upper")
         assert sides == {"lower", "upper"}
+        # at small n a level's last lag reaches size - 1, so its last row
+        # holds a single interval before X_(n)
+        uniform = get_density("uniform")
+        for n in range(9, 200):
+            sample = uniform.sampler(0, n)
+            got = multiscale_statistic(sample, cdf=uniform.cdf)
+            assert got == multiscale_statistic_full(sample, cdf=uniform.cdf), n
 
     @pytest.mark.parametrize("n", [9, 60, 1000, 10000])
     def test_maximum_on_the_last_interval_of_its_count(self, n):
@@ -329,6 +336,37 @@ class TestLookup:
         )
         for call in calls:
             with pytest.raises(ValueError, match="calibrated kappa table"):
+                call()
+
+    def test_small_sample_is_served_none(self):
+        """Below the interval system's threshold (n < 9) no table is read;
+        from n = 9 on a missing table is an error."""
+        for n in range(2, 9):
+            assert lookup_kappa(None, 0.1, n) is None
+        with pytest.raises(ValueError, match="calibrated kappa table is needed"):
+            lookup_kappa(None, 0.1, 9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, float("nan")])
+    def test_alpha_is_checked_at_every_n(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            lookup_kappa(None, alpha, 5)
+
+    def test_analyses_of_a_small_sample_take_the_lookup(self):
+        """The fit, the features and the audit check alpha and branch on a
+        small sample through ``lookup_kappa`` alone."""
+        sample = SortedSample([0.1, 0.3, 0.4, 0.6, 0.9])
+        fit = essential_histogram(sample, 0.1, None)
+        assert fit.nbins == 1 and fit.cut_indices == (0, 5)
+        assert significant_feature_intervals(sample, 0.1, None) == []
+        report = audit(sample, fit, 0.1, None)
+        assert report.kappa is None and report.clean
+        calls = (
+            lambda: essential_histogram(sample, 1.5, None),
+            lambda: significant_feature_intervals(sample, 1.5, None),
+            lambda: audit(sample, fit, 1.5, None),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="alpha must lie in"):
                 call()
 
     def test_large_n_served_by_capped_table(self):

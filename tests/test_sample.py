@@ -91,6 +91,20 @@ def test_derounded_catalog_fits_track_the_unrounded_ones(tables):
             assert min(diffs) >= -1, d.name
 
 
+@pytest.mark.parametrize("n", [1000, 100_000])
+def test_repeated_records_are_not_rounding(n):
+    """Unrounded values with one value repeated: the smallest gap is a random
+    spacing, not a rounding cell, so de-rounding would fit a spike (7 bins,
+    one of height 2.1e4, at n = 1000 with 20 repeats).  Such ties raise,
+    naming the repeated value and its count."""
+    for k in (2, 5, 10, 20):
+        y = np.random.default_rng(0).normal(0.0, 1.0, n)
+        y[1 : k + 1] = y[0]
+        with pytest.raises(DuplicateValuesError, match="rounding grid") as err:
+            SortedSample(y, jitter=True)
+        assert f"{float(y[0])!r} ({k + 1} times)" in str(err.value)
+
+
 def test_order_statistic_one_based():
     s = SortedSample([5.0, 1.0, 3.0])
     assert s.order_statistic(1) == 1.0
