@@ -10,11 +10,12 @@ density band.  The fit and the audit both read their bands from
 :func:`constraint_table` and test membership with :func:`in_band`, whose
 slack :func:`widen` applies (the fit's sweep carries bands widened by it);
 the fit's last round and the audit's merge test take the band of a block
-from :func:`block_band`.  Every band table, the feature search's radius band
-included, is laid out by :func:`band_table` from per-count mass bounds.
-The per-count mass roots depend on (n, kappa) alone and the row offsets on n
-alone, so both are solved once and cached; per sample a table costs only
-its widths and the per-row gathers and divisions.
+from :func:`block_band`, and the fit's one-bin test takes that of (0, n]
+from :func:`whole_band`, without a table.  Every band table, the feature
+search's radius band included, is laid out by :func:`band_table` from
+per-count mass bounds.  The per-count mass roots depend on (n, kappa) alone
+and the row offsets on n alone, so both are solved once and cached; per
+sample a table costs only its widths and the per-row gathers and divisions.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intervals import count_groups, interval_arrays
+from .intervals import count_extremes, count_groups, interval_arrays, level_counts
 from .multiscale import log_likelihood_ratio, penalty
 from .sample import SortedSample
 
@@ -83,14 +84,13 @@ class ConstraintTable:
 @lru_cache(maxsize=4)
 def _count_roots(n: int, kappa: float):
     """Mass roots ``(q_lo, q_hi)`` of every count of the system for sample
-    size n, in the order of ``count_groups(n)``, with the unsatisfiable
+    size n, in the order of ``level_counts(n)``, with the unsatisfiable
     counts mapped to the empty band (+inf, -inf).
 
     They depend on (n, kappa) alone, not on the sample, so they are solved
     once per pair; cached for the last four pairs, arrays read-only.
     """
-    counts, _ = count_groups(n)
-    q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
+    q_lo, q_hi = mass_roots_batch(level_counts(n) / n, kappa, n)
     empty = np.isnan(q_lo)
     q_lo[empty], q_hi[empty] = np.inf, -np.inf
     for a in (q_lo, q_hi):
@@ -125,6 +125,16 @@ def band_table(sample: SortedSample, q_lo, q_hi) -> ConstraintTable:
 def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
     """Feasible density band of every system interval at threshold ``kappa``."""
     return band_table(sample, *_count_roots(sample.n, float(kappa)))
+
+
+def whole_band(sample: SortedSample, kappa: float):
+    """Band (lo, hi) of the block (0, n], widened by :func:`widen`, with no
+    band table: a count's intervals share their mass roots and division is
+    monotone in the divisor, so the tightest of their bands is ``q_lo`` over
+    their least width and ``q_hi`` over their largest, bit for bit."""
+    q_lo, q_hi = _count_roots(sample.n, float(kappa))
+    least, most = count_extremes(sample.values)
+    return widen(np.max(q_lo / least), np.min(q_hi / most))
 
 
 def block_band(table: ConstraintTable, t, i):

@@ -39,8 +39,9 @@ comparisons.
 
 Node n needs only the bands of the blocks (t, n], so each round first tries
 to reach n and sweeps only if it cannot.  The first round starts from node 0
-alone, and the band of (0, n] is one max and one min over the whole table;
-the bands of every (t, n] are taken once by ``bounds.block_band``, and only
+alone, and the band of (0, n] comes from each count's least and largest
+width (``bounds.whole_band``), so a one-bin fit builds no band table; the
+bands of every (t, n] are taken once by ``bounds.block_band``, and only
 when that round misses n.
 """
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConstraintTable, block_band, constraint_table, widen
+from .bounds import ConstraintTable, block_band, constraint_table, whole_band, widen
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
@@ -258,8 +259,9 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
 def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
     """K (fewest blocks), V (cost) and pred (predecessor) of every node, by
     rounds; identical at node n to the plain recursion over all predecessors
-    (kept in tests/reference.py).  Nodes that only the last round would
-    reach are left unset: the last round reaches n without a sweep."""
+    (kept in tests/reference.py).  Round 1 sweeps from node 0; it reaches n
+    only in one bin, which ``essential_histogram`` tests before.  Nodes that
+    only the last round would reach are left unset."""
     x = sample.values
     n = sample.n
     big = n + 2
@@ -272,22 +274,21 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
     # is the virtual left edge at X_(1)
     edge = np.concatenate((x[:1], x))
     active = np.zeros(1, dtype=np.int64)
-    # the band of block (0, n], the tightest over the whole table
-    band = widen(np.max(table.lo, initial=-np.inf), np.min(table.hi, initial=np.inf))
     k = 1
     while True:
-        cost = _block_cost(edge, V, n, active, n, *band)
-        pos = int(np.argmin(cost))
-        if cost[pos] < np.inf:
-            K[n], V[n], pred[n] = k, cost[pos], active[pos]
-            return K, V, pred
         active = _sweep(table, edge, K, V, pred, active, k)
+        if K[n] < big:  # only in round 1, which has no (t, n] test before it
+            return K, V, pred
         if not active.size:
             raise RuntimeError("dynamic program stalled; constraint table inconsistent")
         if k == 1:
             lo_n, hi_n = widen(*block_band(table, np.arange(n + 1), n))  # (t, n]
-        band = lo_n[active], hi_n[active]
         k += 1
+        cost = _block_cost(edge, V, n, active, n, lo_n[active], hi_n[active])
+        pos = int(np.argmin(cost))
+        if cost[pos] < np.inf:
+            K[n], V[n], pred[n] = k, cost[pos], active[pos]
+            return K, V, pred
 
 
 def _backtrack(pred: np.ndarray, n: int) -> list[int]:
@@ -331,11 +332,17 @@ def essential_histogram(
     local constraints at level alpha; ties resolved by maximal likelihood.
 
     Falls back to a single bin when the interval system is empty (sample too
-    small for multiscale calibration); ``table`` is not read then.
+    small for multiscale calibration); ``table`` is not read then.  The band
+    table is built only when one bin fails ``bounds.whole_band``.
     """
     n = sample.n
     kappa = lookup_kappa(table, alpha, n)
     if kappa is None:
+        return _model_from_cuts(sample, [0, n])
+    edge = np.concatenate((sample.values[:1], sample.values))
+    node0 = np.zeros(1, dtype=np.int64)  # V[0] = 0
+    cost = _block_cost(edge, np.zeros(1), n, node0, n, *whole_band(sample, kappa))
+    if cost[0] < np.inf:
         return _model_from_cuts(sample, [0, n])
     _, _, pred = _bellman_pruned(sample, constraint_table(sample, kappa))
     return _model_from_cuts(sample, _backtrack(pred, n))

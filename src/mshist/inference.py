@@ -174,7 +174,9 @@ def significant_feature_intervals(
         by_val = np.argsort(vals) if b.size else b
         vrank = np.empty_like(by_val)
         vrank[by_val] = np.arange(by_val.size)
-        c = np.searchsorted(vals[by_val], thr[b], side="left")  # per b
+        order = np.argsort(thr[b])  # per b, searched by ascending threshold
+        c = np.empty_like(b)
+        c[order] = np.searchsorted(vals[by_val], thr[b[order]], side="left")
         searches.append((vals, thr, vrank, c, b))
     pos, found = _max_left_end(j, [(vr, t[b], c) for _, _, vr, c, b in searches])
 

@@ -127,29 +127,76 @@ def interval_arrays(n: int):
 
 
 @lru_cache(maxsize=4)
+def level_counts(n: int) -> np.ndarray:
+    """The distinct counts ``k - j`` of the system for sample size n,
+    ascending: each level's ``lag*step``, read from :func:`levels` in
+    descending scale, with no sort.  Cached for the last four n; read-only."""
+    counts = np.array(
+        [q * lev.step for lev in reversed(levels(n)) for q in lev.lags], dtype=np.int64
+    )
+    counts.flags.writeable = False
+    return counts
+
+
+@lru_cache(maxsize=4)
+def _extent(n: int) -> tuple[int, int]:
+    """NaN padding past X_(n) and largest level array of :func:`count_extremes`."""
+    system = levels(n)
+    pad = max(((len(lev.lags) - 1) * lev.step for lev in system), default=0)
+    size = max((len(lev.lags) * (lev.size - lev.lags[0]) for lev in system), default=0)
+    return pad, size
+
+
+def count_extremes(values) -> np.ndarray:
+    """Per count, in the order of :func:`level_counts`, the least and the
+    largest ``X_(k) - X_(j)`` over the system intervals (X_(j), X_(k)] for
+    the ascending ``values`` X_(1), ..., X_(n), as a ``(2, counts)`` array.
+    Per level of :func:`levels`, one strided (lag, i) array is reduced along
+    i; longer lags run past X_(n) into a NaN padding that ``np.fmin`` and
+    ``np.fmax`` skip, exact as every lag holds an interval.  Levels in
+    descending scale give ascending counts: one contiguous slice each."""
+    values = np.asarray(values, dtype=float)
+    pad, size = _extent(values.size)
+    f = np.concatenate((values, np.full(pad, np.nan)))  # f[i] = X_(i+1)
+    # one buffer for every level: a fresh array per level costs more in
+    # page faults than the subtraction itself
+    buf = np.empty(size)
+    out = np.empty((2, level_counts(values.size).size))
+    c = 0
+    for lev in reversed(levels(values.size)):
+        d, q0, nq = lev.step, lev.lags[0], len(lev.lags)
+        width, s = lev.size - q0, f.itemsize * d
+        # diff[a, i] = f[(i + q0 + a)*d] - f[i*d], the interval with left end
+        # 1 + i*d and count (q0 + a)*d; row a ends in a NaN entries
+        ahead = np.ndarray((nq, width), float, f, offset=q0 * s, strides=(s, s))
+        diff = buf[: nq * width].reshape(nq, width)
+        np.subtract(ahead, f[: width * d : d], out=diff)
+        np.fmin.reduce(diff, axis=1, out=out[0, c : c + nq])
+        np.fmax.reduce(diff, axis=1, out=out[1, c : c + nq])
+        c += nq
+    return out
+
+
+@lru_cache(maxsize=4)
 def count_groups(n: int):
     """The system for sample size n grouped by count ``k - j``.
 
-    Returns ``(counts, group)``: the distinct counts, ascending, and the group
-    index of every interval, in system order, so that
-    ``counts[group] == k - j``.  Every per-interval quantity but the width
-    depends on the count alone, so the band table and the radii each evaluate
-    it once per group.  The counts are each level's ``lag*step``, read from
-    :func:`levels` in descending scale, and the groups a lookup by count, so
-    nothing is sorted.
+    Returns ``(counts, group)``: the distinct counts of
+    :func:`level_counts`, ascending, and the group index of every interval,
+    in system order, so that ``counts[group] == k - j``.  Every
+    per-interval quantity but the width depends on the count alone, so the
+    band table and the radii each evaluate it once per group.  The groups
+    are a lookup by count, so nothing is sorted.
 
     Cached for the last four n apart from :func:`interval_arrays`, which does
     not pay for it; arrays are read-only.
     """
     j, k, _ = interval_arrays(n)
-    counts = np.array(
-        [q * lev.step for lev in reversed(levels(n)) for q in lev.lags], dtype=np.int64
-    )
+    counts = level_counts(n)
     by_count = np.zeros(n + 1, dtype=np.intp)
     by_count[counts] = np.arange(counts.size)
     group = by_count[k - j]
-    for a in (counts, group):
-        a.flags.writeable = False
+    group.flags.writeable = False
     return counts, group
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intervals import levels
+from .intervals import count_extremes, level_counts, levels
 from .sample import SortedSample
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
@@ -57,21 +57,16 @@ def penalty(p_hat):
 
 @lru_cache(maxsize=4)
 def _lattice(n: int):
-    """What the statistic for sample size n keeps between calls: the length
-    of the NaN padding past X_(n) that the longest lags read, the size of the
-    largest level array, and the empirical masses of the counts in level
-    order with their penalties.  Cached for the last four n; arrays are
-    read-only.
+    """The empirical masses of the counts of the system for sample size n,
+    in the order of :func:`intervals.level_counts`, with their penalties.
+    Cached for the last four n; arrays are read-only.
     """
-    system = levels(n)
-    if not system:
+    if not levels(n):
         raise ValueError(f"interval system empty for n={n}; sample too small")
-    pad = max((len(lev.lags) - 1) * lev.step for lev in system)
-    size = max(len(lev.lags) * (lev.size - lev.lags[0]) for lev in system)
-    p_hat = np.concatenate([lev.step * np.array(lev.lags) for lev in system]) / n
+    p_hat = level_counts(n) / n
     pen = penalty(p_hat)
     p_hat.flags.writeable = pen.flags.writeable = False
-    return pad, size, p_hat, pen
+    return p_hat, pen
 
 
 def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
@@ -82,40 +77,17 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     All intervals of one count share the empirical mass and the penalty, and
     the root-LR is convex in the true mass with its minimum at the empirical
     one, so each count's maximum sits at its smallest or its largest true
-    mass; only those two are evaluated.  They come level by level from
-    :func:`intervals.levels`, one strided array of true masses per level,
-    whose entries past X_(n) are NaN and skipped by ``np.fmin`` and
-    ``np.fmax``.
+    mass; only those two are evaluated.  They are the extremes of the cdf
+    differences that :func:`intervals.count_extremes` reads off the level
+    lattice, the same reading the fit's one-bin test takes of the widths.
     """
     n = sample.n
-    pad, size, p_hat, pen = _lattice(n)
+    p_hat, pen = _lattice(n)
     values = np.asarray(cdf(sample.values), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("cdf returned non-finite values")
-    # f[i] = F(X_(i)), so f[k] - f[j] is the true mass of (X_(j), X_(k)];
-    # a level's longer lags run past X_(n) into the NaN padding
-    f = np.concatenate(([0.0], values, np.full(pad, np.nan)))
-    # one buffer for every level's masses: a fresh array per level costs
-    # more in page faults than the subtraction itself
-    buf = np.empty(size)
-    ends = np.empty((2, p_hat.size))
-    c = 0
-    for lev in levels(n):
-        d, q0, nq = lev.step, lev.lags[0], len(lev.lags)
-        width = lev.size - q0
-        # mass[a, i] = f[1 + (i + q0 + a)*d] - f[1 + i*d]: the true mass of
-        # the interval with left end 1 + i*d and count (q0 + a)*d, contiguous
-        # along i; row a holds width - a intervals, then a NaN entries.  The
-        # last lag is at most size - 1, so every row holds an interval
-        ahead = np.ndarray(
-            (nq, width), float, f, offset=f.itemsize * (1 + q0 * d),
-            strides=(f.itemsize * d,) * 2,
-        )
-        mass = buf[: nq * width].reshape(nq, width)
-        np.subtract(ahead, f[1 : 1 + width * d : d], out=mass)
-        np.fmin.reduce(mass, axis=1, out=ends[0, c : c + nq])
-        np.fmax.reduce(mass, axis=1, out=ends[1, c : c + nq])
-        c += nq
+    # F(X_(k)) - F(X_(j)) is the true mass of (X_(j), X_(k)]
+    ends = count_extremes(values)
     stat = np.sqrt(2.0 * log_likelihood_ratio(p_hat, ends, n)) - pen
     return float(stat.max())
 

@@ -3,8 +3,9 @@
 Plain and exhaustive versions of what ``mshist`` computes faster: the
 scalar brentq band solver, the per-interval bands built on it, the list form
 of the interval system, the plain Bellman recursion over all predecessors,
-the exhaustive-search oracle, the audit's violation test one system interval
-at a time in value space and its merge test one window at a time, the
+the one-bin test read from the whole band table, the exhaustive-search
+oracle, the audit's violation test one system interval at a time in value
+space and its merge test one window at a time, the
 feature search on a binary indexed (Fenwick) tree, the multiscale
 statistic evaluated on every system interval, and the deterministic check
 of the paper's Proposition 1.  The oracle solves its own
@@ -20,9 +21,15 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import brentq
 
-from mshist.bounds import ConstraintTable, constraint_table, in_band
+from mshist.bounds import ConstraintTable, constraint_table, in_band, widen
 from mshist.densities import get_density
-from mshist.dp import HistogramModel, _backtrack, _model_from_cuts
+from mshist.dp import (
+    HistogramModel,
+    _backtrack,
+    _bellman_pruned,
+    _block_cost,
+    _model_from_cuts,
+)
 from mshist.evaluate import MERGE_WINDOW
 from mshist.inference import FeatureInterval, _radii
 from mshist.intervals import IntervalSpec, interval_arrays
@@ -174,6 +181,30 @@ def unpruned_histogram(
         return _model_from_cuts(sample, [0, n])
     kappa = lookup_kappa(table, alpha, n)
     _, _, pred = _bellman_unpruned(sample, constraint_table(sample, kappa))
+    return _model_from_cuts(sample, _backtrack(pred, n))
+
+
+def table_band(table: ConstraintTable):
+    """Widened band of the block (0, n]: one max and one min over the whole
+    band table; reference for :func:`mshist.bounds.whole_band`."""
+    return widen(np.max(table.lo, initial=-np.inf), np.min(table.hi, initial=np.inf))
+
+
+def table_histogram(
+    sample: SortedSample, alpha: float, table: QuantileTable
+) -> HistogramModel:
+    """:func:`mshist.essential_histogram` with the one bin (0, n] tested
+    against :func:`table_band`: the band table is built before that test."""
+    n = sample.n
+    kappa = lookup_kappa(table, alpha, n)
+    if kappa is None:
+        return _model_from_cuts(sample, [0, n])
+    ctab = constraint_table(sample, kappa)
+    edge = np.concatenate((sample.values[:1], sample.values))
+    node0 = np.zeros(1, dtype=np.int64)
+    if _block_cost(edge, np.zeros(1), n, node0, n, *table_band(ctab))[0] < np.inf:
+        return _model_from_cuts(sample, [0, n])
+    _, _, pred = _bellman_pruned(sample, ctab)
     return _model_from_cuts(sample, _backtrack(pred, n))
 
 

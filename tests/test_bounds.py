@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from mshist import bounds
-from mshist.bounds import block_band, constraint_table, in_band, mass_roots_batch
+from mshist.bounds import (
+    block_band,
+    constraint_table,
+    in_band,
+    mass_roots_batch,
+    whole_band,
+)
+from mshist.densities import get_density
 from mshist.intervals import count_groups, interval_arrays
 from mshist.multiscale import log_likelihood_ratio, penalty
 from mshist.sample import SortedSample
 
-from reference import build_interval_system, constraint_interval, mass_roots
+from reference import build_interval_system, constraint_interval, mass_roots, table_band
 
 
 def gap_oracle(q, p_hat, kappa, n):
@@ -191,3 +198,16 @@ class TestBlockBand:
         t = np.arange(n + 2)
         for got, want in zip(block_band(tab, t, n), masked_band(tab, t, [n] * t.size)):
             assert np.array_equal(got, want)
+
+
+class TestWholeBand:
+    @pytest.mark.parametrize("n", [9, 10, 60, 1000, 3000, 30000])
+    def test_lattice_band_is_the_table_band(self, n):
+        """The band of (0, n] from each count's width extremes equals one max
+        and one min over the whole table, bit for bit; -2.3 leaves some
+        bands empty."""
+        for family in ("uniform", "claw", "harp"):
+            sample = get_density(family).sampler(0, n)
+            for kappa in (0.05, 1.1, 2.5, -2.3):
+                want = table_band(constraint_table(sample, kappa))
+                assert whole_band(sample, kappa) == want, (family, kappa)

@@ -13,7 +13,7 @@ from mshist.dp import (
     _model_from_cuts,
     essential_histogram,
 )
-from mshist.intervals import IntervalSpec
+from mshist.intervals import IntervalSpec, count_groups, interval_arrays
 from mshist.multiscale import QuantileTable, lookup_kappa
 from mshist.sample import SortedSample
 
@@ -23,6 +23,7 @@ from reference import (
     brute_force_histogram,
     feasible_bands,
     segment_cost,
+    table_histogram,
     unpruned_histogram,
 )
 
@@ -264,8 +265,9 @@ class TestEssentialHistogram:
             assert_set_nodes_match(bumps_sample(1500), kappa)
 
     def test_all_t_block_bands_only_past_the_first_round(self, tables, monkeypatch):
-        """The first round tests the one bin (0, n] from the whole table; the
-        bands of every (t, n] are built once, when that round misses n."""
+        """The first round tests the one bin (0, n] from each count's width
+        extremes; the bands of every (t, n] are built once, when that round
+        misses n."""
         from mshist import dp
         from mshist.bounds import block_band
 
@@ -282,6 +284,71 @@ class TestEssentialHistogram:
             fit = essential_histogram(sample, 0.1, tables(1000))
             assert (fit.nbins == 1) == (family == "uniform")
             assert len(calls) == want_calls, family
+
+    def test_one_bin_fit_builds_no_band_table(self, monkeypatch):
+        """A one-bin fit reads the level lattice alone: no per-interval
+        array, row offset or band table; a multi-bin fit builds the table
+        once."""
+        from mshist import dp
+        from mshist.bounds import _row_starts
+
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return constraint_table(*args)
+
+        monkeypatch.setattr(dp, "constraint_table", counting)
+        caches = (interval_arrays, count_groups, _row_starts)
+        n = 4111  # a size no other test uses
+        table = synthetic_table(n)
+        before = [cache.cache_info() for cache in caches]
+        fit = essential_histogram(get_density("uniform").sampler(0, n), 0.1, table)
+        assert fit.nbins == 1
+        assert [cache.cache_info() for cache in caches] == before
+        assert built == []
+        fit = essential_histogram(get_density("claw").sampler(0, n), 0.1, table)
+        assert fit.nbins > 1 and len(built) == 1
+
+    def test_one_bin_test_matches_the_table_oracle(self, tables):
+        """Near the one-to-two-bin threshold, the fit equals the one that
+        tests (0, n] against the whole band table."""
+        nbins = set()
+        for n in (9, 10, 60, 1000, 3000):
+            for family in ("uniform", "claw", "harp"):
+                for seed in range(2):
+                    sample = get_density(family).sampler(seed, n)
+                    for alpha in (0.01, 0.1, 0.5, 0.9):
+                        fit = essential_histogram(sample, alpha, tables(n))
+                        want = table_histogram(sample, alpha, tables(n))
+                        assert fit == want and fit.cut_indices == want.cut_indices
+                        nbins.add(min(fit.nbins, 2))
+        assert nbins == {1, 2}
+
+    @pytest.mark.parametrize("family", ["uniform", "claw"])
+    def test_extreme_magnitudes_match_the_table_oracle(self, tables, family):
+        """x * 2**e with widths that go subnormal or overflow: the fit returns
+        or raises what the table oracle does, with floating-point warnings
+        off.  With them on as errors, the lattice divides a subset of the
+        table's quotients, so it can only warn less."""
+        x = get_density(family).sampler(0, 1000).values
+
+        def outcome(fit, sample, alpha):
+            try:
+                model = fit(sample, alpha, tables(1000))
+            except (ArithmeticError, RuntimeError, ValueError, RuntimeWarning) as e:
+                return type(e), str(e)
+            return model.cut_indices, model.breaks.tolist(), model.heights.tolist()
+
+        for e in (-1040, -1022, 500, 1000, 1015, 1018, 1020):
+            sample = SortedSample(np.ldexp(x, e))
+            for alpha in (0.1, 0.9):
+                with np.errstate(all="ignore"):
+                    got = outcome(essential_histogram, sample, alpha)
+                    assert got == outcome(table_histogram, sample, alpha), e
+                want = outcome(table_histogram, sample, alpha)
+                if want[0] is not RuntimeWarning:
+                    assert outcome(essential_histogram, sample, alpha) == want, e
 
     def test_affine_equivariance(self, tables):
         rng = np.random.default_rng(9)

@@ -6,8 +6,11 @@ import pytest
 from mshist.bounds import _count_roots, _row_starts, constraint_table
 from mshist.intervals import (
     IntervalSpec,
+    _extent,
+    count_extremes,
     count_groups,
     interval_arrays,
+    level_counts,
     levels,
     max_scale,
     minimal_intervals,
@@ -153,6 +156,27 @@ def test_count_groups(n):
     assert (counts.size == 0) == (n < 9)
 
 
+@pytest.mark.parametrize("n", [8, 9, 10, 60, 1000, 4099])
+def test_count_extremes_are_the_per_count_extremes(n):
+    """Per count, the least and the largest X_(k) - X_(j) over the system
+    intervals, in the order of ``level_counts``, which are the grouping's
+    counts; ties and a constant stretch included."""
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.exponential(size=n))
+    x[n // 3 : n // 2] = x[n // 3]
+    j, k, _ = interval_arrays(n)
+    counts, group = count_groups(n)
+    assert level_counts(n) is counts
+    diff = x[k - 1] - x[j - 1]
+    least = np.full(counts.size, np.inf)
+    most = np.full(counts.size, -np.inf)
+    np.minimum.at(least, group, diff)
+    np.maximum.at(most, group, diff)
+    got = count_extremes(x)
+    assert got.shape == (2, counts.size)
+    assert np.array_equal(got[0], least) and np.array_equal(got[1], most)
+
+
 def test_layout_sorts_nothing(monkeypatch):
     """The system, its count groups and its row offsets are laid out by
     counting: a fresh n builds with numpy's sorts unavailable."""
@@ -182,9 +206,17 @@ def test_band_tables_share_the_cached_grouping():
 
 
 def test_per_n_caches_are_bounded():
-    """The system's caches and the band table's per-(n, kappa) roots and
-    per-n row offsets."""
-    caches = (interval_arrays, count_groups, levels, _count_roots, _row_starts)
+    """The system's caches, the extent of its level arrays, and the band
+    table's per-(n, kappa) roots and per-n row offsets."""
+    caches = (
+        interval_arrays,
+        count_groups,
+        levels,
+        level_counts,
+        _extent,
+        _count_roots,
+        _row_starts,
+    )
     bound = interval_arrays.cache_info().maxsize
     assert all(cache.cache_info().maxsize == bound for cache in caches)
     assert bound is not None and bound <= 4
