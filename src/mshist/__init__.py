@@ -22,7 +22,7 @@ from .inference import (
     lower_bound_modes,
     significant_feature_intervals,
 )
-from .intervals import IntervalSpec, max_scale
+from .intervals import IntervalList, IntervalSpec, max_scale
 from .multiscale import (
     QuantileTable,
     load_table,
@@ -43,6 +43,7 @@ __all__ = [
     "DuplicateValuesError",
     "FeatureInterval",
     "HistogramModel",
+    "IntervalList",
     "IntervalSpec",
     "MetricSet",
     "QuantileTable",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import block_band, constraint_table, in_band
 from .dp import HistogramModel
-from .intervals import IntervalSpec, interval_arrays
+from .intervals import IntervalList, interval_arrays
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
@@ -31,9 +31,11 @@ MERGE_WINDOW = 5
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of auditing one estimator on one sample at one level."""
+    """Outcome of auditing one estimator on one sample at one level; the
+    flagged intervals are the read-only index columns of an
+    :class:`IntervalList`, so unlike ``removable`` they cannot change."""
 
-    violations: list[IntervalSpec]
+    violations: IntervalList
     removable: list[tuple[int, int]]  # (change-point index, merge multiplicity)
     alpha: float
     kappa: float | None  # None when the system is empty and no table is read
@@ -55,15 +57,14 @@ def _prologue(sample: SortedSample, estimator: HistogramModel, alpha, table):
     return kappa, constraint_table(sample, kappa), (below, upto, piece)
 
 
-def _violations(sample, estimator, ctab, where) -> list[IntervalSpec]:
+def _violations(sample, estimator, ctab, where) -> IntervalList:
     _, upto, piece = where
     p = piece[ctab.a - 1]
     inside = ctab.b <= np.append(upto, sample.n)[p]
     height = np.concatenate(([0.0], estimator.heights, [0.0]))[p]
     viol = inside & ~in_band(height, ctab.lo, ctab.hi)
     _, _, scale = interval_arrays(sample.n)
-    cols = (ctab.a[viol].tolist(), ctab.b[viol].tolist(), scale[viol].tolist())
-    return [IntervalSpec(a, b, s) for a, b, s in zip(*cols)]
+    return IntervalList(ctab.a[viol], ctab.b[viol], scale[viol])
 
 
 def _removable(sample, estimator, ctab, where) -> list[tuple[int, int]]:
@@ -93,15 +94,16 @@ def violation_intervals(
     estimator: HistogramModel,
     alpha: float,
     table: QuantileTable,
-) -> list[IntervalSpec]:
+) -> IntervalList:
     """System intervals inside one constant piece of the estimator whose
-    value lies outside the interval's feasible band at level alpha.
+    value lies outside the interval's feasible band at level alpha, in
+    system order, as the index columns of an :class:`IntervalList`.
 
     The bands and their slack are the ones the fit obeys, so a zero-height
     piece over sample points, for instance, is always flagged.
     """
     setup = _prologue(sample, estimator, alpha, table)
-    return [] if setup is None else _violations(sample, estimator, *setup[1:])
+    return IntervalList() if setup is None else _violations(sample, estimator, *setup[1:])
 
 
 def removable_changepoints(
@@ -135,7 +137,7 @@ def audit(
     is not read then."""
     setup = _prologue(sample, estimator, alpha, table)
     if setup is None:
-        return AuditReport(violations=[], removable=[], alpha=alpha, kappa=None)
+        return AuditReport(violations=IntervalList(), removable=[], alpha=alpha, kappa=None)
     kappa, *rest = setup
     return AuditReport(
         violations=_violations(sample, estimator, *rest),

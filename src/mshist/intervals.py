@@ -11,6 +11,8 @@ statistics built on top of it.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -34,6 +36,44 @@ class IntervalSpec:
     @property
     def count(self) -> int:
         return self.k - self.j
+
+
+class IntervalList(Sequence):
+    """Read-only sequence of :class:`IntervalSpec` kept as three int64
+    columns ``j``, ``k``, ``scale``: an item, of Python ints, is built only
+    when read, so a long list costs no object per row.  Equal to any other
+    sequence of the same intervals in order; two lists compare by column."""
+
+    __slots__ = ("j", "k", "scale")
+
+    def __init__(self, j=(), k=(), scale=()):
+        for name, col in zip(self.__slots__, (j, k, scale)):
+            col = np.asarray(col, dtype=np.int64).view()
+            col.flags.writeable = False
+            setattr(self, name, col)
+
+    def __len__(self) -> int:
+        return self.j.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return IntervalList(self.j[i], self.k[i], self.scale[i])
+        i = operator.index(i)
+        return IntervalSpec(int(self.j[i]), int(self.k[i]), int(self.scale[i]))
+
+    def __iter__(self):
+        return map(IntervalSpec, self.j.tolist(), self.k.tolist(), self.scale.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, IntervalList):
+            cols = zip((self.j, self.k, self.scale), (other.j, other.k, other.scale))
+            return all(np.array_equal(a, b) for a, b in cols)
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"IntervalList(j={self.j!r}, k={self.k!r}, scale={self.scale!r})"
 
 
 def max_scale(n: int) -> int:

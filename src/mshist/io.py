@@ -95,21 +95,16 @@ def read_features(path) -> list[FeatureInterval]:
 
 
 def audit_document(report: AuditReport, sample: SortedSample) -> dict:
-    x = sample.values
+    v, x = report.violations, sample.values  # read by column: no object per row
+    cols = (v.j, v.k, v.scale, x[v.j - 1], x[v.k - 1])
     return {
         "type": "audit",
         "alpha": report.alpha,
         "kappa": report.kappa,
         "clean": report.clean,
         "violations": [
-            {
-                "j": v.j,
-                "k": v.k,
-                "scale": v.scale,
-                "left": float(x[v.j - 1]),
-                "right": float(x[v.k - 1]),
-            }
-            for v in report.violations
+            {"j": j, "k": k, "scale": s, "left": left, "right": right}
+            for j, k, s, left, right in zip(*(c.tolist() for c in cols))
         ],
         "removable": [
             {"index": cp, "multiplicity": mult} for cp, mult in report.removable

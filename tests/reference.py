@@ -5,10 +5,10 @@ scalar brentq band solver, the per-interval bands built on it, the list form
 of the interval system, the plain Bellman recursion over all predecessors,
 the one-bin test read from the whole band table, the exhaustive-search
 oracle, the audit's violation test one system interval at a time in value
-space and its merge test one window at a time, the
-feature search on a binary indexed (Fenwick) tree, the multiscale
-statistic evaluated on every system interval, and the deterministic check
-of the paper's Proposition 1.  The oracle solves its own
+space, its merge test one window at a time and its document one violation
+at a time, the feature search on a binary indexed (Fenwick) tree, the
+multiscale statistic evaluated on every system interval, and the
+deterministic check of the paper's Proposition 1.  The oracle solves its own
 bands, so it shares only the membership test :func:`mshist.bounds.in_band`
 with the fit.
 """
@@ -30,7 +30,7 @@ from mshist.dp import (
     _block_cost,
     _model_from_cuts,
 )
-from mshist.evaluate import MERGE_WINDOW
+from mshist.evaluate import MERGE_WINDOW, AuditReport
 from mshist.inference import FeatureInterval, _radii
 from mshist.intervals import IntervalSpec, interval_arrays
 from mshist.multiscale import QuantileTable, log_likelihood_ratio, lookup_kappa, penalty
@@ -375,6 +375,32 @@ def removable_reference(
         )
         out.append((cp, mult))
     return out
+
+
+def audit_document_reference(report: AuditReport, sample: SortedSample) -> dict:
+    """:func:`mshist.io.audit_document` one violation at a time: every
+    flagged interval read as an ``IntervalSpec`` and its ends looked up
+    one by one."""
+    x = sample.values
+    return {
+        "type": "audit",
+        "alpha": report.alpha,
+        "kappa": report.kappa,
+        "clean": report.clean,
+        "violations": [
+            {
+                "j": v.j,
+                "k": v.k,
+                "scale": v.scale,
+                "left": float(x[v.j - 1]),
+                "right": float(x[v.k - 1]),
+            }
+            for v in report.violations
+        ],
+        "removable": [
+            {"index": cp, "multiplicity": mult} for cp, mult in report.removable
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from mshist.evaluate import (
     removable_changepoints,
     violation_intervals,
 )
+from mshist.intervals import IntervalSpec
 from mshist.io import audit_document
 from mshist.multiscale import lookup_kappa
 from mshist.sample import SortedSample
@@ -172,15 +173,54 @@ class TestAudit:
                 essential_histogram(sample, alpha, table)
 
     def test_report_holds_python_ints(self, tables):
-        """The audit document writes the report's indices to JSON as they are."""
+        """The audit document writes the report's indices to JSON as they
+        are; an item read by index, from either end or from a slice, holds
+        Python ints as iteration's do."""
         sample = get_density("bimodal").sampler(7, 500)
         est = classical_histogram(sample, "scott_area")
         report = audit(sample, est, 0.1, tables(500))
         assert report.violations and report.removable
-        for v in report.violations:
+        got = report.violations
+        read = [got[0], got[-1], got[len(got) // 2], *got[1:3]]
+        for v in [*got, *read]:
             assert {type(v.j), type(v.k), type(v.scale)} == {int}
         assert {type(x) for pair in report.removable for x in pair} == {int}
         json.dumps(audit_document(report, sample))
+
+    def test_violations_are_read_only(self, tables):
+        """The flagged rows are read-only columns, so a report's violations
+        cannot change after the audit."""
+        sample = get_density("bimodal").sampler(7, 500)
+        report = audit(sample, single_bin(sample), 0.1, tables(500))
+        assert not report.clean
+        for col in (report.violations.j, report.violations.k, report.violations.scale):
+            with pytest.raises(ValueError):
+                col[0] = 1
+        assert not hasattr(report.violations, "append")
+
+    def test_audit_builds_no_interval_object(self, tables, monkeypatch):
+        """The audit, its violation half, the report's length and ``clean``
+        and the document read the flagged rows as index columns; iterating
+        them builds one ``IntervalSpec`` per row."""
+        sample = get_density("harp").sampler(0, 3000)
+        est = classical_histogram(sample, "sturges")
+        built = []
+        init = IntervalSpec.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntervalSpec, "__init__", counting)
+        report = audit(sample, est, 0.1, tables(3000))
+        flagged = violation_intervals(sample, est, 0.1, tables(3000))
+        rows = len(report.violations)
+        assert rows > 1000 and not report.clean and len(flagged) == rows
+        doc = audit_document(report, sample)
+        assert len(doc["violations"]) == rows
+        assert built == []
+        assert sum(1 for _ in report.violations) == rows
+        assert len(built) == rows
 
 
 def histogram_on(sample, breaks, zero=None):

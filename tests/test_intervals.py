@@ -5,6 +5,7 @@ import pytest
 
 from mshist.bounds import _count_roots, _row_starts, constraint_table
 from mshist.intervals import (
+    IntervalList,
     IntervalSpec,
     _extent,
     count_extremes,
@@ -79,6 +80,58 @@ def test_max_scale_values():
 
 def test_interval_spec_count():
     assert IntervalSpec(3, 10, 2).count == 7
+
+
+class TestIntervalList:
+    SPECS = [IntervalSpec(1, 5, 2), IntervalSpec(3, 9, 3), IntervalSpec(4, 6, 4)]
+
+    def columns(self):
+        return IntervalList([1, 3, 4], [5, 9, 6], [2, 3, 4])
+
+    def test_equality_in_both_orders(self):
+        got = self.columns()
+        assert got == self.SPECS and self.SPECS == got
+        assert got == tuple(self.SPECS) and not got != self.SPECS
+        assert got == self.columns() and self.columns() == got
+        assert IntervalList() == [] and [] == IntervalList()
+
+    def test_inequality(self):
+        got = self.columns()
+        for other in (self.SPECS[:2], self.SPECS + self.SPECS[:1],
+                      [self.SPECS[0], IntervalSpec(3, 9, 2), self.SPECS[2]]):
+            assert got != other and other != got
+            assert got != IntervalList(*zip(*((s.j, s.k, s.scale) for s in other)))
+        assert got != IntervalList([1, 3, 4], [5, 9, 6], [2, 3, 5])
+        assert got != [(1, 5, 2), (3, 9, 3), (4, 6, 4)]
+        assert IntervalList() != "" and IntervalList() != b""
+
+    def test_indexing(self):
+        got = self.columns()
+        assert len(got) == 3
+        assert got[0] == self.SPECS[0] and got[-1] == self.SPECS[2]
+        assert got[np.int64(1)] == self.SPECS[1]
+        assert isinstance(got[1:], IntervalList) and got[1:] == self.SPECS[1:]
+        assert got[::-1] == self.SPECS[::-1] and got[5:] == []
+        assert list(got) == self.SPECS
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                got[i]
+        with pytest.raises(TypeError):
+            got[1.0]
+
+    def test_read_only(self):
+        got = self.columns()
+        source = np.array([1, 3, 4])
+        kept = IntervalList(source, source + 4, source)
+        source[0] = 7  # the caller's array stays writable
+        for cols in (got, got[1:], kept):
+            for col in (cols.j, cols.k, cols.scale):
+                assert col.dtype == np.int64
+                with pytest.raises(ValueError):
+                    col[0] = 2
+        assert not hasattr(got, "append")
+        with pytest.raises(AttributeError):
+            got.extra = 1
 
 
 def test_arrays_read_only():

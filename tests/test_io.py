@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mshist.densities import get_density
+from mshist.densities import classical_histogram, get_density
 from mshist.dp import HistogramModel, essential_histogram
 from mshist.evaluate import audit
 from mshist.inference import lower_bound_modes, significant_feature_intervals
@@ -19,7 +19,9 @@ from mshist.io import (
     write_json,
     write_plot_data,
 )
-from mshist.sample import DuplicateValuesError
+from mshist.sample import DuplicateValuesError, SortedSample
+
+from reference import audit_document_reference
 
 
 class TestReadSample:
@@ -84,6 +86,30 @@ class TestDocuments:
         doc = audit_document(audit(sample, fit, 0.1, tables(300)), sample)
         assert doc["clean"] is True
         assert doc["violations"] == [] and doc["removable"] == []
+
+    @pytest.mark.parametrize("density", ["claw", "harp"])
+    def test_audit_document_matches_row_writer(self, tables, density):
+        """The column writer's text equals the one-row-at-a-time writer's,
+        for the fit and the three classical rules."""
+        sample = get_density(density).sampler(0, 3000)
+        estimators = [essential_histogram(sample, 0.1, tables(3000))] + [
+            classical_histogram(sample, r) for r in ("sturges", "scott_width", "scott_area")
+        ]
+        flagged = 0
+        for est in estimators:
+            report = audit(sample, est, 0.1, tables(3000))
+            flagged += len(report.violations)
+            got = json.dumps(audit_document(report, sample), indent=1)
+            assert got == json.dumps(audit_document_reference(report, sample), indent=1)
+        assert flagged > 1000
+
+    def test_small_sample_audit_document_matches_row_writer(self):
+        sample = SortedSample(np.linspace(0.0, 1.0, 7))
+        est = HistogramModel(np.array([0.0, 1.0]), np.array([1.0]), 7)
+        report = audit(sample, est, 0.1, None)
+        assert report.kappa is None
+        got = json.dumps(audit_document(report, sample), indent=1)
+        assert got == json.dumps(audit_document_reference(report, sample), indent=1)
 
 
 class TestPlotData:
