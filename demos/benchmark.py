@@ -22,7 +22,8 @@ rows = mshist.benchmark_rows(
 )
 write_benchmark_csv(rows, "benchmark_claw.csv")
 
-print(f"claw, n={n}, {reps} replications (true density has 5 modes):\n")
+true_modes = density.true_mode_count
+print(f"claw, n={n}, {reps} replications (true density has {true_modes} modes):\n")
 print(f"{'method':>12} {'bins':>6} {'modes':>6} {'ise':>8} {'ks':>8} {'d_0.01':>8}")
 for method in ("essential", "sturges", "scott_width"):
     sel = [r for r in rows if r["method"] == method]

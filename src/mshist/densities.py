@@ -246,8 +246,6 @@ def _from_breaks(sample: SortedSample, breaks: np.ndarray) -> HistogramModel:
     x = sample.values
     n = sample.n
     breaks = np.unique(np.asarray(breaks, dtype=float))
-    if breaks.size < 2:
-        breaks = np.array([x[0], x[-1]])
     idx = np.clip(np.searchsorted(breaks, x, side="left") - 1, 0, breaks.size - 2)
     counts = np.bincount(idx, minlength=breaks.size - 1)
     # merge runs of adjacent empty bins into one empty bin

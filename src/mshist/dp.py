@@ -103,15 +103,7 @@ class HistogramModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HistogramModel):
             return NotImplemented
-        counts_equal = (self.counts is None) == (other.counts is None) and (
-            self.counts is None or np.array_equal(self.counts, other.counts)
-        )
-        return (
-            self.n == other.n
-            and np.array_equal(self.breaks, other.breaks)
-            and np.array_equal(self.heights, other.heights)
-            and counts_equal
-        )
+        return self.to_dict() == other.to_dict()
 
     @property
     def nbins(self) -> int:
@@ -119,19 +111,17 @@ class HistogramModel:
 
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breaks, x, side="left") - 1
-        idx = np.where(x == self.breaks[0], 0, idx)
-        inside = (idx >= 0) & (idx < self.nbins) & (x <= self.breaks[-1])
-        return np.where(inside, self.heights[np.clip(idx, 0, self.nbins - 1)], 0.0)
+        idx = np.searchsorted(self.breaks[1:-1], x, side="left")
+        inside = (x >= self.breaks[0]) & (x <= self.breaks[-1])
+        return np.where(inside, self.heights[idx], 0.0)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         cum = np.concatenate(([0.0], np.cumsum(self.heights * np.diff(self.breaks))))
         idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, self.nbins)
-        left = self.breaks[np.minimum(idx, self.nbins)]
-        h = np.where(idx < self.nbins, self.heights[np.minimum(idx, self.nbins - 1)], 0.0)
-        val = cum[np.minimum(idx, self.nbins)] + h * np.maximum(x - left, 0.0)
-        val = np.where(x < self.breaks[0], 0.0, val)
+        h = np.append(self.heights, 0.0)[idx]
+        left = self.breaks[idx]
+        val = cum[idx] + h * (np.clip(x, left, self.breaks[-1]) - left)
         return np.minimum(val, 1.0)
 
     def to_dict(self) -> dict:

@@ -33,10 +33,10 @@ MERGE_WINDOW = 5
 class AuditReport:
     """Outcome of auditing one estimator on one sample at one level; the
     flagged intervals are the read-only index columns of an
-    :class:`IntervalList`, so unlike ``removable`` they cannot change."""
+    :class:`IntervalList` and ``removable`` a tuple, so neither can change."""
 
     violations: IntervalList
-    removable: list[tuple[int, int]]  # (change-point index, merge multiplicity)
+    removable: tuple[tuple[int, int], ...]  # (change-point index, merge multiplicity)
     alpha: float
     kappa: float | None  # None when the system is empty and no table is read
 
@@ -67,7 +67,7 @@ def _violations(sample, estimator, ctab, where) -> IntervalList:
     return IntervalList(ctab.a[viol], ctab.b[viol], scale[viol])
 
 
-def _removable(sample, estimator, ctab, where) -> list[tuple[int, int]]:
+def _removable(sample, estimator, ctab, where) -> tuple[tuple[int, int], ...]:
     below, upto, _ = where
     nb = estimator.nbins
     # every run of segments first..last, 2..MERGE_WINDOW long
@@ -86,7 +86,7 @@ def _removable(sample, estimator, ctab, where) -> list[tuple[int, int]]:
         - np.bincount(last[ok] + 1, minlength=nb + 1)
     )
     cps = last[ok & (last == first + 1)]
-    return list(zip(cps.tolist(), cover[cps].tolist()))
+    return tuple(zip(cps.tolist(), cover[cps].tolist()))
 
 
 def violation_intervals(
@@ -111,18 +111,18 @@ def removable_changepoints(
     estimator: HistogramModel,
     alpha: float,
     table: QuantileTable,
-) -> list[tuple[int, int]]:
+) -> tuple[tuple[int, int], ...]:
     """Change-points of the estimator that the data do not require.
 
     A change-point is removable when pooling its two adjacent segments into
     one constant block passes all contained constraints; its multiplicity
     counts every admissible contiguous merge of 2..MERGE_WINDOW segments
     covering it.  As in the fit, a pooled block's density counts the sample
-    (a model's ``counts`` play no part).  Returned as (breakpoint index into
-    estimator.breaks, multiplicity).
+    (a model's ``counts`` play no part).  Returned as a tuple of (breakpoint
+    index into estimator.breaks, multiplicity) pairs.
     """
     setup = _prologue(sample, estimator, alpha, table)
-    return [] if setup is None else _removable(sample, estimator, *setup[1:])
+    return () if setup is None else _removable(sample, estimator, *setup[1:])
 
 
 def audit(
@@ -137,7 +137,7 @@ def audit(
     is not read then."""
     setup = _prologue(sample, estimator, alpha, table)
     if setup is None:
-        return AuditReport(violations=IntervalList(), removable=[], alpha=alpha, kappa=None)
+        return AuditReport(violations=IntervalList(), removable=(), alpha=alpha, kappa=None)
     kappa, *rest = setup
     return AuditReport(
         violations=_violations(sample, estimator, *rest),

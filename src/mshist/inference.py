@@ -225,22 +225,18 @@ def lower_bound_modes(features: list[FeatureInterval]) -> tuple[int, int]:
     pair a trough.  No certificates give (0, 0): no nontrivial bound.
     """
     feats = sorted(features, key=lambda f: (f.hull[1], f.hull[0]))
-    modes = troughs = 0
+    best = (0, 0)
     for start in ("increase", "decrease"):
-        chain = []
+        length = 0
         want = start
         right = -np.inf
         for f in feats:
             if f.direction == want and f.hull[0] >= right:
-                chain.append(f.direction)
+                length += 1
                 right = f.hull[1]
                 want = "decrease" if want == "increase" else "increase"
-        m = sum(
-            1 for a, b in zip(chain, chain[1:]) if (a, b) == ("increase", "decrease")
-        )
-        t = sum(
-            1 for a, b in zip(chain, chain[1:]) if (a, b) == ("decrease", "increase")
-        )
-        if (m, t) > (modes, troughs):
-            modes, troughs = m, t
-    return modes, troughs
+        # the chain alternates, so its first direction and its length give
+        # both pair counts: L // 2 pairs start like it, (L - 1) // 2 do not
+        pairs = (length // 2, max(length - 1, 0) // 2)
+        best = max(best, pairs if start == "increase" else pairs[::-1])
+    return best

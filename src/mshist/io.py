@@ -53,7 +53,7 @@ def read_histogram(path) -> HistogramModel:
 
 
 def write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(doc) + "\n")  # no indent: json's C encoder
 
 
 def feature_document(
@@ -118,12 +118,7 @@ def audit_document(report: AuditReport, sample: SortedSample) -> dict:
 
 def histogram_steps(fit: HistogramModel) -> list[tuple[float, float]]:
     """2K step coordinates (x, height) tracing the histogram left to right."""
-    pts = []
-    for i in range(fit.nbins):
-        h = float(fit.heights[i])
-        pts.append((float(fit.breaks[i]), h))
-        pts.append((float(fit.breaks[i + 1]), h))
-    return pts
+    return list(zip(fit.breaks.repeat(2)[1:-1].tolist(), fit.heights.repeat(2).tolist()))
 
 
 def write_plot_data(doc: dict, path) -> None:

@@ -6,11 +6,13 @@ of the interval system, the plain Bellman recursion over all predecessors,
 the one-bin test read from the whole band table, the exhaustive-search
 oracle, the audit's violation test one system interval at a time in value
 space, its merge test one window at a time and its document one violation
-at a time, the feature search on a binary indexed (Fenwick) tree, the
-multiscale statistic evaluated on every system interval, and the
-deterministic check of the paper's Proposition 1.  The oracle solves its own
-bands, so it shares only the membership test :func:`mshist.bounds.in_band`
-with the fit.
+at a time, the results layer in its long form (the mode bounds from the
+list of chain directions, a model's equality field by field, its pdf and
+cdf with every index clamped, its step coordinates one bin at a time), the
+feature search on a binary indexed (Fenwick) tree, the multiscale statistic
+evaluated on every system interval, and the deterministic check of the
+paper's Proposition 1.  The oracle solves its own bands, so it shares only
+the membership test :func:`mshist.bounds.in_band` with the fit.
 """
 from __future__ import annotations
 
@@ -347,16 +349,16 @@ def removable_reference(
     estimator: HistogramModel,
     alpha: float,
     table: QuantileTable,
-) -> list[tuple[int, int]]:
+) -> tuple[tuple[int, int], ...]:
     """:func:`mshist.evaluate.removable_changepoints` one merge window and
     one system row at a time, with multiplicities by a scan of all windows."""
     nb = estimator.nbins
     if nb < 2:
-        return []
+        return ()
     n = sample.n
     j, _, _ = interval_arrays(n)
     if j.size == 0:
-        return []
+        return ()
     ctab = constraint_table(sample, lookup_kappa(table, alpha, n))
     admissible = {}
     for first in range(nb):
@@ -374,7 +376,7 @@ def removable_reference(
             if ok and first < cp <= last
         )
         out.append((cp, mult))
-    return out
+    return tuple(out)
 
 
 def audit_document_reference(report: AuditReport, sample: SortedSample) -> dict:
@@ -401,6 +403,82 @@ def audit_document_reference(report: AuditReport, sample: SortedSample) -> dict:
             {"index": cp, "multiplicity": mult} for cp, mult in report.removable
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# the results layer in its long form
+
+
+def lower_bound_modes_reference(features: list[FeatureInterval]) -> tuple[int, int]:
+    """:func:`mshist.inference.lower_bound_modes` with each greedy chain kept
+    as its list of directions and every adjacent pair counted."""
+    feats = sorted(features, key=lambda f: (f.hull[1], f.hull[0]))
+    modes = troughs = 0
+    for start in ("increase", "decrease"):
+        chain = []
+        want = start
+        right = -np.inf
+        for f in feats:
+            if f.direction == want and f.hull[0] >= right:
+                chain.append(f.direction)
+                right = f.hull[1]
+                want = "decrease" if want == "increase" else "increase"
+        m = sum(
+            1 for a, b in zip(chain, chain[1:]) if (a, b) == ("increase", "decrease")
+        )
+        t = sum(
+            1 for a, b in zip(chain, chain[1:]) if (a, b) == ("decrease", "increase")
+        )
+        if (m, t) > (modes, troughs):
+            modes, troughs = m, t
+    return modes, troughs
+
+
+def models_equal_reference(a: HistogramModel, b: HistogramModel) -> bool:
+    """``HistogramModel.__eq__`` field by field: n, breaks, heights, and
+    counts that are both missing or both present and equal."""
+    counts_equal = (a.counts is None) == (b.counts is None) and (
+        a.counts is None or np.array_equal(a.counts, b.counts)
+    )
+    return (
+        a.n == b.n
+        and np.array_equal(a.breaks, b.breaks)
+        and np.array_equal(a.heights, b.heights)
+        and counts_equal
+    )
+
+
+def pdf_reference(model: HistogramModel, x) -> np.ndarray:
+    """``HistogramModel.pdf`` with the left end of the first bin a special
+    case and the bin index clipped."""
+    x = np.asarray(x, dtype=float)
+    idx = np.searchsorted(model.breaks, x, side="left") - 1
+    idx = np.where(x == model.breaks[0], 0, idx)
+    inside = (idx >= 0) & (idx < model.nbins) & (x <= model.breaks[-1])
+    return np.where(inside, model.heights[np.clip(idx, 0, model.nbins - 1)], 0.0)
+
+
+def cdf_reference(model: HistogramModel, x) -> np.ndarray:
+    """``HistogramModel.cdf`` with every index clamped where it is read."""
+    x = np.asarray(x, dtype=float)
+    nb = model.nbins
+    cum = np.concatenate(([0.0], np.cumsum(model.heights * np.diff(model.breaks))))
+    idx = np.clip(np.searchsorted(model.breaks, x, side="right") - 1, 0, nb)
+    left = model.breaks[np.minimum(idx, nb)]
+    h = np.where(idx < nb, model.heights[np.minimum(idx, nb - 1)], 0.0)
+    val = cum[np.minimum(idx, nb)] + h * np.maximum(x - left, 0.0)
+    val = np.where(x < model.breaks[0], 0.0, val)
+    return np.minimum(val, 1.0)
+
+
+def histogram_steps_reference(fit: HistogramModel) -> list[tuple[float, float]]:
+    """:func:`mshist.io.histogram_steps` one bin at a time."""
+    pts = []
+    for i in range(fit.nbins):
+        h = float(fit.heights[i])
+        pts.append((float(fit.breaks[i]), h))
+        pts.append((float(fit.breaks[i + 1]), h))
+    return pts
 
 
 # ---------------------------------------------------------------------------

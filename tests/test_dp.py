@@ -21,7 +21,10 @@ from reference import (
     FeasibleBand,
     _bellman_unpruned,
     brute_force_histogram,
+    cdf_reference,
     feasible_bands,
+    models_equal_reference,
+    pdf_reference,
     segment_cost,
     table_histogram,
     unpruned_histogram,
@@ -102,6 +105,68 @@ class TestHistogramModel:
         assert m.cdf([-1.0, 0.0, 1.0, 2.0, 3.0, 4.0]).tolist() == [
             0.0, 0.0, 0.5, 0.75, 1.0, 1.0,
         ]
+
+    def test_pdf_cdf_match_reference(self):
+        """Random models, on a coarse grid or not, a third with empty bins,
+        at their breaks, inside and beyond them, at NaN and at both
+        infinities, and at a scalar point."""
+        rng = np.random.default_rng(24)
+        for r in range(3000):
+            nb = int(rng.integers(1, 8))
+            if r % 2:
+                breaks = np.sort(rng.choice(np.arange(-6, 7) / 2, nb + 1, replace=False))
+            else:
+                breaks = np.unique(rng.normal(0.0, 10.0 ** rng.integers(-3, 4), nb + 1))
+            heights = rng.random(breaks.size - 1)
+            if r % 3 == 0:
+                heights *= rng.random(heights.size) < 0.5
+                heights[rng.integers(heights.size)] = 1.0
+            m = HistogramModel(breaks, heights / np.sum(heights * np.diff(breaks)), 10)
+            span = breaks[-1] - breaks[0]
+            x = np.concatenate((
+                breaks, rng.uniform(breaks[0] - span, breaks[-1] + span, 12),
+                [np.nan, np.inf, -np.inf],
+            ))
+            # the reference's cdf reads 0 * inf = NaN at +inf, with a warning
+            x_cdf = x[x != np.inf]
+            for got, want in (
+                (m.pdf(x), pdf_reference(m, x)),
+                (m.cdf(x_cdf), cdf_reference(m, x_cdf)),
+                (m.pdf(x[r % x.size]), pdf_reference(m, x[r % x.size])),
+                (m.cdf(breaks[-1]), cdf_reference(m, breaks[-1])),
+            ):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want, equal_nan=True), m
+
+    def test_cdf_is_flat_past_the_support(self):
+        """At +inf the cdf is its value at the last break, not 0 * inf."""
+        m = HistogramModel(np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.25]), 10)
+        assert m.cdf([3.0, 1e308, np.inf]).tolist() == [1.0, 1.0, 1.0]
+        assert m.cdf(np.inf) == m.cdf(3.0) == 1.0
+
+    def test_equality_matches_reference(self):
+        """Missing against present counts, -0.0 against 0.0 in breaks and
+        heights, another n, and every pair of a few nearby models."""
+        b, h = np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.25])
+        models = [
+            HistogramModel(b, h, 10),
+            HistogramModel(b, h, 10, counts=[5, 5]),
+            HistogramModel(b, h, 10, counts=[5, 4]),
+            HistogramModel(b, h, 11),
+            HistogramModel(b, h, 11, counts=[5, 5]),
+            HistogramModel(b - 1.0, h, 10),
+            HistogramModel(np.array([0.0, 1.0, 2.5]), np.array([0.5, 1.0 / 3.0]), 10),
+            HistogramModel(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0]), 4),
+            HistogramModel(np.array([-1.0, -0.0, 1.0]), np.array([-0.0, 1.0]), 4),
+            HistogramModel(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0]), 4, [0, 4]),
+        ]
+        for a in models:
+            for c in models:
+                assert (a == c) is models_equal_reference(a, c)
+                assert (a != c) is not models_equal_reference(a, c)
+        assert models[7] == models[8]
+        assert models[0] != models[1] and models[0] != models[3]
+        assert models[0].__eq__("x") is NotImplemented and models[0] != "x"
 
     def test_roundtrip(self):
         m = HistogramModel(

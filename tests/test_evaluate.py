@@ -153,10 +153,10 @@ class TestAudit:
         est = halves(sample)
         report = audit(sample, est, 0.1, None)
         assert report == AuditReport(
-            violations=[], removable=[], alpha=0.1, kappa=None
+            violations=[], removable=(), alpha=0.1, kappa=None
         )
         assert violation_intervals(sample, est, 0.1, None) == []
-        assert removable_changepoints(sample, est, 0.1, None) == []
+        assert removable_changepoints(sample, est, 0.1, None) == ()
         doc = json.loads(json.dumps(audit_document(report, sample)))
         assert doc["kappa"] is None and doc["clean"] is True
 
@@ -197,6 +197,16 @@ class TestAudit:
             with pytest.raises(ValueError):
                 col[0] = 1
         assert not hasattr(report.violations, "append")
+
+    def test_removable_is_read_only(self, tables):
+        """The removable pairs are a tuple, so a clean report stays clean."""
+        sample = get_density("uniform").sampler(0, 500)
+        fit = essential_histogram(sample, 0.1, tables(500))
+        report = audit(sample, fit, 0.1, tables(500))
+        assert report.clean and not report.removable
+        with pytest.raises(AttributeError):
+            report.removable.append((1, 1))
+        assert report.clean and report.removable == ()
 
     def test_audit_builds_no_interval_object(self, tables, monkeypatch):
         """The audit, its violation half, the report's length and ``clean``
@@ -264,11 +274,11 @@ class TestRemovable:
     def test_uniform_two_bin_changepoint_removable(self, tables):
         sample = get_density("uniform").sampler(2, 500)
         rem = removable_changepoints(sample, halves(sample), 0.1, tables(500))
-        assert rem == [(1, 1)]
+        assert rem == ((1, 1),)
 
     def test_single_bin_has_none(self, tables):
         sample = get_density("uniform").sampler(2, 300)
-        assert removable_changepoints(sample, single_bin(sample), 0.1, tables(300)) == []
+        assert removable_changepoints(sample, single_bin(sample), 0.1, tables(300)) == ()
 
     def test_single_bin_reads_the_table(self, tables):
         """A one-bin estimator takes the merge test audit() takes, so a
@@ -285,7 +295,7 @@ class TestRemovable:
         for seed, density, n in cases:
             sample = get_density(density).sampler(seed, n)
             fit = essential_histogram(sample, 0.1, tables(n))
-            assert removable_changepoints(sample, fit, 0.1, tables(n)) == [], (density, n)
+            assert removable_changepoints(sample, fit, 0.1, tables(n)) == (), (density, n)
 
     def test_multiplicity_counts_covering_merges(self, tables):
         # four equal bins on uniform data: every contiguous merge is feasible
@@ -364,7 +374,7 @@ class TestRemovableMatchesReference:
         # are the fitted sample's, and the audit counts the audited one
         table = tables(500)
         claw = get_density("claw")
-        cases = ((5, [(4, 1)]), (7, [(5, 1), (6, 1)]), (3, [(4, 1), (7, 1)]))
+        cases = ((5, ((4, 1),)), (7, ((5, 1), (6, 1))), (3, ((4, 1), (7, 1))))
         for fit_seed, expect in cases:
             fit = essential_histogram(claw.sampler(fit_seed, 500), 0.5, table)
             sample = claw.sampler(fit_seed + 1, 500)

@@ -15,7 +15,12 @@ from mshist.inference import (
 from mshist.multiscale import lookup_kappa, penalty
 from mshist.sample import SortedSample
 
-from reference import build_interval_system, feature_intervals_tree
+from conftest import SEED
+from reference import (
+    build_interval_system,
+    feature_intervals_tree,
+    lower_bound_modes_reference,
+)
 
 
 def radius_oracle(count, n, width, kappa):
@@ -339,3 +344,44 @@ class TestLowerBoundModes:
         for _ in range(5):
             perm = [feats[i] for i in rng.permutation(len(feats))]
             assert lower_bound_modes(perm) == expect
+
+    def test_matches_reference_on_random_feature_lists(self):
+        """0-12 hulls on a small integer grid, so that ends touch, hulls nest
+        and sort keys tie, with both directions in any order."""
+        rng = np.random.default_rng(24)
+        seen = set()
+        for _ in range(20_000):
+            size = int(rng.integers(0, 13))
+            ends = np.sort(rng.integers(0, 10, (size, 2)), axis=1).tolist()
+            dirs = rng.choice(["increase", "decrease"], size).tolist()
+            feats = [self._feat(lo, hi, d) for (lo, hi), d in zip(ends, dirs)]
+            got = lower_bound_modes(feats)
+            assert got == lower_bound_modes_reference(feats), feats
+            assert {type(v) for v in got} <= {int}
+            seen.add(got)
+        # a mode or a trough ahead, and chains of every parity
+        assert {(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)} <= seen
+
+    def test_matches_reference_on_acceptance_samples(self, tables):
+        """The feature lists of the acceptance suite's samples: criterion 9's
+        uniform, claw and exponential samples at n = 100-200 over its five
+        levels, and criterion 6's first claw samples at n = 3000."""
+        from mshist.densities import get_density
+
+        def seeded(key, rep):
+            ss = np.random.SeedSequence(entropy=SEED, spawn_key=(key, rep))
+            return int(ss.generate_state(1)[0])
+
+        cycle = (("uniform", 100), ("claw", 150), ("exponential", 200))
+        levels = (0.05, 0.1, 0.3, 0.5, 0.9)
+        cases = [(*cycle[i % 3], seeded(9, i), levels) for i in range(50)]
+        cases += [("claw", 3000, seeded(6, rep), (0.9,)) for rep in range(3)]
+        certified = 0
+        for name, n, seed, alphas in cases:
+            sample = get_density(name).sampler(seed, n)
+            for alpha in alphas:
+                feats = significant_feature_intervals(sample, alpha, tables(n))
+                got = lower_bound_modes(feats)
+                assert got == lower_bound_modes_reference(feats), (name, n, alpha)
+                certified += got != (0, 0)
+        assert certified > 10, certified

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mshist.densities import classical_histogram, get_density
+from mshist.densities import CLASSICAL_RULES, classical_histogram, get_density
 from mshist.dp import HistogramModel, essential_histogram
 from mshist.evaluate import audit
 from mshist.inference import lower_bound_modes, significant_feature_intervals
@@ -21,7 +21,7 @@ from mshist.io import (
 )
 from mshist.sample import DuplicateValuesError, SortedSample
 
-from reference import audit_document_reference
+from reference import audit_document_reference, histogram_steps_reference
 
 
 class TestReadSample:
@@ -80,6 +80,24 @@ class TestDocuments:
         write_json(doc, path)
         assert read_features(path) == feats
 
+    def test_written_document_is_one_compact_line(self, tables, tmp_path):
+        sample = get_density("harp").sampler(0, 500)
+        fit = essential_histogram(sample, 0.1, tables(500))
+        feats = significant_feature_intervals(sample, 0.1, tables(500))
+        report = audit(sample, classical_histogram(sample, "sturges"), 0.1, tables(500))
+        docs = [
+            histogram_document(fit, 0.1),
+            feature_document(feats, 0.1, lower_bound_modes(feats)),
+            audit_document(report, sample),
+        ]
+        assert feats and report.violations
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"{i}.json"
+            write_json(doc, path)
+            text = path.read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert json.loads(text) == doc
+
     def test_audit_document_fields(self, tables):
         sample = get_density("uniform").sampler(1, 300)
         fit = essential_histogram(sample, 0.1, tables(300))
@@ -118,6 +136,28 @@ class TestPlotData:
         pts = histogram_steps(m)
         assert len(pts) == 4
         assert pts[0] == (0.0, 0.5) and pts[-1] == (3.0, 0.25)
+
+    def test_histogram_steps_match_reference(self, tables):
+        """Fits and the classical rules, zero-height bins included, and
+        random models: the same Python floats, point for point."""
+        rng = np.random.default_rng(24)
+        models = []
+        for name in ("uniform", "claw", "harp"):
+            sample = get_density(name).sampler(0, 1000)
+            models.append(essential_histogram(sample, 0.1, tables(1000)))
+            models += [classical_histogram(sample, r) for r in CLASSICAL_RULES]
+        for nb in range(1, 40):
+            breaks = np.unique(rng.normal(size=nb + 1))
+            heights = rng.random(breaks.size - 1) * (rng.random(breaks.size - 1) < 0.7)
+            heights[0] = 1.0
+            heights /= np.sum(heights * np.diff(breaks))
+            models.append(HistogramModel(breaks, heights, 9))
+        assert any(np.any(m.heights == 0.0) for m in models)
+        for m in models:
+            got = histogram_steps(m)
+            assert got == histogram_steps_reference(m)
+            assert len(got) == 2 * m.nbins
+            assert {type(v) for pt in got for v in pt} == {float}
 
     def test_single_bin_two_points(self, tmp_path):
         m = HistogramModel(np.array([0.0, 2.0]), np.array([0.5]), 10)
