@@ -8,6 +8,8 @@ count as a mass band and laid out over the system by ``bounds.band_table``,
 the builder of the fit's bands.  Comparing two disjoint intervals whose
 average densities differ by more than the sum of half-radii therefore
 certifies a point of increase (or decrease) of the density between them.
+Only the inclusion-minimal such hulls are reported, and one forward scan
+over right ends per direction finds exactly those.
 """
 from __future__ import annotations
 
@@ -16,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConstraintTable, band_table
-from .intervals import (
-    IntervalSpec,
-    count_groups,
-    interval_arrays,
-    minimal_intervals,
-)
+from .intervals import IntervalSpec, count_groups, interval_arrays
 from .multiscale import QuantileTable, lookup_kappa, penalty
 from .sample import SortedSample
 
@@ -61,69 +58,102 @@ def _radii(sample: SortedSample, kappa: float) -> ConstraintTable:
     return band_table(sample, p - h, p + h)
 
 
-def _max_left_end(j, queries):
-    """For each ``(vrank, t, c)`` in ``queries`` and each of its queries q:
-    the largest j[a] over the positions a < t[q] with vrank[a] < c[q].
-    Returns the final arrangement ``pos`` and per set ``(best, start, count)``:
-    ``pos[start[q] : start[q] + count[q]]``, each query's last node, are the
-    positions a < t[q] with j[a] == best[q], ascending.
+def _minimal_hulls(j, k, start, vals, thr) -> list[tuple[int, int]]:
+    """The inclusion-minimal hulls of one direction as (left witness, right
+    interval) row pairs, in ascending right end.
 
-    ``vrank`` is a permutation of the positions, and every query must have
-    such an a.  A wavelet matrix over the bits of the left end: level by level
-    from the top bit of j, the arrangement is stably split by that bit, zeros
-    first, so every node (the positions whose j shares the bits above) is a
-    contiguous run in position order.  A query keeps its node's start and the
-    end of the node's members with position < t.  It takes the one child when
-    the child's first members hold a rank below c, which a running max of the
-    rank complements m - 1 - vrank within each node shows.  Its answer is the
-    left end of its last node.
+    Row a certifies row b when k[a] <= j[b] and vals[a] < thr[b], with the
+    hull [j[a], k[b]].  Rows are sorted by right end and, within one, by
+    strictly ascending left end; rows ``start[s] .. start[s+1]`` end at s,
+    for every s up to max(k) + 1.
 
-    Per set every position carries one packed word, ``node << shift | rank
-    complement``, that moves with the arrangement.  After a level's split the
-    arrangement is sorted by the bit-reversed prefix of j, so OR-ing the
-    level's bit into the node code of the one-part keeps the codes ascending
-    and distinct per node: the running max restarts at each node by itself.
-    Queries read only the one-part, so the running max is taken there alone,
-    into a buffer whose first slot stands before it, and the query updates
-    are branch-free.  The split depends on j alone and serves every query
-    set.  A set with no queries is not descended, and when no set has a query
-    no level is built: ``pos`` is then the identity.
+    Let G(r) be the largest left end over the certifying pairs whose right
+    interval ends at or before r.  The minimal hulls are the [G(r), r] at the
+    right ends where G jumps, so one forward scan over right ends finds them.
+    With g the current G, b raises it iff a row with j > g and k <= j[b] lies
+    below thr[b]; those rows are a suffix of each right end's run, so the
+    least of them is the run's suffix minimum at the first row past g, and
+    a prefix minimum over right ends answers each b.  The scan extends that
+    prefix minimum in windows that double until a b passes; at the jump it
+    re-reads the new hull's interior under the new g.  At a jump, the last
+    row below thr[b] at each right end of the interior is a search in the
+    run's ascending suffix minima, so the largest left end is exact.  Of the
+    right intervals reaching G(r) the lowest threshold, then position, is
+    kept; its witness is the certifying row at left end G(r) that a prefix-max
+    binary indexed tree filled in vals order would keep (the first tree node
+    its query visits, then the first inserted), as the tree search in
+    ``tests/reference.py`` does.
     """
+    width = start.size  # above every end, so k * width + j orders the rows
+    # per right end s, for the rows with j > g: the least vals ending at s,
+    # and its prefix minimum over right ends; g starts below every left end
+    held = start[:-1] < start[1:]
+    at_end = np.full(width - 1, np.inf)
+    at_end[held] = np.minimum.reduceat(vals, start[:-1][held])
+    upto = np.minimum.accumulate(at_end)
+    cand = np.flatnonzero(upto[j] < thr)  # the right intervals with a partner
+    if not cand.size:
+        return []
+    jc, kc, tc = j[cand], k[cand], thr[cand]
+    # per row, (right end, least vals from the row to its run's end) as one
+    # complex number: complex order is lexicographic, so the array ascends
     m = j.size
-    shift = m.bit_length()
-    low = (1 << shift) - 1
-    # per set: packed words, node start, node end, complement of c
-    sets = [
-        [m - 1 - vrank, np.zeros_like(t), t.copy(), m - 1 - c]
-        for vrank, t, c in queries
-    ]
-    busy = [s for s in sets if s[1].size]
-    top = int(j.max()).bit_length() if busy else 0
-    assert top + shift <= 62, "packed words overflow int64"
-    key = j << shift | np.arange(m)  # left end and position, moved together
-    ones = np.zeros(m + 1, dtype=np.int64)
-    run = np.zeros(m + 1, dtype=np.int64)  # slot 0 stands before the one-part
-    for level, bit in enumerate(range(top - 1, -1, -1)):
-        one = (key & (1 << (shift + bit))) != 0
-        np.cumsum(one, out=ones[1:])
-        zeros = m - ones[m]
-        split = np.concatenate((np.flatnonzero(~one), np.flatnonzero(one)))
-        key = key[split]
-        for s in busy:
-            words, start, end, bar = s
-            words = s[0] = words[split]
-            words[zeros:] |= 1 << (shift + level)
-            np.maximum.accumulate(words[zeros:], out=run[1 : m - zeros + 1])
-            before = ones[start]
-            after = ones[end]
-            take = (after > before) & ((run[after] & low) > bar)
-            start -= before
-            start += take * (zeros + before - start)
-            end -= after
-            end += take * (zeros + after - end)
-    found = [(key[start] >> shift, start, end - start) for _, start, end, _ in sets]
-    key &= low
-    return key, found
+    suffix = np.empty(m + 1, dtype=complex)
+    suffix.real[:m], suffix.imag[:m] = k, vals
+    suffix.real[m], suffix.imag[m] = width, np.inf
+    suffix = np.minimum.accumulate(suffix[::-1])[::-1]
+    least = suffix.imag
+    order = k * width + j
+    ends = np.arange(width)
+    out = []
+    g = -1
+    done = last = int(kc[-1])  # upto holds for the right ends <= done
+    i = 0  # the candidates before i are settled
+    grow = 64  # right ends read past the next candidate, doubled on a miss
+    while i < cand.size:
+        stop = min(max(done, int(kc[i]) - 1) + grow, last)
+        first = order.searchsorted(ends[done + 1 : stop + 1] * width + g + 1)
+        fresh = least[first]
+        fresh[first >= start[done + 2 : stop + 2]] = np.inf  # no row past g
+        at_end[done + 1 : stop + 1] = upto[done + 1 : stop + 1] = fresh
+        np.minimum.accumulate(upto[done : stop + 1], out=upto[done : stop + 1])
+        done = stop
+        reach = int(kc.searchsorted(stop, side="right"))
+        hit = np.flatnonzero(upto[jc[i:reach]] < tc[i:reach])
+        if not hit.size:
+            i = reach
+            grow *= 2
+            continue
+        hit += i
+        r = int(kc[hit[0]])
+        i = int(kc.searchsorted(r, side="right"))
+        hit = hit[hit < i]  # the candidates that end at r and raise G
+        jb, tb = jc[hit], tc[hit]
+        # per such b and right end s in (g + 1, j[b]] with a row past g below
+        # thr[b]: the last row below thr[b] there, whose left end is above g
+        lo, hi = g + 2, int(jb[-1]) + 1
+        q, s = ((at_end[lo:hi] < tb[:, None]) & (ends[lo:hi] <= jb[:, None])).nonzero()
+        s += lo
+        probe = np.empty(s.size, dtype=complex)
+        probe.real, probe.imag = s, tb[q]
+        row = suffix.searchsorted(probe) - 1
+        left = j[row]
+        g_new = int(left.max())
+        top = left == g_new
+        qt = q[top]
+        keep = qt[tb[qt].argmin()]  # lowest threshold, then position
+        b = int(cand[hit[keep]])
+        t_b = int(start[j[b] + 1])  # the rows that end by j[b]
+        a = min(
+            row[top][qt == keep].tolist(),
+            key=lambda a: ((a ^ t_b).bit_length(), vals[a], a),
+        )
+        out.append((a, b))
+        upto[g + 1 : g_new + 2] = np.inf
+        g = g_new
+        done = g + 1
+        grow = 64
+    return out
 
 
 def significant_feature_intervals(
@@ -138,19 +168,15 @@ def significant_feature_intervals(
     for the interval system (n < 9) has no pair, so nothing is certified:
     the list is empty and ``table`` is not read.
 
-    The search reads the radius band table of :func:`_radii`.  For each
-    right interval b the tightest hull needs the largest left end j[a] over
-    the left intervals a with k[a] <= j[b] and a threshold below b's, a 2-D
-    dominance query, answered for both directions by one wavelet-matrix
-    descent over the bits of the left ends (log2(n) levels of a few O(m)
-    array passes, see :func:`_max_left_end`).  The sample has no ties, so
-    the hulls are filtered to the inclusion-minimal ones on their index ends
-    by :func:`intervals.minimal_intervals`, in linear time; of equal hulls
-    the one of lowest threshold, then lowest position, is kept.  Of the
-    candidates in a query's last node, the witness and margin reported are
-    those a prefix-max binary indexed tree filled in threshold order would
-    keep (the first tree node its query visits, then the first inserted), as
-    the tree search in ``tests/reference.py`` does.
+    The search reads the radius band table of :func:`_radii`.  A right
+    interval b's tightest hull starts at the largest left end j[a] over the
+    left intervals a with k[a] <= j[b] and a bound beyond b's threshold.  The
+    sample has no ties, so only the hulls minimal on their index ends are
+    kept, and :func:`_minimal_hulls` finds exactly those, per direction, in
+    one forward scan over right ends: it settles a right interval only where
+    the largest certified left end jumps.  Of equal hulls the one of lowest
+    threshold, then lowest position, is kept, with the witness and margin
+    that the tree search in ``tests/reference.py`` reports.
     """
     n = sample.n
     kappa = lookup_kappa(table, alpha, n)
@@ -160,55 +186,21 @@ def significant_feature_intervals(
     j, k = band.a, band.b
     _, _, scale = interval_arrays(n)
     x = sample.values
-    t = band.start[j + 1]  # left candidates end by the right one's start
-
-    searches = []
-    for vals, thr in ((band.hi, band.lo), (-band.lo, -band.hi)):
-        # increase, then decrease: pair (a, b) with k[a] <= j[b] certifies
-        # the direction iff vals[a] < thr[b]; for each b the tightest hull
-        # comes from the certifying a with the largest left endpoint j[a].
-        # A prefix min of vals finds the b with a partner; vals are ranked
-        # only then: a certifies b iff a < t[b] and vrank[a] < c, however ties rank
-        lowest = np.minimum.accumulate(np.concatenate(([np.inf], vals)))
-        b = np.flatnonzero(lowest[t] < thr)  # the right intervals with a partner
-        by_val = np.argsort(vals) if b.size else b
-        vrank = np.empty_like(by_val)
-        vrank[by_val] = np.arange(by_val.size)
-        order = np.argsort(thr[b])  # per b, searched by ascending threshold
-        c = np.empty_like(b)
-        c[order] = np.searchsorted(vals[by_val], thr[b[order]], side="left")
-        searches.append((vals, thr, vrank, c, b))
-    pos, found = _max_left_end(j, [(vr, t[b], c) for _, _, vr, c, b in searches])
 
     out: list[FeatureInterval] = []
-    for direction, (vals, thr, vrank, c, b), (left_end, start, count) in zip(
-        ("increase", "decrease"), searches, found
+    for direction, vals, thr in (
+        ("increase", band.hi, band.lo),
+        ("decrease", -band.lo, -band.hi),
     ):
-        # keep only hulls minimal under set inclusion; equal ones share their
-        # left end, and of those the lowest threshold, then position, survives
-        keep = minimal_intervals(left_end, k[b])
-        keep = keep[np.lexsort((thr[b[keep]], left_end[keep]))]
-        lead = np.diff(left_end[keep], prepend=0) != 0  # left ends are >= 1
-        for q in keep[lead]:
-            rb = int(b[q])
-            tb = int(t[rb])
-            # the rows with that left end before t[rb], from the last node
-            cand = pos[start[q] : start[q] + count[q]]
-            cand = cand[vrank[cand] < c[q]]
-            # the pick of a prefix-max Fenwick tree over positions, filled in
-            # vals order, ties by position: the first node its query visits,
-            # then the first in
-            la = int(
-                min(cand, key=lambda a: ((int(a) ^ tb).bit_length(), vals[a], a))
-            )
+        for a, b in _minimal_hulls(j, k, band.start, vals, thr):
             out.append(
                 FeatureInterval(
-                    hull=(float(x[left_end[q] - 1]), float(x[k[rb] - 1])),
+                    hull=(float(x[j[a] - 1]), float(x[k[b] - 1])),
                     direction=direction,
-                    margin=float(thr[rb] - vals[la]),
+                    margin=float(thr[b] - vals[a]),
                     witnesses=(
-                        IntervalSpec(int(j[la]), int(k[la]), int(scale[la])),
-                        IntervalSpec(int(j[rb]), int(k[rb]), int(scale[rb])),
+                        IntervalSpec(int(j[a]), int(k[a]), int(scale[a])),
+                        IntervalSpec(int(j[b]), int(k[b]), int(scale[b])),
                     ),
                 )
             )

@@ -239,22 +239,3 @@ def count_groups(n: int):
     group.flags.writeable = False
     return counts, group
 
-
-def minimal_intervals(left, right):
-    """Positions of the inclusion-minimal intervals among ``[left[i],
-    right[i]]``, ascending: those containing no other interval of the set but
-    equal ones, which all survive together for the caller to choose from.
-
-    Ends are nonnegative integer indices.  An interval is minimal iff its
-    right end is the least of its left end's and lies strictly below every
-    right end of a larger left end; a per-left-end minimum and its suffix
-    minimum give both in O(Q + max(left)) time, without a sort.
-    """
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    if left.size == 0:
-        return np.empty(0, dtype=np.intp)
-    least = np.full(int(left.max()) + 2, int(right.max()) + 1, dtype=np.int64)
-    np.minimum.at(least, left, right)
-    beyond = np.minimum.accumulate(least[::-1])[::-1]  # over left ends >= l
-    return np.flatnonzero((right == least[left]) & (right < beyond[left + 1]))

@@ -9,10 +9,12 @@ space, its merge test one window at a time and its document one violation
 at a time, the results layer in its long form (the mode bounds from the
 list of chain directions, a model's equality field by field, its pdf and
 cdf with every index clamped, its step coordinates one bin at a time), the
-feature search on a binary indexed (Fenwick) tree, the multiscale statistic
-evaluated on every system interval, and the deterministic check of the
-paper's Proposition 1.  The oracle solves its own bands, so it shares only
-the membership test :func:`mshist.bounds.in_band` with the fit.
+feature search on a binary indexed (Fenwick) tree, its scan for the
+inclusion-minimal hulls as a quadratic pair scan with a linear
+inclusion-minimal filter, the multiscale statistic evaluated on every
+system interval, and the deterministic check of the paper's Proposition 1.
+The oracle solves its own bands, so it shares only the membership test
+:func:`mshist.bounds.in_band` with the fit.
 """
 from __future__ import annotations
 
@@ -570,6 +572,60 @@ def feature_intervals_tree(
                 )
             )
     out.sort(key=lambda f: f.hull)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inclusion-minimal hulls of one direction by a quadratic pair scan
+
+
+def minimal_intervals(left, right):
+    """Positions of the inclusion-minimal intervals among ``[left[i],
+    right[i]]``, ascending: those containing no other interval of the set but
+    equal ones, which all survive together for the caller to choose from.
+
+    Ends are nonnegative integer indices.  An interval is minimal iff its
+    right end is the least of its left end's and lies strictly below every
+    right end of a larger left end; a per-left-end minimum and its suffix
+    minimum give both in O(Q + max(left)) time, without a sort.
+    """
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    if left.size == 0:
+        return np.empty(0, dtype=np.intp)
+    least = np.full(int(left.max()) + 2, int(right.max()) + 1, dtype=np.int64)
+    np.minimum.at(least, left, right)
+    beyond = np.minimum.accumulate(least[::-1])[::-1]  # over left ends >= l
+    return np.flatnonzero((right == least[left]) & (right < beyond[left + 1]))
+
+
+def minimal_hull_pairs(j, k, vals, thr) -> list[tuple[int, int]]:
+    """:func:`mshist.inference._minimal_hulls` by a quadratic pair scan.
+
+    Row a certifies row b when k[a] <= j[b] and vals[a] < thr[b].  Each b
+    with a partner gets the hull from its certifying left end furthest
+    right; :func:`minimal_intervals` keeps the inclusion-minimal hulls, and
+    of equal ones the lowest threshold, then position, survives.  The
+    witness is the certifying row at that left end which a prefix-max
+    Fenwick tree over positions, filled in vals order, would keep: the first
+    tree node the query visits, then the least vals, then the position.
+    Returns (witness, right interval) pairs in ascending right end.
+    """
+    j, k = np.asarray(j), np.asarray(k)
+    cert = (k[None, :] <= j[:, None]) & (vals[None, :] < thr[:, None])  # [b, a]
+    b = np.flatnonzero(cert.any(axis=1))
+    if not b.size:
+        return []
+    left = np.where(cert[b], j, -1).max(axis=1)
+    keep = minimal_intervals(left, k[b])
+    keep = keep[np.lexsort((b[keep], thr[b[keep]], left[keep]))]
+    keep = keep[np.diff(left[keep], prepend=-2) != 0]
+    out = []
+    for q in keep.tolist():
+        rb = int(b[q])
+        t = int(np.searchsorted(k, j[rb], side="right"))  # rows ending by j[b]
+        cand = np.flatnonzero(cert[rb] & (j == left[q])).tolist()
+        out.append((min(cand, key=lambda a: ((a ^ t).bit_length(), vals[a], a)), rb))
     return out
 
 

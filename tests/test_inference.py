@@ -7,7 +7,7 @@ from mshist import inference
 from mshist.bounds import _count_roots
 from mshist.inference import (
     FeatureInterval,
-    _max_left_end,
+    _minimal_hulls,
     _radii,
     lower_bound_modes,
     significant_feature_intervals,
@@ -20,6 +20,7 @@ from reference import (
     build_interval_system,
     feature_intervals_tree,
     lower_bound_modes_reference,
+    minimal_hull_pairs,
 )
 
 
@@ -123,71 +124,99 @@ class TestConfidenceRadius:
         assert np.all(seen["lo"][ok] <= q_lo[ok]) and np.all(q_hi[ok] <= seen["hi"][ok])
 
 
-def random_query_sets(rng, m):
-    """Two rank permutations with 3m queries each, kept where some a < t has
-    a rank below c."""
-    out = []
-    for _ in range(2):
-        vrank = rng.permutation(m)
-        t = rng.integers(1, m + 1, size=3 * m)
-        c = rng.integers(1, m + 1, size=3 * m)
-        has = np.minimum.accumulate(vrank)[t - 1] < c
-        out.append((vrank, t[has], c[has]))
-    return out
+def random_rows(rng, ends, density, lefts=None):
+    """Distinct rows (j, k), 0 <= j < k <= ends, sorted by (k, j): each pair
+    kept with probability ``density``, the left ends drawn from ``lefts``
+    when given; returns j, k and the row offsets per right end."""
+    j, k = np.array([(a, b) for b in range(1, ends + 1) for a in range(b)]).T
+    keep = rng.random(j.size) < density
+    if lefts is not None:
+        keep &= np.isin(j, lefts)
+    j, k = j[keep], k[keep]
+    return j, k, np.searchsorted(k, np.arange(ends + 2))
 
 
-def assert_brute_force(j, sets):
-    """``_max_left_end`` answers every query as a scan does, and each query's
-    last node holds the positions a < t with j[a] equal to its answer,
-    ascending.  Returns the call's result."""
-    pos, found = _max_left_end(j, sets)
-    for (vrank, t, c), (got, start, count) in zip(sets, found):
-        assert t.size
-        want = [j[:tq][vrank[:tq] < cq].max() for tq, cq in zip(t, c)]
-        assert got.tolist() == want
-        for tq, w, s, cnt in zip(t, want, start, count):
-            node = pos[s : s + cnt].tolist()
-            assert node == np.flatnonzero(j[:tq] == w).tolist()
-    return pos, found
+def assert_scan(j, k, start, vals, thr):
+    """``_minimal_hulls`` returns what the quadratic pair scan does, and
+    returns it."""
+    got = _minimal_hulls(j, k, start, vals, thr)
+    assert got == minimal_hull_pairs(j, k, vals, thr)
+    assert all(type(a) is int and type(b) is int for a, b in got)
+    return got
 
 
-class TestMaxLeftEnd:
-    @pytest.mark.parametrize("m", [1, 2, 16, 17, 64, 65, 300])
-    def test_matches_brute_force(self, m):
-        """Random left ends, with many rows per left end when ``top`` is small
-        and the top bit set on some of them (8 is the top bit alone, 63 all
-        bits), and two rank permutations searched in one call."""
-        rng = np.random.default_rng(m)
-        for top in (1, 3, 8, 63, 1000):
-            j = rng.integers(1, top + 1, size=m)
-            j[rng.integers(m)] = top
-            sets = random_query_sets(rng, m)
-            pos, found = assert_brute_force(j, sets)
-            # a set with no queries next to one with queries, then only
-            # empty sets: those get empty answers, and with no query at all
-            # no level is built, so the arrangement is the identity
-            vrank, t, c = sets[0]
-            empty = (vrank, t[:0], c[:0])
-            pos_mixed, mixed = _max_left_end(j, [empty, sets[1]])
-            assert np.array_equal(pos_mixed, pos)
-            assert [a.size for a in mixed[0]] == [0, 0, 0]
-            for got, want in zip(mixed[1], found[1]):
-                assert np.array_equal(got, want)
-            pos_none, none = _max_left_end(j, [empty, empty])
-            assert pos_none.tolist() == list(range(m))
-            assert [a.size for found_set in none for a in found_set] == [0] * 6
+def overlaps(hulls):
+    """How many of the (left, right) hulls start before the previous one
+    ends."""
+    return sum(lo < hi for (_, hi), (lo, _) in zip(hulls, hulls[1:]))
 
-    @pytest.mark.parametrize("m", [1, 300])
-    def test_wide_left_ends_and_empty_one_parts(self, m):
-        """Left ends up to 2**40 take 41 levels of node code above the
-        m.bit_length() bits of rank in each packed word.  When every left end
-        is the top bit alone, the one-part of every level below it is empty,
-        so the queries read the buffer slot before it."""
-        rng = np.random.default_rng(m)
-        wide = rng.integers(1, 2**40 + 1, size=m)
-        wide[rng.integers(m)] = 2**40
-        for j in (wide, np.full(m, 2**40), np.full(m, 8)):
-            assert_brute_force(j, random_query_sets(rng, m))
+
+class TestMinimalHulls:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pair_scan(self, seed):
+        """Random rows with bounds from a few integers, so that vals tie with
+        each other and with thresholds, at densities from sparse to every
+        pair, and with few left ends, so that one left end holds many rows."""
+        rng = np.random.default_rng(seed)
+        found = shared = 0
+        for ends in (2, 5, 12, 40):
+            for density in (0.2, 0.6, 1.0):
+                for lefts in (None, rng.choice(ends, 2)):
+                    j, k, start = random_rows(rng, ends, density, lefts)
+                    if not j.size:
+                        continue
+                    for levels in (2, 5, 1000):
+                        vals = rng.integers(0, levels, j.size).astype(float)
+                        thr = rng.integers(0, levels, j.size).astype(float)
+                        got = assert_scan(j, k, start, vals, thr)
+                        found += len(got)
+                        shared += lefts is not None and len(got) > 0
+        assert found > 50 and shared > 0
+
+    def test_no_certifying_pair(self):
+        """Every threshold at or below every bound: no pair certifies, and
+        ties between a bound and a threshold never do."""
+        rng = np.random.default_rng(1)
+        j, k, start = random_rows(rng, 30, 0.5)
+        vals = rng.integers(3, 6, j.size).astype(float)
+        assert assert_scan(j, k, start, vals, np.full(j.size, 3.0)) == []
+        zeros = np.zeros(j.size)  # ties never certify
+        assert assert_scan(j, k, start, zeros, zeros) == []
+
+    def test_chain_of_overlapping_hulls(self):
+        """Every pair certifies: each right interval's hull starts at the
+        largest left end of the rows that end by its start, so the minimal
+        hulls form one chain in which every hull overlaps the next; random
+        bounds on the same rows break the chain at random places."""
+        rng = np.random.default_rng(2)
+        j, k, start = random_rows(rng, 60, 0.3)
+        got = assert_scan(j, k, start, np.zeros(j.size), np.ones(j.size))
+        assert len(got) > 10
+        assert overlaps([(j[a], k[b]) for a, b in got]) == len(got) - 1
+        for _ in range(20):
+            vals = rng.random(j.size)
+            got = assert_scan(j, k, start, vals, vals[rng.permutation(j.size)] + 0.3)
+            assert overlaps([(j[a], k[b]) for a, b in got]) > 0
+
+    def test_system_rows(self, tables):
+        """The system's own rows and radius bands, both directions, on the
+        samples of criterion 9 (uniform, claw and exponential at n = 100-200)
+        over its five levels: the same hulls, kept right intervals and
+        witnesses as the pair scan, and so exactly the inclusion-minimal
+        certified hulls."""
+        from mshist.densities import get_density
+
+        cycle = (("uniform", 100), ("claw", 150), ("exponential", 200))
+        found = 0
+        for i in range(50):
+            name, n = cycle[i % 3]
+            ss = np.random.SeedSequence(entropy=SEED, spawn_key=(9, i))
+            sample = get_density(name).sampler(int(ss.generate_state(1)[0]), n)
+            for alpha in (0.05, 0.1, 0.3, 0.5, 0.9):
+                band = _radii(sample, lookup_kappa(tables(n), alpha, n))
+                for vals, thr in ((band.hi, band.lo), (-band.lo, -band.hi)):
+                    found += len(assert_scan(band.a, band.b, band.start, vals, thr))
+        assert found > 20, found
 
 
 class TestFeatureSearch:
@@ -235,6 +264,23 @@ class TestFeatureSearch:
                     certifying_at_left_end(sample, alpha, tables(n), f) for f in got
                 ])
         assert most_ties >= 2
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    @pytest.mark.parametrize("shape", ["exponential", "sqrt_uniform"])
+    def test_monotone_density_matches_tree_search(self, tables, shape, alpha):
+        """The scan's worst shape: on a monotone density the hulls overlap
+        most, so every jump re-reads a long interior.  Exponential data and
+        the square root of uniform data (density 2x on [0, 1]) at n = 1000."""
+        from mshist.densities import get_density
+
+        if shape == "exponential":
+            sample = get_density("exponential").sampler(11, 1000)
+        else:
+            sample = SortedSample(np.sqrt(np.random.default_rng(11).random(1000)))
+        got = significant_feature_intervals(sample, alpha, tables(1000))
+        assert got == feature_intervals_tree(sample, alpha, tables(1000))
+        assert len(got) > 10 and len({f.direction for f in got}) == 1
+        assert overlaps([f.hull for f in got]) > len(got) // 2
 
     def test_tied_bounds_match_tree_search(self, tables):
         """Two equally spaced stretches: all system intervals of one count

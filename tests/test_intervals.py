@@ -14,11 +14,10 @@ from mshist.intervals import (
     level_counts,
     levels,
     max_scale,
-    minimal_intervals,
 )
 from mshist.sample import SortedSample
 
-from reference import build_interval_system
+from reference import build_interval_system, minimal_intervals
 
 
 def reference_system(n):
