@@ -13,29 +13,45 @@ maximal likelihood.
 The solver works in rounds, as SMUCE does (Frick, Munk & Sieling, JRSSB
 2014): round k starts only from the nodes that round k - 1 reached first
 and reaches every node that k blocks reach but k - 1 do not.  A round
-sweeps the nodes left to right in chunks of CHUNK columns, with array
-operations on (column x candidate) grids and no loop over single nodes or
-table rows.  Its invariants:
+sweeps the nodes left to right in steps, with array operations on (column
+x candidate) grids and no loop over single nodes or table rows.  A step
+starting at a column not reached yet (an open column) covers CHUNK columns;
+a run of columns that earlier rounds reached only narrows the bands, so one
+step covers it whole.  Its invariants:
 
 - the band of block (t, i] is the tightest over the system intervals [a, b]
   with a >= t and b <= i, so it only narrows as i grows or as t falls;
 - so a candidate with an empty band stays dead for the rest of the round,
   and the dead candidates are a prefix of the sorted active nodes: the live
   ones are a suffix;
-- a round stops only when no live candidate is left, or at n.  Candidates
-  right of the sweep are live: K is not monotone in the node index, so they
-  may reach further than those already dead.
+- a round stops when no live candidate is left, or no open column right of
+  the sweep.  Candidates right of the sweep are live: K is not monotone in
+  the node index, so they may reach further than those already dead.
 
-A chunk's table rows (a, b] bind the live nodes t <= a, so the bands they
+A step's table rows (a, b] bind the live nodes t <= a, so the bands they
 add change along the nodes only at the held nodes, the last live node at or
 left of some row's a.  The rows are combined on a (column x held node) grid,
 a prefix over the columns and a suffix over the held nodes, and each live
 node reads the first held node at or right of it.  The band carried from
-earlier chunks is already monotone along the nodes (it only narrows as t
+earlier steps is already monotone along the nodes (it only narrows as t
 falls), so one max/min with it after that read gives the exact band.  The
-bands are carried widened by the membership slack (``bounds.widen``), which
-commutes with max and min, so the membership and death tests are plain
-comparisons.
+table's bands are widened once per fit by the membership slack
+(``bounds.widen``), which commutes with max and min, so the membership and
+death tests are plain comparisons.
+
+Every cell of the cost grid is costed, but the band is tested only at each
+open column's winner, its cheapest cell, first on ties (``np.argmin``).
+The feasible cells are a subset of all cells, so a feasible winner is the
+cheapest feasible cell, and the first of them on ties: a feasible cell of
+equal cost lies right of the winner, which is the first of all.  Only a
+column whose winner fails reads its whole band row and takes the cheapest
+feasible cell.  A pair with t >= i is no block: t = i cannot occur, since
+the candidates are reached and the open columns are not, and a pair with
+t > i has a negative width, which the band test rejects, so if it wins,
+its column only falls back.  The death test and the carried band read the
+band of the step's last column alone, because the band only narrows as i
+grows: a candidate dead there is dead at every column to its right, and
+one alive there is alive at every column of the step.
 
 Node n needs only the bands of the blocks (t, n], so each round first tries
 to reach n and sweeps only if it cannot.  The first round starts from node 0
@@ -136,11 +152,27 @@ class HistogramModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HistogramModel":
+        """The model of a document: ``to_dict``'s keys, and ``cut_indices``
+        when present, which must be integers rising strictly from 0 to n."""
+        n = int(d["n"])
+        cuts = d.get("cut_indices")
+        if "cut_indices" in d:
+            ints = isinstance(cuts, (list, tuple)) and all(
+                isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                for c in cuts
+            )
+            if not (ints and len(cuts) >= 2 and cuts[0] == 0 and cuts[-1] == n
+                    and all(a < b for a, b in zip(cuts, cuts[1:]))):
+                raise ValueError(
+                    f"cut_indices must be integers rising strictly from 0 to n={n}"
+                )
+            cuts = tuple(int(c) for c in cuts)
         return cls(
             breaks=np.asarray(d["breaks"], dtype=float),
             heights=np.asarray(d["heights"], dtype=float),
-            n=int(d["n"]),
+            n=n,
             counts=np.asarray(d["counts"], dtype=np.int64) if "counts" in d else None,
+            cut_indices=cuts,
         )
 
 
@@ -151,53 +183,77 @@ class HistogramModel:
 CHUNK = 64
 
 
-def _block_cost(edge, V, n, t, i, lo, hi):
-    """Cost V[t] - count*log(mu) of blocks (t, i] (broadcast over t and i);
-    +inf where the block has no width or its density mu leaves the widened
-    band [lo, hi] (see ``bounds.widen``)."""
+def _block_cost(edge, V, n, t, i, lo=None, hi=None):
+    """Cost V[t] - count*log(mu) of blocks (t, i], with mu the density
+    count/(n*width), broadcast over t and i.
+
+    Given a widened band [lo, hi] (see ``bounds.widen``), +inf where
+    :func:`_admits` rejects the block.  Without one, no band is tested: a
+    block of no width costs -inf, and a pair with t >= i gives no cost (NaN
+    or a number)."""
     w = edge[i] - edge[t]
-    ok = w > 0.0
     # float counts are exact (indices stay far below 2**53) and spare the
     # grid two int-to-float casts; the passes below reuse their operands'
     # memory, as each is a full pass over a round's (column x candidate) grid
     counts = np.asarray(i, dtype=float) - np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = np.divide(counts, np.multiply(w, n, out=w), out=w)
-        ok &= mu >= lo
-        ok &= mu <= hi
         cost = np.log(mu, out=mu)
-        cost *= counts
-        np.subtract(V[t], cost, out=cost)
-    cost[~ok] = np.inf
-    return cost
+    cost *= counts
+    cost = np.subtract(V[t], cost, out=cost)
+    if lo is None:
+        return cost
+    return np.where(_admits(edge, n, t, i, lo, hi), cost, np.inf)
+
+
+def _admits(edge, n, t, i, lo, hi):
+    """Whether each block (t, i] has a positive width and its density, as
+    :func:`_block_cost` computes it, lies in the widened band [lo, hi] (see
+    ``bounds.widen``).  Broadcast over all arguments."""
+    w = edge[i] - edge[t]
+    counts = np.asarray(i, dtype=float) - np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = counts / (w * n)
+    return (w > 0.0) & (mu >= lo) & (mu <= hi)
 
 
 def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
     """One round: every node not reached yet that a feasible block from an
     active node reaches gets K = k, its cost and its predecessor.  Returns
-    those nodes, ascending."""
+    those nodes, ascending.  ``table`` holds widened bands.
+
+    Each open column takes its cheapest block over the live candidates with
+    no band, and only that winner is tested against the band; a column
+    whose winner fails takes the cheapest over its feasible blocks.  Exact,
+    ties included: see the module docstring."""
     n = edge.size - 1
     big = n + 2
-    live = active
-    lo_t = np.full(live.size, -np.inf)  # widened band of (t, i0 - 1], t in live
-    hi_t = np.full(live.size, np.inf)
+    # index in ``active`` of the last active node at or left of each node
+    last = np.cumsum(np.bincount(active, minlength=n + 1)) - 1
+    # the open columns, not reached yet: a round reaches only swept ones
+    unreached = np.flatnonzero(K == big)
+    dead = 0  # active[:dead] are dead, active[dead:] live
+    lo_t = np.full(active.size, -np.inf)  # widened band of (t, i0 - 1]
+    hi_t = np.full(active.size, np.inf)
     reached = []
     i0 = 1
-    while live.size:
+    while dead < active.size:
+        live = active[dead:]
         i0 = max(i0, int(live[0]) + 1)  # no block ends at or before live[0]
-        if i0 > n:
-            break
-        i1 = min(i0 + CHUNK, n + 1)
-        todo = i0 + np.flatnonzero(K[i0:i1] == big)  # columns not reached yet
-        # one bucket per such column, and the chunk's last column for the
-        # death test
-        cols = np.append(todo, i1 - 1)
-        # blocks from nodes at or right of i1 - 1 end past this chunk and
+        p = int(np.searchsorted(unreached, i0))
+        if p == unreached.size:
+            break  # no open column left to reach
+        # reached columns up to the next open one only narrow the bands: one
+        # step, with no open column, carries them all
+        i1 = int(unreached[p]) if unreached[p] > i0 else min(i0 + CHUNK, n + 1)
+        todo = unreached[p : np.searchsorted(unreached, i1)]
+        # blocks from nodes at or right of i1 - 1 end past this step and
         # hold no table row yet: their band stays (-inf, inf)
         m = int(np.searchsorted(live, i1 - 1))
         lv = live[:m]
+        lo_c, hi_c = lo_t[dead : dead + m], hi_t[dead : dead + m]
         rows = slice(table.start[i0], table.start[i1])
-        g = np.searchsorted(lv, table.a[rows], "right") - 1
+        g = last[table.a[rows]] - dead
         keep = g >= 0  # rows left of every live node bound none of them
         g = g[keep]
         # a row (a, b] binds the live nodes t <= a and is held by the last
@@ -208,40 +264,50 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
         rank = np.cumsum(held)
         first = rank - held
         slots = int(rank[-1]) + 1
-        cell = np.searchsorted(cols, table.b[rows][keep]) * slots + first[g]
-        lo, hi = widen(table.lo[rows][keep], table.hi[rows][keep])
-        L = np.full((cols.size, slots), -np.inf)
-        H = np.full((cols.size, slots), np.inf)
-        np.fmax.at(L.reshape(-1), cell, lo)
-        np.fmin.at(H.reshape(-1), cell, hi)
+        # one grid row per open column, for the rows (a, b] that end after
+        # the previous open column and by this one, and a last row, up to
+        # the step's last column i1 - 1, which feeds the death test
+        bucket = np.searchsorted(todo, np.arange(i0, i1)) * slots
+        cell = bucket[table.b[rows][keep] - i0] + first[g]
+        L = np.full((todo.size + 1, slots), -np.inf)
+        H = np.full((todo.size + 1, slots), np.inf)
+        np.fmax.at(L.reshape(-1), cell, table.lo[rows][keep])
+        np.fmin.at(H.reshape(-1), cell, table.hi[rows][keep])
         # prefix over columns, then suffix over held nodes: the band of
         # (t, i] is the tightest over rows with a >= t and b <= i
         np.fmax.accumulate(L, axis=0, out=L)
         np.fmin.accumulate(H, axis=0, out=H)
-        L = np.fmax.accumulate(L[:, ::-1], axis=1)[:, ::-1]
-        H = np.fmin.accumulate(H[:, ::-1], axis=1)[:, ::-1]
-        # exact: the carried band is already monotone along the nodes
-        L, H = L[:, first], H[:, first]
-        np.fmax(L, lo_t[:m], out=L)
-        np.fmin(H, hi_t[:m], out=H)
+        np.fmax.accumulate(L[:, ::-1], axis=1, out=L[:, ::-1])
+        np.fmin.accumulate(H[:, ::-1], axis=1, out=H[:, ::-1])
         if todo.size:
-            cost = _block_cost(
-                edge, V, n, lv, todo[:, None], L[: todo.size], H[: todo.size]
-            )
+            cost = _block_cost(edge, V, n, lv, todo[:, None])
             pos = np.argmin(cost, axis=1)  # first index on ties
-            best = cost[np.arange(todo.size), pos]
+            col = np.arange(todo.size)
+            best = cost[col, pos]
+            # the band at each column's winner; exact, because the carried
+            # band is already monotone along the nodes
+            f = first[pos]
+            lo = np.fmax(L[col, f], lo_c[pos])
+            hi = np.fmin(H[col, f], hi_c[pos])
+            fb = np.flatnonzero(~_admits(edge, n, lv[pos], todo, lo, hi))
+            if fb.size:  # the cheapest feasible cell over each whole row
+                lo = np.fmax(L[fb[:, None], first], lo_c)
+                hi = np.fmin(H[fb[:, None], first], hi_c)
+                ok = _admits(edge, n, lv, todo[fb, None], lo, hi)
+                c = np.where(ok, cost[fb], np.inf)
+                pos[fb] = np.argmin(c, axis=1)
+                best[fb] = c[np.arange(fb.size), pos[fb]]
             hit = best < np.inf
             got = todo[hit]
             K[got] = k
             V[got] = best[hit]
             pred[got] = lv[pos[hit]]
             reached.append(got)
-        lo_t[:m] = L[-1]
-        hi_t[:m] = H[-1]
+        np.fmax(L[-1, first], lo_c, out=lo_c)
+        np.fmin(H[-1, first], hi_c, out=hi_c)
         # an empty band stays empty as i grows (L never falls, H never
         # rises) and empties every longer block too: the dead are a prefix
-        alive = lo_t <= hi_t
-        live, lo_t, hi_t = live[alive], lo_t[alive], hi_t[alive]
+        dead += int(np.count_nonzero(lo_c > hi_c))
         i0 = i1
     return np.concatenate(reached) if reached else np.empty(0, dtype=np.int64)
 
@@ -263,6 +329,8 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
     # block (t, i] spans [edge[t], edge[i]] and holds i - t points; t = 0
     # is the virtual left edge at X_(1)
     edge = np.concatenate((x[:1], x))
+    # the bands widened once, for plain comparisons in every round
+    table = ConstraintTable(table.a, table.b, *widen(table.lo, table.hi), table.start)
     active = np.zeros(1, dtype=np.int64)
     k = 1
     while True:
@@ -272,7 +340,7 @@ def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
         if not active.size:
             raise RuntimeError("dynamic program stalled; constraint table inconsistent")
         if k == 1:
-            lo_n, hi_n = widen(*block_band(table, np.arange(n + 1), n))  # (t, n]
+            lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # (t, n]
         k += 1
         cost = _block_cost(edge, V, n, active, n, lo_n[active], hi_n[active])
         pos = int(np.argmin(cost))

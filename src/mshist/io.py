@@ -42,6 +42,8 @@ def read_sample(path, *, jitter: bool = False) -> SortedSample:
 
 def histogram_document(fit: HistogramModel, alpha: float | None = None) -> dict:
     doc = {"type": "histogram", **fit.to_dict()}
+    if fit.cut_indices is not None:
+        doc["cut_indices"] = list(fit.cut_indices)
     if alpha is not None:
         doc["alpha"] = alpha
     return doc

@@ -77,6 +77,21 @@ class TestFit:
         fdoc = json.loads((tmp / "fit.features.json").read_text())
         assert fdoc["modes_lb"] == 2 and fdoc["troughs_lb"] == 1
 
+    def test_document_round_trips_the_cut_indices(self, workdir, tables):
+        """The fit document records the fit's cut indices, and reading it
+        back gives them; the model compares equal either way."""
+        from mshist.dp import essential_histogram
+        from mshist.io import read_sample
+
+        tmp, data = workdir
+        out = tmp / "fit.json"
+        assert run("fit", "--input", data, "--out", out, *CACHE2K) == 0
+        want = essential_histogram(read_sample(data), 0.1, tables(900))
+        assert len(want.cut_indices) > 2
+        assert json.loads(out.read_text())["cut_indices"] == list(want.cut_indices)
+        fit = read_histogram(out)
+        assert fit.cut_indices == want.cut_indices and fit == want
+
     def test_alpha_sweep_monotone(self, workdir):
         tmp, data = workdir
         out = tmp / "fit.json"
@@ -178,6 +193,22 @@ class TestEvaluate:
                       '"heights": [0.05, 0.05], "n": 900}')
         assert run("evaluate", "--input", data, "--hist", hp, *CACHE2K) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cuts", [[0, 450.0, 900], [1, 450, 900], [0, 450, 899], [0, 450, 450, 900],
+                 [0, 600, 450, 900], [0, True, 900], [0], "0,900", {"0": 900}, None],
+    )
+    def test_malformed_cut_indices_exit_2(self, workdir, capsys, cuts):
+        tmp, data = workdir
+        hp = tmp / "cuts.json"
+        doc = {"type": "histogram", "n": 900, "breaks": [-9.0, 0.0, 9.0],
+               "heights": [1 / 18, 1 / 18], "cut_indices": [0, 450, 900]}
+        hp.write_text(json.dumps(doc))
+        assert run("evaluate", "--input", data, "--hist", hp, *CACHE2K) == 0
+        hp.write_text(json.dumps({**doc, "cut_indices": cuts}))
+        capsys.readouterr()
+        assert run("evaluate", "--input", data, "--hist", hp, *CACHE2K) == 2
+        assert "cut_indices" in capsys.readouterr().err
 
     def test_small_sample_gets_the_empty_report(self, tmp_path, capsys, caplog):
         """A sample too small for the system is audited against no interval:

@@ -329,6 +329,35 @@ class TestEssentialHistogram:
         for kappa in (0.5, 1.2):
             assert_set_nodes_match(bumps_sample(1500), kappa)
 
+    def test_both_paths_of_the_sweep_match_the_reference(self, monkeypatch):
+        """The sweep tests the band only at each column's cheapest block and
+        falls back to the column's whole band row when that block fails.
+        Most columns of gapped data fall back and most of claw's do not, and
+        both match the plain recursion on every set node."""
+        from mshist import dp
+
+        admits = dp._admits
+        columns = {"tested": 0, "fell back": 0}
+
+        def spy(edge, n, t, i, lo, hi):
+            ok = admits(edge, n, t, i, lo, hi)
+            if np.ndim(i) == 1:  # each open column's winner
+                columns["tested"] += ok.size
+            elif np.ndim(i) == 2:  # the columns whose winner failed
+                columns["fell back"] += ok.shape[0]
+            return ok
+
+        monkeypatch.setattr(dp, "_admits", spy)
+        for sample, kappa, falls_back in (
+            (gapped_sample(0), 1.0, True),
+            (gapped_sample(1), 0.5, True),
+            (get_density("harp").sampler(0, 1500), 1.2, False),
+            (get_density("claw").sampler(1, 3000), 0.6, False),
+        ):
+            columns.update({"tested": 0, "fell back": 0})
+            assert_set_nodes_match(sample, kappa)
+            assert (columns["fell back"] > columns["tested"] / 2) is falls_back
+
     def test_all_t_block_bands_only_past_the_first_round(self, tables, monkeypatch):
         """The first round tests the one bin (0, n] from each count's width
         extremes; the bands of every (t, n] are built once, when that round
