@@ -65,7 +65,7 @@ def _out_path(base: str, alpha: float, many: bool, suffix: str = "") -> Path:
 
 
 def cmd_fit(args) -> int:
-    sample = io.read_sample(args.input, jitter=args.jitter)
+    sample = io.read_sample(args.input)
     table = _table(sample.n, args, "returning a single-bin histogram")
     many = len(args.alpha) > 1
     for alpha in args.alpha:
@@ -88,7 +88,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    sample = io.read_sample(args.input, jitter=args.jitter)
+    sample = io.read_sample(args.input)
     estimator = io.read_histogram(args.hist)
     table = _table(sample.n, args, "the audit checks no interval")
     report = evaluate.audit(sample, estimator, args.alpha, table)
@@ -145,7 +145,6 @@ def _build_parser() -> _Parser:
         "--alpha", type=_alpha_list, default=[0.1], help="comma list; one output per alpha"
     )
     f.add_argument("--out", required=True)
-    f.add_argument("--jitter", action="store_true")
     f.add_argument("--features", action="store_true")
     common(f)
     f.set_defaults(func=cmd_fit)
@@ -155,7 +154,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--hist", required=True)
     e.add_argument("--alpha", type=float, default=0.1)
     e.add_argument("--out", default=None)
-    e.add_argument("--jitter", action="store_true")
     common(e)
     e.set_defaults(func=cmd_evaluate)
 

@@ -17,9 +17,9 @@ from .intervals import IntervalSpec
 from .sample import SortedSample
 
 
-def read_sample(path, *, jitter: bool = False) -> SortedSample:
-    """One numeric value per line; a single non-numeric first line is
-    treated as a header.  Decimal point only, independent of locale."""
+def read_sample(path) -> SortedSample:
+    """One numeric value per line; a single non-numeric first line is a
+    header.  Decimal point only, independent of locale; ties as in ``SortedSample``."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -33,7 +33,7 @@ def read_sample(path, *, jitter: bool = False) -> SortedSample:
         values = np.array([float(t) for t in lines[start:]], dtype=float)
     except ValueError as e:
         raise ValueError(f"{path}: non-numeric value ({e})") from None
-    return SortedSample(values, jitter=jitter)
+    return SortedSample(values)
 
 
 # ---------------------------------------------------------------------------

@@ -181,10 +181,10 @@ def simulate_quantiles(
     ``lookup_kappa`` serves a level between grid points from the next
     smaller grid level, whose threshold is at least as large.
 
-    Sample sizes above the cap share one table.  That is a known
-    approximation, not a converged limit: above the cap the statistic's
-    quantiles keep drifting up with n, so there the shared thresholds are
-    anti-conservative for alpha >= 0.5 (ROADMAP item 1).
+    Sample sizes above the cap share one table, so above about n = 2e4 the
+    shared thresholds are too small at every alpha measured: kappa(0.1) is
+    1.237 at n = 1e4 but 1.291 at 8e4, and kappa(0.5) rises 0.652 -> 0.764,
+    so there the level falls below 1 - alpha (ROADMAP item 1a).
 
     Tables are cached as write-once JSON files keyed by (capped n, reps,
     seed, format version): an existing file is returned as it is and never

@@ -1,43 +1,38 @@
-"""Sorted sample container: the sole data input of the library."""
+"""The sole data input of the library: a sorted sample, ties de-rounded or rejected."""
 from __future__ import annotations
 
 import numpy as np
 
 
 class DuplicateValuesError(ValueError):
-    """Raised when a sample contains exact duplicates and jitter is off, or
-    when its ties cannot be de-rounded: they are not rounding, a single
-    distinct value has no resolution, or a resolution below the values'
-    float spacing cannot separate them."""
+    """Raised when a sample's ties cannot be de-rounded: they are not
+    rounding, a single distinct value has no resolution, or a resolution
+    below the values' float spacing cannot separate them."""
 
 
 class SortedSample:
     """Immutable, strictly increasing sample of n >= 2 real values.
 
-    Exact duplicates are rejected by default: the methods here assume a
-    continuous underlying distribution, so ties are a data-quality signal.
-    With ``jitter=True`` ties must be rounding, and are de-rounded: the
-    resolution ``g`` is the smallest gap between adjacent distinct values,
-    every such gap must be a whole multiple of ``g`` up to float error, and
-    the ``m`` copies of a value ``v`` move to ``v + g*((i + 1/2)/m - 1/2)``,
-    i = 0 ... m-1, spread evenly over the rounding cell around ``v``.  The
-    result is deterministic, and untied values keep their place.
+    The methods here assume a continuous underlying distribution, so ties
+    must be rounding, and are de-rounded: the resolution ``g`` is the
+    smallest gap between adjacent distinct values, every such gap must be a
+    whole multiple of ``g`` up to float error, and the ``m`` copies of a
+    value ``v`` move to ``v + g*((i + 1/2)/m - 1/2)``, i = 0 ... m-1, spread
+    evenly over the rounding cell around ``v``.  The result is
+    deterministic, untied values keep their place, and a de-rounded sample
+    logs one WARNING on the ``mshist`` logger naming ``g`` and the number
+    of tied values.  Any other tie raises ``DuplicateValuesError``.
     """
 
     __slots__ = ("_values",)
 
-    def __init__(self, values, *, jitter: bool = False):
+    def __init__(self, values):
         v = np.sort(np.asarray(values, dtype=float))
         if v.ndim != 1 or v.size < 2:
             raise ValueError("need a 1-d sample with at least 2 values")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample contains non-finite values")
         if np.any(np.diff(v) == 0.0):
-            if not jitter:
-                raise DuplicateValuesError(
-                    "sample contains duplicate values; pass jitter=True to "
-                    "de-round ties"
-                )
             v = _deround(v)
         self._values = v
         self._values.flags.writeable = False
@@ -64,8 +59,7 @@ class SortedSample:
 
 
 def _deround(v: np.ndarray) -> np.ndarray:
-    """Spread each run of equal values in sorted ``v`` evenly over the
-    rounding cell around it; see ``SortedSample``."""
+    """De-round sorted ``v`` as ``SortedSample`` describes."""
     distinct, first, counts = np.unique(v, return_index=True, return_counts=True)
     if distinct.size < 2:
         raise DuplicateValuesError("a single distinct value has no resolution to de-round")
@@ -86,4 +80,10 @@ def _deround(v: np.ndarray) -> np.ndarray:
     out = v + g * ((i + 0.5) / m - 0.5)
     if np.any(np.diff(out) <= 0.0):
         raise DuplicateValuesError("ties too fine for the values' magnitude to separate")
+    import logging  # only here, so that untied samples do not load it
+
+    logging.getLogger("mshist").warning(
+        f"de-rounded {np.count_nonzero(m > 1)} tied values of {v.size} "
+        f"on a rounding grid of resolution g={g:g}"
+    )
     return out

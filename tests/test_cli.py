@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from mshist.cli import main
+from mshist.cli import _build_parser, main
 from mshist.densities import get_density
 from mshist.io import read_features, read_histogram
 
@@ -129,14 +129,6 @@ class TestFit:
         ]
         assert any("too small" in r.getMessage() for r in warned)
 
-    def test_duplicates_exit_2(self, tmp_path):
-        data = tmp_path / "d.txt"
-        data.write_text("\n".join(["1.0"] * 5 + [str(i) for i in range(2, 20)]))
-        out = tmp_path / "fit.json"
-        local = ["--cache-dir", tmp_path, "--reps", "150", "--seed", "1"]
-        assert run("fit", "--input", data, "--out", out, *local) == 2
-        assert run("fit", "--input", data, "--out", out, "--jitter", *local) == 0
-
     def test_tiny_sample_features_certify_nothing(self, tmp_path, capsys):
         """The feature search on a sample too small for the system writes
         the features document with no features, as the fit writes one bin."""
@@ -241,6 +233,57 @@ class TestEvaluate:
         assert run("evaluate", "--input", data, "--hist", out, "--out", rep,
                    *CACHE2K) == 0
         assert json.loads(rep.read_text())["kappa"] is None
+
+
+class TestTies:
+    def test_rounded_ties_fit_with_one_warning(self, tmp_path, capsys):
+        """Five copies of 1.0 among the integers 2-19 lie on the unit grid:
+        the fit de-rounds them to 0.6, 0.8, ..., 1.4 with no flag, and says
+        so once."""
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(["1.0"] * 5 + [str(i) for i in range(2, 20)]))
+        out = tmp_path / "fit.json"
+        local = ["--cache-dir", tmp_path, "--reps", "150", "--seed", "1"]
+        assert run("fit", "--input", data, "--out", out, *local) == 0
+        doc = json.loads(out.read_text())
+        assert doc["breaks"] == [0.6, 19.0] and doc["cut_indices"] == [0, 23]
+        err = capsys.readouterr().err
+        assert err.count("warning: de-rounded 5 tied values of 23 ") == 1
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_repeated_record_exit_2(self, workdir, capsys, command):
+        """A record repeated in unrounded data is no rounding: both commands
+        reject the sample, naming the repeated value."""
+        tmp, data = workdir
+        x = np.loadtxt(data)
+        x[1:4] = x[0]
+        data.write_text("\n".join(map(repr, x.tolist())) + "\n")
+        hist = tmp / "one_bin.json"
+        hist.write_text(json.dumps({"type": "histogram", "n": 900,
+                                    "breaks": [x.min(), x.max()],
+                                    "heights": [1.0 / (x.max() - x.min())]}))
+        args = {"fit": ["--out", tmp / "fit.json"], "evaluate": ["--hist", hist]}
+        assert run(command, "--input", data, *args[command], *CACHE2K) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: repeated values ")
+        assert f"{float(x[0])!r} (4 times)" in err
+        assert not (tmp / "fit.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, options",
+        [(["fit", "--input", "d", "--out", "o"],
+          {"input", "alpha", "out", "features"}),
+         (["evaluate", "--input", "d", "--hist", "h"],
+          {"input", "hist", "alpha", "out"})],
+        ids=["fit", "evaluate"],
+    )
+    def test_no_tie_option(self, argv, options):
+        """Ties are decided from the data, so neither command has an option
+        for them; an option they do not have is a usage error."""
+        args = _build_parser().parse_args(argv)
+        common = {"command", "func", "seed", "cache_dir", "reps"}
+        assert set(vars(args)) == options | common
+        assert run(*argv, "--no-such-option") == 1
 
 
 class TestSimulateAndPlot:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -53,12 +54,17 @@ class TestReadSample:
         with pytest.raises(ValueError):
             read_sample(p)
 
-    def test_duplicates_respect_jitter_flag(self, tmp_path):
+    def test_ties_derounded_or_rejected(self, tmp_path):
+        """Ties on a grid are de-rounded with no option to ask for it; a
+        repeat off the grid raises."""
         p = tmp_path / "d.txt"
         p.write_text("1.0\n1.0\n2.0\n")
-        with pytest.raises(DuplicateValuesError):
+        v = read_sample(p).values
+        assert v.size == 3 and np.all(np.diff(v) > 0)
+        assert list(inspect.signature(read_sample).parameters) == ["path"]
+        p.write_text("0.0\n0.3\n0.3\n1.0\n")
+        with pytest.raises(DuplicateValuesError, match="0.3 \\(2 times\\)"):
             read_sample(p)
-        assert read_sample(p, jitter=True).n == 3
 
 
 class TestDocuments:

@@ -1,3 +1,6 @@
+import inspect
+import logging
+
 import numpy as np
 import pytest
 
@@ -22,15 +25,36 @@ def test_rejects_small_and_nonfinite():
         SortedSample([[1.0, 2.0]])
 
 
-def test_rejects_duplicates_by_default():
-    with pytest.raises(DuplicateValuesError):
-        SortedSample([1.0, 2.0, 2.0, 3.0])
+def test_ties_on_a_grid_are_derounded():
+    s = SortedSample([1.0, 2.0, 2.0, 3.0])
+    assert s.values.tolist() == [1.0, 1.75, 2.25, 3.0]
 
 
-def test_jitter_separates_ties_deterministically():
+def test_repeated_record_off_the_grid_raises():
+    with pytest.raises(DuplicateValuesError, match="rounding grid"):
+        SortedSample([0.0, 0.3, 0.3, 1.0])
+
+
+def test_takes_no_tie_option():
+    """Ties are decided from the data, so the values are the only argument."""
+    assert list(inspect.signature(SortedSample).parameters) == ["values"]
+
+
+def test_derounding_logs_one_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="mshist"):
+        SortedSample([3.0, 1.0, 2.0])
+    assert caplog.records == []
+    with caplog.at_level(logging.WARNING, logger="mshist"):
+        SortedSample([0.5, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0])
+    [rec] = caplog.records
+    assert (rec.name, rec.levelno) == ("mshist", logging.WARNING)
+    assert "5 tied values" in rec.getMessage() and "g=0.5" in rec.getMessage()
+
+
+def test_derounding_separates_ties_deterministically():
     vals = [1.0, 2.0, 2.0, 2.0, 3.0]
-    a = SortedSample(vals, jitter=True)
-    b = SortedSample(vals, jitter=True)
+    a = SortedSample(vals)
+    b = SortedSample(vals)
     assert np.array_equal(a.values, b.values)
     assert np.all(np.diff(a.values) > 0)
     # resolution 1: the three copies of 2 spread evenly over (1.5, 2.5)
@@ -39,10 +63,10 @@ def test_jitter_separates_ties_deterministically():
 
 def test_ties_without_a_resolution_raise():
     with pytest.raises(DuplicateValuesError, match="single distinct value"):
-        SortedSample([2.0, 2.0, 2.0], jitter=True)
+        SortedSample([2.0, 2.0, 2.0])
     x = 1e9  # a resolution of one ulp leaves no room between the copies
     with pytest.raises(DuplicateValuesError, match="too fine"):
-        SortedSample([x, x, np.nextafter(x, np.inf)], jitter=True)
+        SortedSample([x, x, np.nextafter(x, np.inf)])
 
 
 def _rounded_normal(n):
@@ -51,7 +75,7 @@ def _rounded_normal(n):
 
 def test_derounding_separates_large_rounded_samples():
     x = _rounded_normal(30000)
-    s = SortedSample(x, jitter=True)
+    s = SortedSample(x)
     assert np.all(np.diff(s.values) > 0)
     # every value stays inside its rounding cell
     assert np.max(np.abs(s.values - np.sort(x))) < 0.5
@@ -61,7 +85,7 @@ def test_derounding_separates_large_rounded_samples():
 def test_derounded_fit_has_the_unrounded_bin_count(tables, shift):
     table = tables(1000)
     raw = SortedSample(np.random.default_rng(0).normal(0.0, 10.0, 1000))
-    tied = SortedSample(_rounded_normal(1000) + shift, jitter=True)
+    tied = SortedSample(_rounded_normal(1000) + shift)
     bins = essential_histogram(tied, 0.1, table).nbins
     assert bins == essential_histogram(raw, 0.1, table).nbins == 5
 
@@ -81,7 +105,7 @@ def test_derounded_catalog_fits_track_the_unrounded_ones(tables):
             else:
                 s = v.std()
             h = s / 20
-            tied = SortedSample(np.round(v / h) * h, jitter=True)
+            tied = SortedSample(np.round(v / h) * h)
             diffs.append(
                 essential_histogram(tied, 0.1, table).nbins
                 - essential_histogram(SortedSample(v), 0.1, table).nbins
@@ -101,7 +125,7 @@ def test_repeated_records_are_not_rounding(n):
         y = np.random.default_rng(0).normal(0.0, 1.0, n)
         y[1 : k + 1] = y[0]
         with pytest.raises(DuplicateValuesError, match="rounding grid") as err:
-            SortedSample(y, jitter=True)
+            SortedSample(y)
         assert f"{float(y[0])!r} ({k + 1} times)" in str(err.value)
 
 
