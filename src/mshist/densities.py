@@ -245,7 +245,10 @@ def _from_breaks(sample: SortedSample, breaks: np.ndarray) -> HistogramModel:
     """Histogram on given breaks; each run of adjacent empty bins merged."""
     x = sample.values
     n = sample.n
-    breaks = np.unique(np.asarray(breaks, dtype=float))
+    # np.unique's sort and drop of equal neighbours, without its import of
+    # numpy.ma
+    breaks = np.sort(np.asarray(breaks, dtype=float))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     idx = np.clip(np.searchsorted(breaks, x, side="left") - 1, 0, breaks.size - 2)
     counts = np.bincount(idx, minlength=breaks.size - 1)
     # merge runs of adjacent empty bins into one empty bin

@@ -53,12 +53,13 @@ band of the step's last column alone, because the band only narrows as i
 grows: a candidate dead there is dead at every column to its right, and
 one alive there is alive at every column of the step.
 
-Node n needs only the bands of the blocks (t, n], so each round first tries
-to reach n and sweeps only if it cannot.  The first round starts from node 0
-alone, and the band of (0, n] comes from each count's least and largest
-width (``bounds.whole_band``), so a one-bin fit builds no band table; the
-bands of every (t, n] are taken once by ``bounds.block_band``, and only
-when that round misses n.
+Node n needs only the bands of the blocks (t, n], so every round first
+tests those from its start nodes and sweeps only if none fits; the sweep
+reads the same bands, so this stop test is the one place n is reached.
+Round 1 starts from node 0 alone, with the band of (0, n] from each count's
+least and largest width (``bounds.whole_band``): a one-bin fit builds no
+band table and fills no per-node array.  The table and the bands of every
+(t, n], from ``bounds.block_band``, are built once, when round 1 misses n.
 """
 from __future__ import annotations
 
@@ -66,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConstraintTable, block_band, constraint_table, whole_band, widen
+from .bounds import (ConstraintTable, block_band, check_scale, constraint_table,
+                     whole_band, widen)
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
@@ -183,14 +185,12 @@ class HistogramModel:
 CHUNK = 64
 
 
-def _block_cost(edge, V, n, t, i, lo=None, hi=None):
+def _block_cost(edge, V, n, t, i):
     """Cost V[t] - count*log(mu) of blocks (t, i], with mu the density
     count/(n*width), broadcast over t and i.
 
-    Given a widened band [lo, hi] (see ``bounds.widen``), +inf where
-    :func:`_admits` rejects the block.  Without one, no band is tested: a
-    block of no width costs -inf, and a pair with t >= i gives no cost (NaN
-    or a number)."""
+    No band is tested (see :func:`_admits`): a block of no width costs
+    -inf, and a pair with t >= i gives no cost (NaN or a number)."""
     w = edge[i] - edge[t]
     # float counts are exact (indices stay far below 2**53) and spare the
     # grid two int-to-float casts; the passes below reuse their operands'
@@ -200,10 +200,7 @@ def _block_cost(edge, V, n, t, i, lo=None, hi=None):
         mu = np.divide(counts, np.multiply(w, n, out=w), out=w)
         cost = np.log(mu, out=mu)
     cost *= counts
-    cost = np.subtract(V[t], cost, out=cost)
-    if lo is None:
-        return cost
-    return np.where(_admits(edge, n, t, i, lo, hi), cost, np.inf)
+    return np.subtract(V[t], cost, out=cost)
 
 
 def _admits(edge, n, t, i, lo, hi):
@@ -291,8 +288,8 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
             hi = np.fmin(H[col, f], hi_c[pos])
             fb = np.flatnonzero(~_admits(edge, n, lv[pos], todo, lo, hi))
             if fb.size:  # the cheapest feasible cell over each whole row
-                lo = np.fmax(L[fb[:, None], first], lo_c)
-                hi = np.fmin(H[fb[:, None], first], hi_c)
+                lo = np.fmax(np.take(L[fb], first, axis=1), lo_c)
+                hi = np.fmin(np.take(H[fb], first, axis=1), hi_c)
                 ok = _admits(edge, n, lv, todo[fb, None], lo, hi)
                 c = np.where(ok, cost[fb], np.inf)
                 pos[fb] = np.argmin(c, axis=1)
@@ -312,41 +309,47 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
     return np.concatenate(reached) if reached else np.empty(0, dtype=np.int64)
 
 
-def _bellman_pruned(sample: SortedSample, table: ConstraintTable):
+def _bellman_pruned(sample: SortedSample, kappa: float):
     """K (fewest blocks), V (cost) and pred (predecessor) of every node, by
-    rounds; identical at node n to the plain recursion over all predecessors
-    (kept in tests/reference.py).  Round 1 sweeps from node 0; it reaches n
-    only in one bin, which ``essential_histogram`` tests before.  Nodes that
-    only the last round would reach are left unset."""
+    rounds at threshold ``kappa``; identical at node n to the plain
+    recursion over all predecessors (kept in tests/reference.py).  Each
+    round first tests its blocks (t, n] and sweeps only if none fits.  A
+    one-bin fit sets only nodes 0 and n and leaves the rest of the arrays
+    uninitialised; otherwise the nodes that only the last round would
+    reach are left unset."""
     x = sample.values
     n = sample.n
     big = n + 2
-    K = np.full(n + 1, big, dtype=np.int64)
-    V = np.full(n + 1, np.inf)
-    pred = np.full(n + 1, -1, dtype=np.int64)
+    # touched only when one bin fails: a one-bin fit fills no per-node array
+    K = np.empty(n + 1, dtype=np.int64)
+    V = np.empty(n + 1)
+    pred = np.empty(n + 1, dtype=np.int64)
     K[0] = 0
     V[0] = 0.0
     # block (t, i] spans [edge[t], edge[i]] and holds i - t points; t = 0
     # is the virtual left edge at X_(1)
     edge = np.concatenate((x[:1], x))
-    # the bands widened once, for plain comparisons in every round
-    table = ConstraintTable(table.a, table.b, *widen(table.lo, table.hi), table.start)
     active = np.zeros(1, dtype=np.int64)
+    lo, hi = whole_band(sample, kappa)  # of (0, n], with no band table
     k = 1
     while True:
-        active = _sweep(table, edge, K, V, pred, active, k)
-        if K[n] < big:  # only in round 1, which has no (t, n] test before it
-            return K, V, pred
-        if not active.size:
-            raise RuntimeError("dynamic program stalled; constraint table inconsistent")
-        if k == 1:
-            lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # (t, n]
-        k += 1
-        cost = _block_cost(edge, V, n, active, n, lo_n[active], hi_n[active])
+        ok = _admits(edge, n, active, n, lo, hi)
+        cost = np.where(ok, _block_cost(edge, V, n, active, n), np.inf)
         pos = int(np.argmin(cost))
         if cost[pos] < np.inf:
             K[n], V[n], pred[n] = k, cost[pos], active[pos]
             return K, V, pred
+        if k == 1:
+            K[1:], V[1:], pred[:] = big, np.inf, -1
+            # the bands widened once, for plain comparisons in every round
+            c = constraint_table(sample, kappa)
+            table = ConstraintTable(c.a, c.b, *widen(c.lo, c.hi), c.start)
+            lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # (t, n]
+        active = _sweep(table, edge, K, V, pred, active, k)
+        if not active.size:
+            raise RuntimeError("dynamic program stalled; constraint table inconsistent")
+        lo, hi = lo_n[active], hi_n[active]
+        k += 1
 
 
 def _backtrack(pred: np.ndarray, n: int) -> list[int]:
@@ -390,17 +393,12 @@ def essential_histogram(
     local constraints at level alpha; ties resolved by maximal likelihood.
 
     Falls back to a single bin when the interval system is empty (sample too
-    small for multiscale calibration); ``table`` is not read then.  The band
-    table is built only when one bin fails ``bounds.whole_band``.
+    small for multiscale calibration); ``table`` is not read then.
     """
     n = sample.n
     kappa = lookup_kappa(table, alpha, n)
     if kappa is None:
         return _model_from_cuts(sample, [0, n])
-    edge = np.concatenate((sample.values[:1], sample.values))
-    node0 = np.zeros(1, dtype=np.int64)  # V[0] = 0
-    cost = _block_cost(edge, np.zeros(1), n, node0, n, *whole_band(sample, kappa))
-    if cost[0] < np.inf:
-        return _model_from_cuts(sample, [0, n])
-    _, _, pred = _bellman_pruned(sample, constraint_table(sample, kappa))
+    check_scale(sample)
+    _, _, pred = _bellman_pruned(sample, kappa)
     return _model_from_cuts(sample, _backtrack(pred, n))

@@ -24,7 +24,7 @@ class SortedSample:
     of tied values.  Any other tie raises ``DuplicateValuesError``.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_min_gap")
 
     def __init__(self, values):
         v = np.sort(np.asarray(values, dtype=float))
@@ -32,14 +32,23 @@ class SortedSample:
             raise ValueError("need a 1-d sample with at least 2 values")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample contains non-finite values")
-        if np.any(np.diff(v) == 0.0):
+        # the values are sorted, so the least gap is 0 only on a tie
+        gap = np.min(np.diff(v))
+        if gap == 0.0:
             v = _deround(v)
+            gap = np.min(np.diff(v))
         self._values = v
+        self._min_gap = float(gap)
         self._values.flags.writeable = False
 
     @property
     def values(self) -> np.ndarray:
         return self._values
+
+    @property
+    def min_gap(self) -> float:
+        """The least gap X_(i+1) - X_(i) between neighbours, positive."""
+        return self._min_gap
 
     @property
     def n(self) -> int:

@@ -25,15 +25,9 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import brentq
 
-from mshist.bounds import ConstraintTable, constraint_table, in_band, widen
+from mshist.bounds import ConstraintTable, check_scale, constraint_table, in_band, widen
 from mshist.densities import get_density
-from mshist.dp import (
-    HistogramModel,
-    _backtrack,
-    _bellman_pruned,
-    _block_cost,
-    _model_from_cuts,
-)
+from mshist.dp import HistogramModel, _admits, _backtrack, _bellman_pruned, _model_from_cuts
 from mshist.evaluate import MERGE_WINDOW, AuditReport
 from mshist.inference import FeatureInterval, _radii
 from mshist.intervals import IntervalSpec, interval_arrays
@@ -132,8 +126,10 @@ def _block_geometry(x: np.ndarray, n: int, i: int):
     return counts, widths
 
 
-def _bellman_unpruned(sample: SortedSample, table: ConstraintTable):
-    """Plain recursion over all predecessors; reference for the pruned solver."""
+def _bellman_unpruned(sample: SortedSample, kappa: float):
+    """Plain recursion over all predecessors at threshold ``kappa``;
+    reference for the pruned solver."""
+    table = constraint_table(sample, kappa)
     x = sample.values
     n = sample.n
     big = n + 2
@@ -184,7 +180,7 @@ def unpruned_histogram(
     if j.size == 0:
         return _model_from_cuts(sample, [0, n])
     kappa = lookup_kappa(table, alpha, n)
-    _, _, pred = _bellman_unpruned(sample, constraint_table(sample, kappa))
+    _, _, pred = _bellman_unpruned(sample, kappa)
     return _model_from_cuts(sample, _backtrack(pred, n))
 
 
@@ -203,12 +199,11 @@ def table_histogram(
     kappa = lookup_kappa(table, alpha, n)
     if kappa is None:
         return _model_from_cuts(sample, [0, n])
-    ctab = constraint_table(sample, kappa)
+    check_scale(sample)
     edge = np.concatenate((sample.values[:1], sample.values))
-    node0 = np.zeros(1, dtype=np.int64)
-    if _block_cost(edge, np.zeros(1), n, node0, n, *table_band(ctab))[0] < np.inf:
+    if _admits(edge, n, 0, n, *table_band(constraint_table(sample, kappa))):
         return _model_from_cuts(sample, [0, n])
-    _, _, pred = _bellman_pruned(sample, ctab)
+    _, _, pred = _bellman_pruned(sample, kappa)
     return _model_from_cuts(sample, _backtrack(pred, n))
 
 

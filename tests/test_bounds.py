@@ -211,3 +211,66 @@ class TestWholeBand:
             for kappa in (0.05, 1.1, 2.5, -2.3):
                 want = table_band(constraint_table(sample, kappa))
                 assert whole_band(sample, kappa) == want, (family, kappa)
+
+
+class TestScaleGuard:
+    #: exponents e of x -> 2**e * x, on both sides of the usable range
+    SCALES = (-1040, -1030, -1027, -1026, -1023, -1022, -1000, 0,
+              1000, 1010, 1011, 1013, 1014, 1015, 1020)
+
+    def test_rescaled_results_are_exact_or_refused(self, tables):
+        """The fit's cut indices, the features' witnesses and directions and
+        the audit's counts of 2**e * x equal those of x with no
+        RuntimeWarning, or all three calls raise the one scale error before
+        any band; every e in [-1000, 1000] gives the results of x."""
+        from mshist import audit, essential_histogram, significant_feature_intervals
+        from mshist.dp import HistogramModel
+
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(0, 1, 600), rng.normal(4, 0.5, 400)])
+        table = tables(1000)
+        fit0 = essential_histogram(SortedSample(x), 0.1, table)
+
+        def outcomes(e):
+            sample = SortedSample(np.ldexp(x, e))
+            try:  # the fit of x, mapped by 2**e where its heights stay finite
+                with np.errstate(over="ignore"):
+                    est = HistogramModel(
+                        np.ldexp(fit0.breaks, e), np.ldexp(fit0.heights, -e), 1000
+                    )
+            except ValueError:
+                est = HistogramModel(np.array([-1.0, 1.0]), np.array([0.5]), 1000)
+            calls = (
+                lambda: essential_histogram(sample, 0.1, table).cut_indices,
+                lambda: [(f.direction, f.witnesses)
+                         for f in significant_feature_intervals(sample, 0.1, table)],
+                lambda: (lambda r: (r.violations, r.removable))(
+                    audit(sample, est, 0.1, table)),
+            )
+            out = []
+            for call in calls:
+                try:
+                    out.append(call())
+                except ValueError as err:
+                    assert str(err).startswith("sample scale out of range"), (e, err)
+                    out.append(None)
+            return out
+
+        want = outcomes(0)
+        assert None not in want and len(want[1]) == 48
+        for e in self.SCALES:
+            got = outcomes(e)
+            assert got in (want, [None] * 3), e
+            if -1000 <= e <= 1000:
+                assert got == want, e
+        assert outcomes(-1040) == outcomes(1020) == [None] * 3
+
+    def test_message_names_the_range(self):
+        """Too wide a span and too small a gap each raise the error, which
+        names both limits."""
+        for values in (np.linspace(0.0, 1.5e308, 12), np.arange(12.0) * 5e-324):
+            with pytest.raises(ValueError, match=(
+                r"^sample scale out of range: need n\*\(X_\(n\) - X_\(1\)\) <= "
+                r"1\.798e\+308 and every gap between neighbours >= 5\.563e-309"
+            )):
+                bounds.check_scale(SortedSample(values))

@@ -142,6 +142,19 @@ class TestFit:
         assert fdoc["modes_lb"] == 0 and fdoc["troughs_lb"] == 0
         assert read_features(tmp_path / "fit.features.json") == []
 
+    @pytest.mark.parametrize("e", [-1040, 1015])
+    def test_sample_out_of_scale_exit_2(self, tmp_path, capsys, e):
+        """A sample whose scale the fit cannot compute at is a data error,
+        raised before any band: exit 2 and no document."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(0, 1, 600), rng.normal(4, 0.5, 400)])
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(map(repr, np.ldexp(x, e).tolist())) + "\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", data, "--out", out, "--features", *CACHE) == 2
+        assert capsys.readouterr().err.startswith("error: sample scale out of range")
+        assert not out.exists()
+
     def test_missing_input_exit_2(self, tmp_path):
         assert run("fit", "--input", tmp_path / "nope.txt",
                    "--out", tmp_path / "o.json", *CACHE2K) == 2

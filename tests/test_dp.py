@@ -59,12 +59,13 @@ def bumps_sample(n):
 
 def assert_set_nodes_match(sample, kappa):
     """K, V and pred of the pruned solver equal the plain recursion's on
-    every node the pruned one sets, not only on n."""
-    table = constraint_table(sample, kappa)
-    K, V, pred = _bellman_pruned(sample, table)
-    K_ref, V_ref, pred_ref = _bellman_unpruned(sample, table)
-    set_ = np.flatnonzero(K < sample.n + 2)
-    assert set_[-1] == sample.n
+    every node the pruned one sets, not only on n; a one-bin fit sets only
+    nodes 0 and n."""
+    n = sample.n
+    K, V, pred = _bellman_pruned(sample, kappa)
+    K_ref, V_ref, pred_ref = _bellman_unpruned(sample, kappa)
+    set_ = np.array([0, n]) if K[n] == 1 else np.flatnonzero(K < n + 2)
+    assert set_[-1] == n
     assert np.array_equal(K[set_], K_ref[set_])
     assert np.array_equal(V[set_], V_ref[set_])
     assert np.array_equal(pred[set_], pred_ref[set_])
@@ -72,7 +73,7 @@ def assert_set_nodes_match(sample, kappa):
 
 def solve(solver, sample, kappa):
     """Fit, V[n] and K[n] of one Bellman solver at threshold kappa."""
-    K, V, pred = solver(sample, constraint_table(sample, kappa))
+    K, V, pred = solver(sample, kappa)
     n = sample.n
     return _model_from_cuts(sample, _backtrack(pred, n)), V[n], K[n]
 
@@ -328,6 +329,35 @@ class TestEssentialHistogram:
         # row in a chunk
         for kappa in (0.5, 1.2):
             assert_set_nodes_match(bumps_sample(1500), kappa)
+
+    def test_only_the_stop_test_reaches_n(self, monkeypatch):
+        """No sweep sets node n: each round's stop test rejected every block
+        (t, n] from the round's start nodes, and the sweep reads the same
+        bands, so the stop test is the only place where n is reached.  Every
+        round but the last sweeps once."""
+        from mshist import dp
+
+        sweep = dp._sweep
+        rounds = []
+
+        def checked(table, edge, K, V, pred, active, k):
+            reached = sweep(table, edge, K, V, pred, active, k)
+            n = edge.size - 1
+            assert (K[n], V[n], pred[n]) == (n + 2, np.inf, -1)
+            rounds.append(k)
+            return reached
+
+        monkeypatch.setattr(dp, "_sweep", checked)
+        cases = [(gapped_sample(seed), kappa)
+                 for seed in range(60) for kappa in (0.5, 1.0, 1.5)]
+        cases += [(get_density(family).sampler(seed, 1500), kappa)
+                  for family in ("claw", "harp", "exponential", "bimodal")
+                  for seed in range(2) for kappa in (0.5, 1.2)]
+        cases += [(bumps_sample(1500), kappa) for kappa in (0.5, 1.2)]
+        for sample, kappa in cases:
+            del rounds[:]
+            K, _, _ = dp._bellman_pruned(sample, kappa)
+            assert rounds == list(range(1, K[sample.n]))
 
     def test_both_paths_of_the_sweep_match_the_reference(self, monkeypatch):
         """The sweep tests the band only at each column's cheapest block and
