@@ -7,10 +7,10 @@ The left side is strictly convex in q with its minimum at q = p, so the
 feasible set is a single mass interval whose endpoints are the two roots of
 a smooth scalar equation; dividing by the interval width turns it into a
 density band.  The fit and the audit both read their bands from
-:func:`constraint_table` and test membership with :func:`in_band`, whose
-slack :func:`widen` applies (the fit's sweep carries bands widened by it);
-the fit's stop tests and the audit's merge test take the band of a block
-from :func:`block_band`, and the fit's first stop test takes that of (0, n]
+:func:`constraint_table`, widened by the membership slack :func:`widen`
+as it is built, and test membership with the plain :func:`in_band`; the
+fit's stop tests and the audit's merge test take the band of a block from
+:func:`block_band`, and the fit's first stop test takes that of (0, n]
 from :func:`whole_band`, without a table.  The fit, the audit and the
 feature search each call :func:`check_scale` first.  Every band table, the
 feature search's radius band included, is laid out by :func:`band_table`
@@ -36,10 +36,11 @@ BAND_SLACK = 1e-9
 
 
 def widen(lo, hi):
-    """The band [lo, hi] widened by the relative BAND_SLACK, the bounds that
-    :func:`in_band` compares with.  Each bound is scaled by a positive
-    constant, which commutes with the max/min that combine bands, so bands
-    may be widened before or after they are combined.  Vectorized."""
+    """The band [lo, hi] widened by the relative BAND_SLACK, as
+    :func:`constraint_table` and :func:`whole_band` return it.  Each bound is
+    scaled by a positive constant, which commutes with the max/min that
+    combine bands, so bands may be widened before or after they are
+    combined, and maps +-inf to itself.  Vectorized."""
     return lo * (1.0 - BAND_SLACK), hi * (1.0 + BAND_SLACK)
 
 
@@ -68,11 +69,11 @@ def check_scale(sample: SortedSample) -> None:
 
 
 def in_band(mu, lo, hi):
-    """Whether density ``mu`` lies in the band [lo, hi], up to BAND_SLACK.
+    """Whether density ``mu`` lies in the band [lo, hi], which carries the
+    membership slack already (see :func:`widen`).
 
     An empty band (lo = +inf, hi = -inf) admits nothing.  Vectorized.
     """
-    lo, hi = widen(lo, hi)
     return (mu >= lo) & (mu <= hi)
 
 
@@ -150,8 +151,12 @@ def band_table(sample: SortedSample, q_lo, q_hi) -> ConstraintTable:
 
 
 def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
-    """Feasible density band of every system interval at threshold ``kappa``."""
-    return band_table(sample, *_count_roots(sample.n, float(kappa)))
+    """Feasible density band of every system interval at threshold
+    ``kappa``, widened in place by :func:`widen`'s relative 1e-9."""
+    table = band_table(sample, *_count_roots(sample.n, float(kappa)))
+    np.multiply(table.lo, 1.0 - BAND_SLACK, out=table.lo)
+    np.multiply(table.hi, 1.0 + BAND_SLACK, out=table.hi)
+    return table
 
 
 def whole_band(sample: SortedSample, kappa: float):

@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ArithmeticError, RuntimeError) as e:

@@ -10,6 +10,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
+from .bounds import check_scale
 from .dp import HistogramModel, essential_histogram
 from .sample import SortedSample
 
@@ -268,7 +269,9 @@ def classical_histogram(sample: SortedSample, rule: str) -> HistogramModel:
     sturges: ceil(log2 n) + 1 equal-width bins; scott_width: equal-width bins
     of width 3.49 * s * n^(-1/3); scott_area: the same number of bins placed
     at empirical quantiles.  Empty bins are merged with their neighbors.
+    A sample out of ``bounds.check_scale``'s range raises ValueError.
     """
+    check_scale(sample)
     x = sample.values
     n = sample.n
     span = x[-1] - x[0]
@@ -276,9 +279,10 @@ def classical_histogram(sample: SortedSample, rule: str) -> HistogramModel:
         k = math.ceil(math.log2(n)) + 1
         breaks = np.linspace(x[0], x[-1], k + 1)
     elif rule in ("scott_width", "scott_area"):
-        s = float(np.std(x, ddof=1))
-        if s == 0.0:
-            return _from_breaks(sample, np.array([x[0], x[-1]]))
+        # s of the values scaled by a power of two, which is exact, so that
+        # the squared deviations neither overflow nor underflow
+        e = math.frexp(max(abs(x[0]), abs(x[-1])))[1]
+        s = math.ldexp(float(np.std(np.ldexp(x, -e), ddof=1)), e)
         h = SCOTT_CONSTANT * s * n ** (-1.0 / 3.0)
         k = max(1, math.ceil(span / h))
         if rule == "scott_width":

@@ -35,9 +35,8 @@ a prefix over the columns and a suffix over the held nodes, and each live
 node reads the first held node at or right of it.  The band carried from
 earlier steps is already monotone along the nodes (it only narrows as t
 falls), so one max/min with it after that read gives the exact band.  The
-table's bands are widened once per fit by the membership slack
-(``bounds.widen``), which commutes with max and min, so the membership and
-death tests are plain comparisons.
+sweep reads ``bounds.constraint_table``'s own table, whose bands carry the
+membership slack, so the membership and death tests are plain comparisons.
 
 Every cell of the cost grid is costed, but the band is tested only at each
 open column's winner, its cheapest cell, first on ties (``np.argmin``).
@@ -68,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (ConstraintTable, block_band, check_scale, constraint_table,
-                     whole_band, widen)
+                     in_band, whole_band)
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
@@ -119,9 +118,17 @@ class HistogramModel:
         object.__setattr__(self, "counts", counts)
 
     def __eq__(self, other) -> bool:
+        """Equal n, breaks, heights and counts; ``cut_indices`` play no part."""
         if not isinstance(other, HistogramModel):
             return NotImplemented
-        return self.to_dict() == other.to_dict()
+        a, b = self.counts, other.counts
+        return (
+            self.n == other.n
+            and np.array_equal(self.breaks, other.breaks)
+            and np.array_equal(self.heights, other.heights)
+            and (a is None) == (b is None)
+            and (a is None or np.array_equal(a, b))
+        )
 
     @property
     def nbins(self) -> int:
@@ -141,41 +148,6 @@ class HistogramModel:
         left = self.breaks[idx]
         val = cum[idx] + h * (np.clip(x, left, self.breaks[-1]) - left)
         return np.minimum(val, 1.0)
-
-    def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "breaks": [float(b) for b in self.breaks],
-            "heights": [float(h) for h in self.heights],
-        }
-        if self.counts is not None:
-            d["counts"] = [int(c) for c in self.counts]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HistogramModel":
-        """The model of a document: ``to_dict``'s keys, and ``cut_indices``
-        when present, which must be integers rising strictly from 0 to n."""
-        n = int(d["n"])
-        cuts = d.get("cut_indices")
-        if "cut_indices" in d:
-            ints = isinstance(cuts, (list, tuple)) and all(
-                isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-                for c in cuts
-            )
-            if not (ints and len(cuts) >= 2 and cuts[0] == 0 and cuts[-1] == n
-                    and all(a < b for a, b in zip(cuts, cuts[1:]))):
-                raise ValueError(
-                    f"cut_indices must be integers rising strictly from 0 to n={n}"
-                )
-            cuts = tuple(int(c) for c in cuts)
-        return cls(
-            breaks=np.asarray(d["breaks"], dtype=float),
-            heights=np.asarray(d["heights"], dtype=float),
-            n=n,
-            counts=np.asarray(d["counts"], dtype=np.int64) if "counts" in d else None,
-            cut_indices=cuts,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +177,19 @@ def _block_cost(edge, V, n, t, i):
 
 def _admits(edge, n, t, i, lo, hi):
     """Whether each block (t, i] has a positive width and its density, as
-    :func:`_block_cost` computes it, lies in the widened band [lo, hi] (see
-    ``bounds.widen``).  Broadcast over all arguments."""
+    :func:`_block_cost` computes it, lies in the band [lo, hi] (see
+    ``bounds.in_band``).  Broadcast over all arguments."""
     w = edge[i] - edge[t]
     counts = np.asarray(i, dtype=float) - np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = counts / (w * n)
-    return (w > 0.0) & (mu >= lo) & (mu <= hi)
+    return (w > 0.0) & in_band(mu, lo, hi)
 
 
 def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
     """One round: every node not reached yet that a feasible block from an
     active node reaches gets K = k, its cost and its predecessor.  Returns
-    those nodes, ascending.  ``table`` holds widened bands.
+    those nodes, ascending.
 
     Each open column takes its cheapest block over the live candidates with
     no band, and only that winner is tested against the band; a column
@@ -230,7 +202,7 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
     # the open columns, not reached yet: a round reaches only swept ones
     unreached = np.flatnonzero(K == big)
     dead = 0  # active[:dead] are dead, active[dead:] live
-    lo_t = np.full(active.size, -np.inf)  # widened band of (t, i0 - 1]
+    lo_t = np.full(active.size, -np.inf)  # band of (t, i0 - 1]
     hi_t = np.full(active.size, np.inf)
     reached = []
     i0 = 1
@@ -341,9 +313,7 @@ def _bellman_pruned(sample: SortedSample, kappa: float):
             return K, V, pred
         if k == 1:
             K[1:], V[1:], pred[:] = big, np.inf, -1
-            # the bands widened once, for plain comparisons in every round
-            c = constraint_table(sample, kappa)
-            table = ConstraintTable(c.a, c.b, *widen(c.lo, c.hi), c.start)
+            table = constraint_table(sample, kappa)
             lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # (t, n]
         active = _sweep(table, edge, K, V, pred, active, k)
         if not active.size:

@@ -13,7 +13,6 @@ from .densities import BENCHMARK_COLUMNS
 from .dp import HistogramModel
 from .evaluate import AuditReport
 from .inference import FeatureInterval
-from .intervals import IntervalSpec
 from .sample import SortedSample
 
 
@@ -41,7 +40,10 @@ def read_sample(path) -> SortedSample:
 
 
 def histogram_document(fit: HistogramModel, alpha: float | None = None) -> dict:
-    doc = {"type": "histogram", **fit.to_dict()}
+    doc = {"type": "histogram", "n": fit.n, "breaks": fit.breaks.tolist(),
+           "heights": fit.heights.tolist()}
+    if fit.counts is not None:
+        doc["counts"] = fit.counts.tolist()
     if fit.cut_indices is not None:
         doc["cut_indices"] = list(fit.cut_indices)
     if alpha is not None:
@@ -49,9 +51,27 @@ def histogram_document(fit: HistogramModel, alpha: float | None = None) -> dict:
     return doc
 
 
+def histogram_from_document(doc: dict) -> HistogramModel:
+    """The model of a histogram document: :func:`histogram_document`'s keys,
+    ``counts`` and ``cut_indices`` optional; cut indices must be integers
+    rising strictly from 0 to n."""
+    n = int(doc["n"])
+    cuts = doc.get("cut_indices")
+    if "cut_indices" in doc:
+        ints = isinstance(cuts, (list, tuple)) and all(
+            isinstance(c, int) and not isinstance(c, bool) for c in cuts
+        )
+        if not (ints and len(cuts) >= 2 and cuts[0] == 0 and cuts[-1] == n
+                and all(a < b for a, b in zip(cuts, cuts[1:]))):
+            raise ValueError(
+                f"cut_indices must be integers rising strictly from 0 to n={n}"
+            )
+        cuts = tuple(cuts)
+    return HistogramModel(doc["breaks"], doc["heights"], n, doc.get("counts"), cuts)
+
+
 def read_histogram(path) -> HistogramModel:
-    doc = json.loads(Path(path).read_text())
-    return HistogramModel.from_dict(doc)
+    return histogram_from_document(json.loads(Path(path).read_text()))
 
 
 def write_json(doc: dict, path) -> None:
@@ -79,21 +99,6 @@ def feature_document(
             for f in features
         ],
     }
-
-
-def read_features(path) -> list[FeatureInterval]:
-    doc = json.loads(Path(path).read_text())
-    return [
-        FeatureInterval(
-            hull=(f["left"], f["right"]),
-            direction=f["direction"],
-            margin=f["margin"],
-            witnesses=tuple(
-                IntervalSpec(w["j"], w["k"], w["scale"]) for w in f["witnesses"]
-            ),
-        )
-        for f in doc["features"]
-    ]
 
 
 def audit_document(report: AuditReport, sample: SortedSample) -> dict:
@@ -129,7 +134,7 @@ def write_plot_data(doc: dict, path) -> None:
         w = csv.writer(fh)
         if doc["type"] == "histogram":
             w.writerow(["x", "y"])
-            for x, y in histogram_steps(HistogramModel.from_dict(doc)):
+            for x, y in histogram_steps(histogram_from_document(doc)):
                 w.writerow([repr(x), repr(y)])
         elif doc["type"] == "features":
             w.writerow(["left", "right", "direction", "margin"])

@@ -208,7 +208,6 @@ def simulate_quantiles(
     )
     n_capped = min(n, TABLE_N_CAP)
     t = simulate_statistics(n_capped, reps, seed)
-    t.sort()
     kappas = tuple(float(np.quantile(t, 1.0 - a)) for a in DEFAULT_ALPHAS)
     table = QuantileTable(
         n=n_capped, alphas=DEFAULT_ALPHAS, kappas=kappas, reps=reps, seed=seed

@@ -54,12 +54,6 @@ class SortedSample:
     def n(self) -> int:
         return self._values.size
 
-    def order_statistic(self, i: int) -> float:
-        """X_(i), 1-based."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"order statistic index {i} out of range")
-        return float(self._values[i - 1])
-
     def __len__(self) -> int:
         return self.n
 

@@ -12,15 +12,18 @@ cdf with every index clamped, its step coordinates one bin at a time), the
 feature search on a binary indexed (Fenwick) tree, its scan for the
 inclusion-minimal hulls as a quadratic pair scan with a linear
 inclusion-minimal filter, the multiscale statistic evaluated on every
-system interval, and the deterministic check of the paper's Proposition 1.
-The oracle solves its own bands, so it shares only the membership test
-:func:`mshist.bounds.in_band` with the fit.
+system interval, the deterministic check of the paper's Proposition 1,
+and the reader of features documents.  The oracle solves its own bands, so
+it shares only the membership slack :func:`mshist.bounds.widen` and the
+membership test :func:`mshist.bounds.in_band` with the fit.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
@@ -66,7 +69,7 @@ class FeasibleBand:
     def contains(self, mu: float) -> bool:
         if self.empty:
             return False
-        return bool(in_band(mu, self.lower, self.upper))
+        return bool(in_band(mu, *widen(self.lower, self.upper)))
 
 
 def _gap(q: float, p_hat: float, kappa: float, n: int) -> float:
@@ -185,9 +188,9 @@ def unpruned_histogram(
 
 
 def table_band(table: ConstraintTable):
-    """Widened band of the block (0, n]: one max and one min over the whole
-    band table; reference for :func:`mshist.bounds.whole_band`."""
-    return widen(np.max(table.lo, initial=-np.inf), np.min(table.hi, initial=np.inf))
+    """Band of the block (0, n]: one max and one min over the whole band
+    table; reference for :func:`mshist.bounds.whole_band`."""
+    return np.max(table.lo, initial=-np.inf), np.min(table.hi, initial=np.inf)
 
 
 def table_histogram(
@@ -669,3 +672,23 @@ def proposition1_check(k_n: int) -> tuple[float, float]:
     lhs = abs(h_mass - p) / math.sqrt(p * (1.0 - p))
     rhs = 0.5 * math.sqrt(p)
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# features documents
+
+
+def read_features(path) -> list[FeatureInterval]:
+    """The features of a :func:`mshist.io.feature_document` file."""
+    doc = json.loads(Path(path).read_text())
+    return [
+        FeatureInterval(
+            hull=(f["left"], f["right"]),
+            direction=f["direction"],
+            margin=f["margin"],
+            witnesses=tuple(
+                IntervalSpec(w["j"], w["k"], w["scale"]) for w in f["witnesses"]
+            ),
+        )
+        for f in doc["features"]
+    ]

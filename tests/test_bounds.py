@@ -5,11 +5,14 @@ import pytest
 
 from mshist import bounds
 from mshist.bounds import (
+    BAND_SLACK,
+    band_table,
     block_band,
     constraint_table,
     in_band,
     mass_roots_batch,
     whole_band,
+    widen,
 )
 from mshist.densities import get_density
 from mshist.intervals import count_groups, interval_arrays
@@ -150,6 +153,7 @@ class TestCachedRoots:
             for sample in samples:
                 lo, hi, start, some_empty = inline_table(sample, kappa)
                 assert some_empty == (kappa < 0)
+                lo, hi = widen(lo, hi)
                 t = constraint_table(sample, kappa)
                 assert np.array_equal(t.lo, lo)
                 assert np.array_equal(t.hi, hi)
@@ -166,12 +170,29 @@ class TestCachedRoots:
 
 
 class TestFeasibleBand:
-    def test_membership_slack(self):
-        assert in_band(1.0 - 5e-10, 1.0, 2.0)
-        assert in_band(2.0 + 1e-9, 1.0, 2.0)
-        assert not in_band(0.999, 1.0, 2.0)
-        assert not in_band(2.001, 1.0, 2.0)
+    def test_in_band_is_a_plain_comparison(self):
+        assert in_band(1.0, 1.0, 2.0) and in_band(2.0, 1.0, 2.0)
+        assert not in_band(np.nextafter(1.0, 0.0), 1.0, 2.0)
+        assert not in_band(np.nextafter(2.0, 3.0), 1.0, 2.0)
         assert not in_band(1.5, np.inf, -np.inf)
+
+    def test_membership_slack(self):
+        """Each bound of the table is the raw bound, the mass root over the
+        width, times (1 -+ BAND_SLACK), so a density 5e-10 outside the raw
+        band is in and one 1e-3 outside is not; empty bands stay empty."""
+        sample = SortedSample(np.random.default_rng(6).random(200))
+        for kappa in (1.0, -2.3):
+            raw = band_table(sample, *bounds._count_roots(200, kappa))
+            t = constraint_table(sample, kappa)
+            assert np.array_equal(t.lo, raw.lo * (1.0 - BAND_SLACK))
+            assert np.array_equal(t.hi, raw.hi * (1.0 + BAND_SLACK))
+            full = raw.lo <= raw.hi
+            assert np.all(in_band(raw.lo[full] * (1.0 - 5e-10), t.lo[full], t.hi[full]))
+            assert np.all(in_band(raw.hi[full] * (1.0 + 1e-9), t.lo[full], t.hi[full]))
+            assert not np.any(in_band(raw.lo * 0.999, t.lo, t.hi))
+            assert not np.any(in_band(raw.hi * 1.001, t.lo, t.hi))
+            assert np.array_equal(~full, t.lo > t.hi) and full.any()
+            assert (~full).any() == (kappa < 0)
 
 
 def masked_band(tab, t, i):
@@ -264,6 +285,35 @@ class TestScaleGuard:
             if -1000 <= e <= 1000:
                 assert got == want, e
         assert outcomes(-1040) == outcomes(1020) == [None] * 3
+
+    #: exponents e of x -> 2**e * x for the classical rules: where Scott's
+    #: squared deviations underflow or overflow, and the guard's edges
+    CLASSICAL_SCALES = (-1040, -1027, -1004, -1003, -560, -540, -535, -500, 0,
+                        500, 510, 512, 515, 1010, 1011, 1015)
+
+    def test_classical_rules_are_exact_or_refused(self):
+        """Each classical rule on 2**e * x gives the breaks of x times 2**e,
+        its heights times 2**-e and its counts, with no RuntimeWarning, or
+        raises the scale error; every e in [-1003, 1010] gives the results
+        of x."""
+        from mshist.densities import CLASSICAL_RULES, classical_histogram
+
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(0, 1, 600), rng.normal(4, 0.5, 400)])
+        for rule in CLASSICAL_RULES:
+            want = classical_histogram(SortedSample(x), rule)
+            assert want.nbins > 1
+            for e in self.CLASSICAL_SCALES:
+                sample = SortedSample(np.ldexp(x, e))
+                try:
+                    got = classical_histogram(sample, rule)
+                except ValueError as err:
+                    assert str(err).startswith("sample scale out of range"), (rule, e)
+                    assert not -1003 <= e <= 1010, (rule, e)
+                    continue
+                assert np.array_equal(got.breaks, np.ldexp(want.breaks, e)), (rule, e)
+                assert np.array_equal(got.heights, np.ldexp(want.heights, -e)), (rule, e)
+                assert np.array_equal(got.counts, want.counts), (rule, e)
 
     def test_message_names_the_range(self):
         """Too wide a span and too small a gap each raise the error, which

@@ -6,9 +6,10 @@ import pytest
 
 from mshist.cli import _build_parser, main
 from mshist.densities import get_density
-from mshist.io import read_features, read_histogram
+from mshist.io import read_histogram
 
 from conftest import TABLES_DIR
+from reference import read_features
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mshist.bounds import constraint_table
+from mshist.bounds import block_band, constraint_table
 from mshist.densities import get_density
 from mshist.dp import (
     CHUNK,
@@ -11,9 +11,11 @@ from mshist.dp import (
     _backtrack,
     _bellman_pruned,
     _model_from_cuts,
+    _sweep,
     essential_histogram,
 )
 from mshist.intervals import IntervalSpec, count_groups, interval_arrays
+from mshist.io import histogram_document, histogram_from_document
 from mshist.multiscale import QuantileTable, lookup_kappa
 from mshist.sample import SortedSample
 
@@ -96,7 +98,7 @@ class TestHistogramModel:
         # NaN passes every ordering and mass comparison, so only an explicit
         # finiteness check catches it
         with pytest.raises(ValueError, match="finite"):
-            HistogramModel.from_dict({"breaks": breaks, "heights": heights, "n": 10})
+            histogram_from_document({"breaks": breaks, "heights": heights, "n": 10})
 
     def test_pdf_cdf(self):
         m = HistogramModel(np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.25]), 10)
@@ -174,7 +176,7 @@ class TestHistogramModel:
             np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.25]), 10,
             counts=np.array([5, 5]),
         )
-        assert HistogramModel.from_dict(m.to_dict()) == m
+        assert histogram_from_document(histogram_document(m)) == m
 
     def test_freezes_copies_not_the_callers_arrays(self):
         b = np.array([0.0, 1.0])
@@ -358,6 +360,37 @@ class TestEssentialHistogram:
             del rounds[:]
             K, _, _ = dp._bellman_pruned(sample, kappa)
             assert rounds == list(range(1, K[sample.n]))
+
+    def test_the_sweep_reads_the_table_constraint_table_built(self, monkeypatch):
+        """A multi-bin fit builds one band table: the sweep and the bands of
+        the blocks (t, n] read the very arrays ``constraint_table`` returned,
+        with no widened copy beside them."""
+        from mshist import dp
+
+        built, read = [], []
+
+        def build(sample, kappa):
+            built.append(constraint_table(sample, kappa))
+            return built[-1]
+
+        def band(table, t, i):
+            read.append(table)
+            return block_band(table, t, i)
+
+        def sweep(table, *args):
+            read.append(table)
+            return _sweep(table, *args)
+
+        monkeypatch.setattr(dp, "constraint_table", build)
+        monkeypatch.setattr(dp, "block_band", band)
+        monkeypatch.setattr(dp, "_sweep", sweep)
+        for sample in (get_density("claw").sampler(0, 1500), gapped_sample(0)):
+            del built[:], read[:]
+            K, _, _ = dp._bellman_pruned(sample, 1.0)
+            assert K[sample.n] > 2 and len(built) == 1
+            assert len(read) == K[sample.n]  # (t, n] once, then one per sweep
+            for table in read:
+                assert table.lo is built[0].lo and table.hi is built[0].hi
 
     def test_both_paths_of_the_sweep_match_the_reference(self, monkeypatch):
         """The sweep tests the band only at each column's cheapest block and

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mshist.bounds import constraint_table, in_band
+from mshist.bounds import constraint_table, in_band, widen
 from mshist.densities import classical_histogram, get_density
 from mshist.dp import HistogramModel, essential_histogram
 from mshist.evaluate import (
@@ -13,7 +13,7 @@ from mshist.evaluate import (
     violation_intervals,
 )
 from mshist.intervals import IntervalSpec
-from mshist.io import audit_document
+from mshist.io import audit_document, histogram_document, histogram_from_document
 from mshist.multiscale import lookup_kappa
 from mshist.sample import SortedSample
 
@@ -78,7 +78,8 @@ class TestViolations:
                 roots[iv.count] = mass_roots(iv.count / 500, kappa, 500)
             lo, hi = roots[iv.count]
             width = x[iv.k - 1] - x[iv.j - 1]
-            assert ((iv.j, iv.k) in flagged) == (not in_band(mu, lo / width, hi / width))
+            band = widen(lo / width, hi / width)
+            assert ((iv.j, iv.k) in flagged) == (not in_band(mu, *band))
 
     def test_zero_height_piece_with_mass_is_flagged(self, tables):
         # estimator support misses the sample's right half entirely
@@ -378,7 +379,7 @@ class TestRemovableMatchesReference:
         for fit_seed, expect in cases:
             fit = essential_histogram(claw.sampler(fit_seed, 500), 0.5, table)
             sample = claw.sampler(fit_seed + 1, 500)
-            doc = HistogramModel.from_dict(fit.to_dict())
+            doc = histogram_from_document(histogram_document(fit))
             bare = HistogramModel(fit.breaks, fit.heights, 500)
             assert doc.counts is not None
             assert removable_changepoints(sample, doc, 0.5, table) == expect

@@ -14,7 +14,6 @@ from mshist.io import (
     feature_document,
     histogram_document,
     histogram_steps,
-    read_features,
     read_histogram,
     read_sample,
     write_json,
@@ -22,7 +21,7 @@ from mshist.io import (
 )
 from mshist.sample import DuplicateValuesError, SortedSample
 
-from reference import audit_document_reference, histogram_steps_reference
+from reference import audit_document_reference, histogram_steps_reference, read_features
 
 
 class TestReadSample:

@@ -129,16 +129,6 @@ def test_repeated_records_are_not_rounding(n):
         assert f"{float(y[0])!r} ({k + 1} times)" in str(err.value)
 
 
-def test_order_statistic_one_based():
-    s = SortedSample([5.0, 1.0, 3.0])
-    assert s.order_statistic(1) == 1.0
-    assert s.order_statistic(3) == 5.0
-    with pytest.raises(IndexError):
-        s.order_statistic(0)
-    with pytest.raises(IndexError):
-        s.order_statistic(4)
-
-
 def test_values_immutable():
     s = SortedSample([1.0, 2.0])
     with pytest.raises(ValueError):
