@@ -178,12 +178,18 @@ def level_counts(n: int) -> np.ndarray:
     return counts
 
 
+#: float64 entries in a block of a level's rows in :func:`count_extremes`
+#: (512 KiB, within a core's L2), or one row where a row is wider
+LEVEL_BLOCK = 2**16
+
+
 @lru_cache(maxsize=4)
 def _extent(n: int) -> tuple[int, int]:
-    """NaN padding past X_(n) and largest level array of :func:`count_extremes`."""
+    """NaN padding past X_(n) and largest row block of :func:`count_extremes`."""
     system = levels(n)
     pad = max(((len(lev.lags) - 1) * lev.step for lev in system), default=0)
-    size = max((len(lev.lags) * (lev.size - lev.lags[0]) for lev in system), default=0)
+    shapes = [(len(lev.lags), lev.size - lev.lags[0]) for lev in system]
+    size = max((min(nq, max(1, LEVEL_BLOCK // w)) * w for nq, w in shapes), default=0)
     return pad, size
 
 
@@ -191,29 +197,34 @@ def count_extremes(values) -> np.ndarray:
     """Per count, in the order of :func:`level_counts`, the least and the
     largest ``X_(k) - X_(j)`` over the system intervals (X_(j), X_(k)] for
     the ascending ``values`` X_(1), ..., X_(n), as a ``(2, counts)`` array.
-    Per level of :func:`levels`, one strided (lag, i) array is reduced along
-    i; longer lags run past X_(n) into a NaN padding that ``np.fmin`` and
-    ``np.fmax`` skip, exact as every lag holds an interval.  Levels in
-    descending scale give ascending counts: one contiguous slice each."""
+    Per level of :func:`levels`, a contiguous copy of its grid makes the
+    (lag, i) array a unit-stride view, reduced along i in row blocks of at
+    most ``LEVEL_BLOCK`` entries; longer lags run past X_(n) into a NaN
+    padding that ``np.fmin`` and ``np.fmax`` skip, exact as every lag holds
+    an interval.  Levels in descending scale give ascending counts: one
+    contiguous slice each."""
     values = np.asarray(values, dtype=float)
     pad, size = _extent(values.size)
     f = np.concatenate((values, np.full(pad, np.nan)))  # f[i] = X_(i+1)
-    # one buffer for every level: a fresh array per level costs more in
+    # one buffer for every block: a fresh array per level costs more in
     # page faults than the subtraction itself
     buf = np.empty(size)
     out = np.empty((2, level_counts(values.size).size))
-    c = 0
+    c, s = 0, f.itemsize
     for lev in reversed(levels(values.size)):
-        d, q0, nq = lev.step, lev.lags[0], len(lev.lags)
-        width, s = lev.size - q0, f.itemsize * d
-        # diff[a, i] = f[(i + q0 + a)*d] - f[i*d], the interval with left end
-        # 1 + i*d and count (q0 + a)*d; row a ends in a NaN entries
-        ahead = np.ndarray((nq, width), float, f, offset=q0 * s, strides=(s, s))
-        diff = buf[: nq * width].reshape(nq, width)
-        np.subtract(ahead, f[: width * d : d], out=diff)
-        np.fmin.reduce(diff, axis=1, out=out[0, c : c + nq])
-        np.fmax.reduce(diff, axis=1, out=out[1, c : c + nq])
-        c += nq
+        q0, nq, width = lev.lags[0], len(lev.lags), lev.size - lev.lags[0]
+        rows = max(1, LEVEL_BLOCK // width)
+        g = f[:: lev.step].copy() if lev.step > 1 else f  # g[i] = X_(1 + i*step)
+        for a in range(0, nq, rows):
+            r = min(rows, nq - a)
+            # diff[t, i] = g[i + q0 + a + t] - g[i], the interval with left
+            # end 1 + i*step and count (q0 + a + t)*step
+            ahead = np.ndarray((r, width), float, g, offset=(q0 + a) * s, strides=(s, s))
+            diff = buf[: r * width].reshape(r, width)
+            np.subtract(ahead, g[:width], out=diff)
+            np.fmin.reduce(diff, axis=1, out=out[0, c : c + r])
+            np.fmax.reduce(diff, axis=1, out=out[1, c : c + r])
+            c += r
     return out
 
 

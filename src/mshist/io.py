@@ -54,7 +54,9 @@ def histogram_document(fit: HistogramModel, alpha: float | None = None) -> dict:
 def histogram_from_document(doc: dict) -> HistogramModel:
     """The model of a histogram document: :func:`histogram_document`'s keys,
     ``counts`` and ``cut_indices`` optional; cut indices must be integers
-    rising strictly from 0 to n."""
+    rising strictly from 0 to n.  A document with another ``type`` is refused."""
+    if doc.get("type", "histogram") != "histogram":
+        raise ValueError(f"expected a 'histogram' document, got type {doc['type']!r}")
     n = int(doc["n"])
     cuts = doc.get("cut_indices")
     if "cut_indices" in doc:

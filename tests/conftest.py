@@ -1,4 +1,5 @@
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,19 @@ def table_for(n: int):
 @pytest.fixture(scope="session")
 def tables():
     return table_for
+
+
+@contextmanager
+def level_block(entries: int):
+    """``intervals.LEVEL_BLOCK`` set to ``entries`` inside the block;
+    ``_extent``, which sizes the level buffer by it, is cleared on entry and
+    on exit."""
+    from mshist import intervals
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intervals, "LEVEL_BLOCK", entries)
+        intervals._extent.cache_clear()
+        try:
+            yield
+        finally:
+            intervals._extent.cache_clear()

@@ -33,7 +33,7 @@ from mshist.densities import get_density
 from mshist.dp import HistogramModel, _admits, _backtrack, _bellman_pruned, _model_from_cuts
 from mshist.evaluate import MERGE_WINDOW, AuditReport
 from mshist.inference import FeatureInterval, _radii
-from mshist.intervals import IntervalSpec, interval_arrays
+from mshist.intervals import IntervalSpec, count_groups, interval_arrays
 from mshist.multiscale import QuantileTable, log_likelihood_ratio, lookup_kappa, penalty
 from mshist.sample import SortedSample
 
@@ -46,6 +46,20 @@ def build_interval_system(n: int) -> list[IntervalSpec]:
     then left index.  Empty when no level >= 2 exists (small n)."""
     j, k, lev = interval_arrays(n)
     return [IntervalSpec(int(a), int(b), int(s)) for a, b, s in zip(j, k, lev)]
+
+
+def count_extremes_reference(values) -> np.ndarray:
+    """:func:`mshist.intervals.count_extremes` from the per-interval index
+    arrays: per count, the least and the largest X_(k) - X_(j) over the
+    system intervals, as a ``(2, counts)`` array."""
+    x = np.asarray(values, dtype=float)
+    j, k, _ = interval_arrays(x.size)
+    counts, group = count_groups(x.size)
+    diff = x[k - 1] - x[j - 1]
+    out = np.stack((np.full(counts.size, np.inf), np.full(counts.size, -np.inf)))
+    np.minimum.at(out[0], group, diff)
+    np.maximum.at(out[1], group, diff)
+    return out
 
 
 # ---------------------------------------------------------------------------

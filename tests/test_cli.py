@@ -200,6 +200,19 @@ class TestEvaluate:
         assert run("evaluate", "--input", data, "--hist", hp, *CACHE2K) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_non_histogram_document_exit_2(self, workdir, capsys):
+        """A features or an audit document given as the histogram is refused
+        by its type, not by the first histogram key it lacks."""
+        tmp, data = workdir
+        out, rep = tmp / "fit.json", tmp / "audit.json"
+        assert run("fit", "--input", data, "--out", out, "--features", *CACHE2K) == 0
+        assert run("evaluate", "--input", data, "--hist", out, "--out", rep, *CACHE2K) == 0
+        for doc, kind in ((tmp / "fit.features.json", "features"), (rep, "audit")):
+            capsys.readouterr()
+            assert run("evaluate", "--input", data, "--hist", doc, *CACHE2K) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: expected a 'histogram' document, got type {kind!r}\n"
+
     @pytest.mark.parametrize(
         "cuts", [[0, 450.0, 900], [1, 450, 900], [0, 450, 899], [0, 450, 450, 900],
                  [0, 600, 450, 900], [0, True, 900], [0], "0,900", {"0": 900}, None],

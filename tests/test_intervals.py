@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mshist import intervals
 from mshist.bounds import _count_roots, _row_starts, constraint_table
 from mshist.intervals import (
     IntervalList,
@@ -17,7 +18,8 @@ from mshist.intervals import (
 )
 from mshist.sample import SortedSample
 
-from reference import build_interval_system, minimal_intervals
+from conftest import level_block
+from reference import build_interval_system, count_extremes_reference, minimal_intervals
 
 
 def reference_system(n):
@@ -208,25 +210,51 @@ def test_count_groups(n):
     assert (counts.size == 0) == (n < 9)
 
 
-@pytest.mark.parametrize("n", [8, 9, 10, 60, 1000, 4099])
+def tied_exponential(n):
+    """n sorted exponential values with a constant stretch in the middle."""
+    x = np.sort(np.random.default_rng(n).exponential(size=n))
+    x[n // 3 : n // 2] = x[n // 3]
+    return x
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 60, 1000, 4099, 30000, 100000])
 def test_count_extremes_are_the_per_count_extremes(n):
     """Per count, the least and the largest X_(k) - X_(j) over the system
     intervals, in the order of ``level_counts``, which are the grouping's
-    counts; ties and a constant stretch included."""
-    rng = np.random.default_rng(n)
-    x = np.sort(rng.exponential(size=n))
-    x[n // 3 : n // 2] = x[n // 3]
-    j, k, _ = interval_arrays(n)
-    counts, group = count_groups(n)
-    assert level_counts(n) is counts
-    diff = x[k - 1] - x[j - 1]
-    least = np.full(counts.size, np.inf)
-    most = np.full(counts.size, -np.inf)
-    np.minimum.at(least, group, diff)
-    np.maximum.at(most, group, diff)
+    counts; ties and a constant stretch included.  At n = 30000 the step-1
+    level is reduced in blocks of two rows, at 1e5 of one row."""
+    x = tied_exponential(n)
+    assert level_counts(n) is count_groups(n)[0]
     got = count_extremes(x)
-    assert got.shape == (2, counts.size)
-    assert np.array_equal(got[0], least) and np.array_equal(got[1], most)
+    assert got.shape == (2, level_counts(n).size)
+    assert np.array_equal(got, count_extremes_reference(x))
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64])
+@pytest.mark.parametrize("n", [60, 1000, 4099])
+def test_count_extremes_in_small_blocks(n, entries):
+    """A block budget that splits every level, most with a short last block,
+    gives the same extremes bit for bit."""
+    x = tied_exponential(n)
+    with level_block(entries):
+        shapes = [(len(lev.lags), lev.size - lev.lags[0]) for lev in levels(n)]
+        assert all(nq > max(1, entries // w) for nq, w in shapes)
+        assert _extent(n)[1] == max(w * max(1, entries // w) for _, w in shapes)
+        got = count_extremes(x)
+    assert np.array_equal(got, count_extremes_reference(x))
+
+
+@pytest.mark.parametrize("n", [9, 60, 1000, 30000, 100000, 200000])
+def test_level_buffer_holds_one_block(n):
+    """The buffer the levels share holds at most ``LEVEL_BLOCK`` entries,
+    unless a single row is wider, and then one row: at n = 30000 the step-1
+    level's 15 rows of 29,985 entries pass two at a time, at 1e5 one."""
+    widths = [lev.size - lev.lags[0] for lev in levels(n)]
+    size = _extent(n)[1]
+    if max(widths) > intervals.LEVEL_BLOCK:
+        assert size == max(widths)
+    else:
+        assert size <= intervals.LEVEL_BLOCK
 
 
 def test_layout_sorts_nothing(monkeypatch):

@@ -133,6 +133,15 @@ class TestStatistics:
             got = multiscale_statistic(sample, cdf=uniform.cdf)
             assert got == multiscale_statistic_full(sample, cdf=uniform.cdf), n
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_whole_system_one_row_per_block(self, seed):
+        # at n = 1e5 a step-1 row of count_extremes is wider than its block
+        # budget, so each block holds one row
+        uniform = get_density("uniform")
+        sample = uniform.sampler(seed, 100000)
+        got = multiscale_statistic(sample, cdf=uniform.cdf)
+        assert got == multiscale_statistic_full(sample, cdf=uniform.cdf)
+
     @pytest.mark.parametrize("n", [9, 60, 1000, 10000])
     def test_maximum_on_the_last_interval_of_its_count(self, n):
         # equally spaced points under a convex cdf: for a fixed count the true
