@@ -11,17 +11,16 @@ density band.  The fit and the audit both read their bands from
 as it is built, and test membership with the plain :func:`in_band`; the
 fit's stop tests and the audit's merge test take the band of a block from
 :func:`block_band`, and the fit's first stop test takes that of (0, n]
-from :func:`whole_band`, without a table.  The fit, the audit and the
-feature search each call :func:`check_scale` first.  Every band table, the
-feature search's radius band included, is laid out by :func:`band_table`
-from per-count mass bounds.  The per-count mass roots depend on (n, kappa)
-alone and the row offsets on n alone, so both are solved once and cached;
-per sample a table costs only its widths and the per-row gathers and
-divisions.
+from :func:`whole_band`, without a table.  Every sample is in scale, as
+``SortedSample`` guarantees, so no width, band or density here overflows.
+Every band table, the feature search's radius band included, is laid out
+by :func:`band_table` from per-count mass bounds.  The per-count mass
+roots depend on (n, kappa) alone and the row offsets on n alone, so both
+are solved once and cached; per sample a table costs only its widths and
+the per-row gathers and divisions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,30 +41,6 @@ def widen(lo, hi):
     combine bands, so bands may be widened before or after they are
     combined, and maps +-inf to itself.  Vectorized."""
     return lo * (1.0 - BAND_SLACK), hi * (1.0 + BAND_SLACK)
-
-
-def check_scale(sample: SortedSample) -> None:
-    """Raise ValueError unless the sample's scale is in range for the fit,
-    the feature search and the audit, which call this before any band.
-
-    Every width they divide by lies between the least gap g between
-    neighbours (a count c's interval spans at least c*g) and the span
-    X_(n) - X_(1): a block's density is its count over n times its width,
-    at most 1/(n*g), and a band's bound is a mass bound over a width, at
-    most the mass over c*g.  So the range is where n*(X_(n) - X_(1)) and
-    1/g are finite; outside it products and quotients overflow, and the
-    results change with only a RuntimeWarning to show for it.
-    """
-    x = sample.values
-    # Python floats overflow to inf with no warning
-    spread = sample.n * (float(x[-1]) - float(x[0]))
-    if not (math.isfinite(spread) and math.isfinite(1.0 / sample.min_gap)):
-        top = np.finfo(float).max
-        raise ValueError(
-            f"sample scale out of range: need n*(X_(n) - X_(1)) <= {top:.4g} and "
-            f"every gap between neighbours >= {1.0 / top:.4g}, got {spread:.4g} "
-            f"and a least gap of {sample.min_gap:.4g}; rescale the data"
-        )
 
 
 def in_band(mu, lo, hi):

@@ -107,9 +107,7 @@ def cmd_simulate(args) -> int:
     methods = args.methods.split(",")
     table = None
     if "essential" in methods:
-        table = multiscale.simulate_quantiles(
-            args.n, reps=args.reps, seed=args.seed, cache_dir=args.cache_dir
-        )
+        table = _table(args.n, args, "the essential rows are single-bin fits")
     rows = densities.benchmark_rows(
         density, args.n, args.bench_reps, methods, args.alpha, args.seed, table=table
     )

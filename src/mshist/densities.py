@@ -10,7 +10,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .bounds import check_scale
 from .dp import HistogramModel, essential_histogram
 from .sample import SortedSample
 
@@ -269,9 +268,9 @@ def classical_histogram(sample: SortedSample, rule: str) -> HistogramModel:
     sturges: ceil(log2 n) + 1 equal-width bins; scott_width: equal-width bins
     of width 3.49 * s * n^(-1/3); scott_area: the same number of bins placed
     at empirical quantiles.  Empty bins are merged with their neighbors.
-    A sample out of ``bounds.check_scale``'s range raises ValueError.
+    The sample is in scale, as ``SortedSample`` guarantees, so the breaks,
+    heights and Scott's deviations stay finite.
     """
-    check_scale(sample)
     x = sample.values
     n = sample.n
     span = x[-1] - x[0]
@@ -436,14 +435,13 @@ def benchmark_rows(
     """Replicated fits of each method on fresh samples; one dict per
     (rep, method, alpha) combination, keyed by ``BENCHMARK_COLUMNS``.
 
-    ``table`` (a calibrated quantile table) is required when "essential" is
-    among the methods; classical rules ignore alpha (recorded as nan).
+    ``table`` (a calibrated quantile table) is read by "essential" as
+    ``essential_histogram`` reads it: required for n >= 9, not read below;
+    classical rules ignore alpha (recorded as nan).
     """
     runs = []  # (method, alpha, fitter) of each row in a replication
     for method in methods:
         if method == "essential":
-            if table is None:
-                raise ValueError("essential method needs a quantile table")
             runs += [
                 (method, a, partial(essential_histogram, alpha=a, table=table))
                 for a in alphas

@@ -66,8 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (ConstraintTable, block_band, check_scale, constraint_table,
-                     in_band, whole_band)
+from .bounds import ConstraintTable, block_band, constraint_table, in_band, whole_band
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
@@ -369,6 +368,5 @@ def essential_histogram(
     kappa = lookup_kappa(table, alpha, n)
     if kappa is None:
         return _model_from_cuts(sample, [0, n])
-    check_scale(sample)
     _, _, pred = _bellman_pruned(sample, kappa)
     return _model_from_cuts(sample, _backtrack(pred, n))

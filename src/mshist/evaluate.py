@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import block_band, check_scale, constraint_table, in_band
+from .bounds import block_band, constraint_table, in_band
 from .dp import HistogramModel
 from .intervals import IntervalList, interval_arrays
 from .multiscale import QuantileTable, lookup_kappa
@@ -51,7 +51,6 @@ def _prologue(sample: SortedSample, estimator: HistogramModel, alpha, table):
     kappa = lookup_kappa(table, alpha, sample.n)
     if kappa is None:
         return None
-    check_scale(sample)
     x, e = sample.values, estimator.breaks
     below, upto = (np.searchsorted(x, e, side=s) for s in ("left", "right"))
     piece = np.searchsorted(e, x, side="right")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConstraintTable, band_table, check_scale
+from .bounds import ConstraintTable, band_table
 from .intervals import IntervalSpec, count_groups, interval_arrays
 from .multiscale import QuantileTable, lookup_kappa, penalty
 from .sample import SortedSample
@@ -182,7 +182,6 @@ def significant_feature_intervals(
     kappa = lookup_kappa(table, alpha, n)
     if kappa is None:
         return []
-    check_scale(sample)
     band = _radii(sample, kappa)
     j, k = band.a, band.b
     _, _, scale = interval_arrays(n)

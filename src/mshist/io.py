@@ -18,8 +18,9 @@ from .sample import SortedSample
 
 def read_sample(path) -> SortedSample:
     """One numeric value per line; a single non-numeric first line is a
-    header.  Decimal point only, independent of locale; ties as in ``SortedSample``."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    header, and a UTF-8 byte order mark is dropped.  Decimal point only,
+    independent of locale; ties and scale as in ``SortedSample``."""
+    lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8-sig").splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError(f"{path}: empty input")

@@ -1,5 +1,8 @@
-"""The sole data input of the library: a sorted sample, ties de-rounded or rejected."""
+"""The sole data input of the library: a sorted sample in scale, ties
+de-rounded or rejected."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,9 +25,20 @@ class SortedSample:
     deterministic, untied values keep their place, and a de-rounded sample
     logs one WARNING on the ``mshist`` logger naming ``g`` and the number
     of tied values.  Any other tie raises ``DuplicateValuesError``.
+
+    The sample, de-rounded, must be in scale, or ValueError is raised, so
+    the fit, the feature search, the audit and the classical rules never
+    meet one that is not.  Every width they divide by lies between the
+    least gap g between neighbours (a count c's interval spans at least
+    c*g) and the span X_(n) - X_(1): a block's density is its count over n
+    times its width, at most 1/(n*g), and a band's bound is a mass bound
+    over a width, at most the mass over c*g.  So the range is where
+    n*(X_(n) - X_(1)) and 1/g are finite; outside it products and quotients
+    overflow, and the results would change with only a RuntimeWarning to
+    show for it.
     """
 
-    __slots__ = ("_values", "_min_gap")
+    __slots__ = ("_values",)
 
     def __init__(self, values):
         v = np.sort(np.asarray(values, dtype=float))
@@ -32,23 +46,28 @@ class SortedSample:
             raise ValueError("need a 1-d sample with at least 2 values")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample contains non-finite values")
-        # the values are sorted, so the least gap is 0 only on a tie
-        gap = np.min(np.diff(v))
-        if gap == 0.0:
-            v = _deround(v)
+        # what overflows here leaves an inf or nan that the guard refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the values are sorted, so the least gap is 0 only on a tie
             gap = np.min(np.diff(v))
+            if gap == 0.0:
+                v = _deround(v)
+                gap = np.min(np.diff(v))
+        # Python floats overflow to inf with no warning
+        spread = v.size * (float(v[-1]) - float(v[0]))
+        if not (math.isfinite(spread) and math.isfinite(1.0 / float(gap))):
+            top = np.finfo(float).max
+            raise ValueError(
+                f"sample scale out of range: need n*(X_(n) - X_(1)) <= {top:.4g} and "
+                f"every gap between neighbours >= {1.0 / top:.4g}, got {spread:.4g} "
+                f"and a least gap of {gap:.4g}; rescale the data"
+            )
         self._values = v
-        self._min_gap = float(gap)
         self._values.flags.writeable = False
 
     @property
     def values(self) -> np.ndarray:
         return self._values
-
-    @property
-    def min_gap(self) -> float:
-        """The least gap X_(i+1) - X_(i) between neighbours, positive."""
-        return self._min_gap
 
     @property
     def n(self) -> int:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq
 
-from mshist.bounds import ConstraintTable, check_scale, constraint_table, in_band, widen
+from mshist.bounds import ConstraintTable, constraint_table, in_band, widen
 from mshist.densities import get_density
 from mshist.dp import HistogramModel, _admits, _backtrack, _bellman_pruned, _model_from_cuts
 from mshist.evaluate import MERGE_WINDOW, AuditReport
@@ -216,7 +216,6 @@ def table_histogram(
     kappa = lookup_kappa(table, alpha, n)
     if kappa is None:
         return _model_from_cuts(sample, [0, n])
-    check_scale(sample)
     edge = np.concatenate((sample.values[:1], sample.values))
     if _admits(edge, n, 0, n, *table_band(constraint_table(sample, kappa))):
         return _model_from_cuts(sample, [0, n])

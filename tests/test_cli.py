@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 
@@ -322,6 +323,21 @@ class TestSimulateAndPlot:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("density,method,alpha,n,rep")
         assert len(lines) == 1 + 4
+
+    def test_tiny_sample_essential_rows_are_single_bin(self, tmp_path, capsys):
+        """At n < 9 the essential rows are one-bin fits, as ``fit`` gives,
+        with one warning and no table read or calibrated."""
+        out = tmp_path / "bench.csv"
+        assert run("simulate", "--density", "claw", "--n", "8", "--bench-reps", "3",
+                   "--methods", "essential", "--alpha", "0.1,0.5", "--out", out,
+                   "--cache-dir", tmp_path / "cache") == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 6
+        assert {(r["method"], r["n_bins"]) for r in rows} == {("essential", "1")}
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: n=8 is too small"), err
+        assert not (tmp_path / "cache").exists()
 
     def test_plot_data_roundtrip(self, workdir):
         tmp, data = workdir

@@ -36,6 +36,15 @@ class TestReadSample:
         p.write_text("value\n0.5\n0.1\n")
         assert read_sample(p).n == 2
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        """A UTF-8 byte order mark before a numeric first line is not a
+        header: every value is read."""
+        p = tmp_path / "d.txt"
+        p.write_bytes(b"\xef\xbb\xbf0.5\n0.1\n0.9\n0.3\n")
+        assert read_sample(p).values.tolist() == [0.1, 0.3, 0.5, 0.9]
+        p.write_bytes(b"\xef\xbb\xbfvalue\n0.5\n0.1\n")
+        assert read_sample(p).n == 2
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("\n0.5\n\n0.1\n\n")

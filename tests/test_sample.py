@@ -25,6 +25,14 @@ def test_rejects_small_and_nonfinite():
         SortedSample([[1.0, 2.0]])
 
 
+@pytest.mark.parametrize("values", [[0.0, 1.7e308, 1.7e308], [-1.7e308, -1.7e308, 0.0]])
+def test_derounding_past_the_largest_float_is_refused(values):
+    """De-rounding spreads a tie over its cell, which here reaches past the
+    largest float: the sample is out of scale, with no overflow warning."""
+    with pytest.raises(ValueError, match="^sample scale out of range"):
+        SortedSample(values)
+
+
 def test_ties_on_a_grid_are_derounded():
     s = SortedSample([1.0, 2.0, 2.0, 3.0])
     assert s.values.tolist() == [1.0, 1.75, 2.25, 3.0]
