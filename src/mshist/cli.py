@@ -8,7 +8,6 @@ evaluate (audit an estimator), simulate (benchmark harness), plot-data
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -117,9 +116,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    doc = io.read_document(args.input)
     io.write_plot_data(doc, args.out)
-    print(f"{doc.get('type')} -> {args.out}")
+    print(f"{doc['type']} -> {args.out}")
     return EXIT_OK
 
 

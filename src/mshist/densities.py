@@ -1,5 +1,6 @@
 """Reference densities, classical binning rules, and evaluation metrics for
-benchmarking histogram estimators."""
+benchmarking histogram estimators.  Of all this only a Gaussian mixture's
+cdf loads scipy (``scipy.special.ndtr``)."""
 from __future__ import annotations
 
 import math
@@ -55,67 +56,41 @@ def _normal_pdf(x, mu=0.0, sd=1.0):
     return np.exp(-(z**2) / 2.0) / math.sqrt(2.0 * math.pi) / sd
 
 
-def _gm_pdf(w, mu, sd):
+def _gaussian_mixture(name, w, mu, sd, modes) -> ReferenceDensity:
+    w, mu, sd = np.asarray(w), np.asarray(mu), np.asarray(sd)
+    var = sd**2
+
     def pdf(x):
         x = np.asarray(x, dtype=float)[..., None]
         return np.sum(w * _normal_pdf(x, mu, sd), axis=-1)
 
-    return pdf
-
-
-def _gm_cdf(w, mu, sd):
-    # imported here so that ``import mshist`` does not load scipy.special
-    from scipy.special import ndtr
-
     def cdf(x):
+        # imported here so that only a mixture's cdf loads scipy.special
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)[..., None]
         return np.sum(w * ndtr((x - mu) / sd), axis=-1)
-
-    return cdf
-
-
-def _gm_sampler(w, mu, sd):
-    w = np.asarray(w)
-    mu = np.asarray(mu)
-    sd = np.asarray(sd)
 
     def sampler(seed: int, n: int) -> SortedSample:
         rng = _rng(seed)
         comp = rng.choice(w.size, size=n, p=w)
         return SortedSample(rng.normal(mu[comp], sd[comp]))
 
-    return sampler
-
-
-def _gm_pdf_sq_integral(w, mu, sd) -> float:
     # int (sum_i w_i phi_i)^2 = sum_ij w_i w_j N(mu_i - mu_j | 0, sd_i^2 + sd_j^2)
-    w = np.asarray(w)
-    mu = np.asarray(mu)
-    var = np.asarray(sd) ** 2
     d = mu[:, None] - mu[None, :]
     v = var[:, None] + var[None, :]
-    return float(np.sum(w[:, None] * w[None, :] * _normal_pdf(d, sd=np.sqrt(v))))
-
-
-def _gm_skewness(w, mu, sd) -> float:
-    w = np.asarray(w)
-    mu = np.asarray(mu)
-    var = np.asarray(sd) ** 2
+    sq = w[:, None] * w[None, :] * _normal_pdf(d, sd=np.sqrt(v))
     m1 = np.sum(w * mu)
     m2 = np.sum(w * (mu**2 + var))
     m3 = np.sum(w * (mu**3 + 3 * mu * var))
-    return float(_skewness(m1, m2, m3))
-
-
-def _gaussian_mixture(name, w, mu, sd, modes) -> ReferenceDensity:
     return ReferenceDensity(
         name=name,
-        pdf=_gm_pdf(w, mu, sd),
-        cdf=_gm_cdf(w, mu, sd),
-        sampler=_gm_sampler(w, mu, sd),
+        pdf=pdf,
+        cdf=cdf,
+        sampler=sampler,
         true_mode_count=modes,
-        pdf_sq_integral=_gm_pdf_sq_integral(w, mu, sd),
-        true_skewness=_gm_skewness(w, mu, sd),
+        pdf_sq_integral=float(np.sum(sq)),
+        true_skewness=float(_skewness(m1, m2, m3)),
     )
 
 
@@ -124,11 +99,7 @@ def _gaussian_mixture(name, w, mu, sd, modes) -> ReferenceDensity:
 
 
 def _piecewise(name, breaks, heights, modes) -> ReferenceDensity:
-    model = HistogramModel(
-        breaks=np.asarray(breaks, dtype=float),
-        heights=np.asarray(heights, dtype=float),
-        n=2,
-    )
+    model = HistogramModel(breaks, heights, n=2)  # it converts both to float arrays
 
     def sampler(seed: int, n: int) -> SortedSample:
         rng = _rng(seed)
@@ -149,53 +120,6 @@ def _piecewise(name, breaks, heights, modes) -> ReferenceDensity:
     )
 
 
-def _uniform() -> ReferenceDensity:
-    def sampler(seed: int, n: int) -> SortedSample:
-        return SortedSample(_rng(seed).random(n))
-
-    return ReferenceDensity(
-        name="uniform",
-        pdf=lambda x: np.where((np.asarray(x) >= 0) & (np.asarray(x) <= 1), 1.0, 0.0),
-        cdf=lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0),
-        sampler=sampler,
-        true_mode_count=1,
-        pdf_sq_integral=1.0,
-        true_skewness=0.0,
-    )
-
-
-def _exponential() -> ReferenceDensity:
-    def sampler(seed: int, n: int) -> SortedSample:
-        return SortedSample(_rng(seed).exponential(size=n))
-
-    x_arr = lambda x: np.asarray(x, dtype=float)
-    return ReferenceDensity(
-        name="exponential",
-        pdf=lambda x: np.where(x_arr(x) >= 0, np.exp(-np.maximum(x_arr(x), 0.0)), 0.0),
-        cdf=lambda x: np.where(x_arr(x) >= 0, -np.expm1(-np.maximum(x_arr(x), 0.0)), 0.0),
-        sampler=sampler,
-        true_mode_count=1,
-        pdf_sq_integral=0.5,
-        true_skewness=2.0,
-    )
-
-
-def _cauchy() -> ReferenceDensity:
-    def sampler(seed: int, n: int) -> SortedSample:
-        return SortedSample(_rng(seed).standard_cauchy(n))
-
-    x_arr = lambda x: np.asarray(x, dtype=float)
-    return ReferenceDensity(
-        name="cauchy",
-        pdf=lambda x: 1.0 / (np.pi * (1.0 + x_arr(x) ** 2)),
-        cdf=lambda x: 0.5 + np.arctan(x_arr(x)) / np.pi,
-        sampler=sampler,
-        true_mode_count=1,
-        pdf_sq_integral=1.0 / (2.0 * np.pi),
-        true_skewness=None,
-    )
-
-
 @lru_cache(maxsize=None)
 def _catalog() -> tuple:
     """The built-in reference densities, built once per process so that each
@@ -204,9 +128,26 @@ def _catalog() -> tuple:
     claw_mu = [0.0] + [l / 2.0 - 1.0 for l in range(5)]
     claw_sd = [1.0] + [0.1] * 5
     harp = ([0.2] * 5, [0.0, 5.0, 15.0, 30.0, 60.0], [0.5, 1.0, 2.0, 4.0, 8.0])
+    arr = partial(np.asarray, dtype=float)
     return (
-        _uniform(),
-        _exponential(),
+        ReferenceDensity(
+            name="uniform",
+            pdf=lambda x: np.where((np.asarray(x) >= 0) & (np.asarray(x) <= 1), 1.0, 0.0),
+            cdf=lambda x: np.clip(arr(x), 0.0, 1.0),
+            sampler=lambda seed, n: SortedSample(_rng(seed).random(n)),
+            true_mode_count=1,
+            pdf_sq_integral=1.0,
+            true_skewness=0.0,
+        ),
+        ReferenceDensity(
+            name="exponential",
+            pdf=lambda x: np.where(arr(x) >= 0, np.exp(-np.maximum(arr(x), 0.0)), 0.0),
+            cdf=lambda x: np.where(arr(x) >= 0, -np.expm1(-np.maximum(arr(x), 0.0)), 0.0),
+            sampler=lambda seed, n: SortedSample(_rng(seed).exponential(size=n)),
+            true_mode_count=1,
+            pdf_sq_integral=0.5,
+            true_skewness=2.0,
+        ),
         _piecewise(
             "histogram_mixture",
             [0.0, 0.75, 1.25, 2.0, 2.975, 3.025, 4.0, 6.0],
@@ -215,7 +156,15 @@ def _catalog() -> tuple:
         ),
         _gaussian_mixture("claw", claw_w, claw_mu, claw_sd, modes=5),
         _gaussian_mixture("harp", *harp, modes=5),
-        _cauchy(),
+        ReferenceDensity(
+            name="cauchy",
+            pdf=lambda x: 1.0 / (np.pi * (1.0 + arr(x) ** 2)),
+            cdf=lambda x: 0.5 + np.arctan(arr(x)) / np.pi,
+            sampler=lambda seed, n: SortedSample(_rng(seed).standard_cauchy(n)),
+            true_mode_count=1,
+            pdf_sq_integral=1.0 / (2.0 * np.pi),
+            true_skewness=None,
+        ),
         _gaussian_mixture("bimodal", [0.5, 0.5], [-3.0, 3.0], [1.0, 1.0], modes=2),
         _piecewise("step", [0.0, 0.5, 1.0], [1.5, 0.5], modes=1),
     )

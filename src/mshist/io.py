@@ -73,8 +73,27 @@ def histogram_from_document(doc: dict) -> HistogramModel:
     return HistogramModel(doc["breaks"], doc["heights"], n, doc.get("counts"), cuts)
 
 
+#: the keys that reading each type of document requires
+_DOCUMENT_KEYS = {"histogram": ("n", "breaks", "heights"), "features": ("features",),
+                  "audit": ("violations", "removable")}
+
+
+def read_document(path) -> dict:
+    """The JSON document in ``path``: an object whose ``type`` is histogram,
+    features or audit, holding the keys that type's readers require.
+    Anything else raises ValueError naming the file and what is wrong."""
+    doc = json.loads(Path(path).read_text())
+    kinds = list(_DOCUMENT_KEYS)
+    if not (isinstance(doc, dict) and doc.get("type") in kinds):
+        raise ValueError(f"{path}: expected a JSON object whose 'type' is one of {kinds}")
+    missing = [k for k in _DOCUMENT_KEYS[doc["type"]] if k not in doc]
+    if missing:
+        raise ValueError(f"{path}: a {doc['type']} document needs the key {missing[0]!r}")
+    return doc
+
+
 def read_histogram(path) -> HistogramModel:
-    return histogram_from_document(json.loads(Path(path).read_text()))
+    return histogram_from_document(read_document(path))
 
 
 def write_json(doc: dict, path) -> None:

@@ -35,7 +35,8 @@ class SortedSample:
     over a width, at most the mass over c*g.  So the range is where
     n*(X_(n) - X_(1)) and 1/g are finite; outside it products and quotients
     overflow, and the results would change with only a RuntimeWarning to
-    show for it.
+    show for it.  A raw span already out of scale is refused before any
+    de-rounding, which only moves tied extremes outward.
     """
 
     __slots__ = ("_values",)
@@ -46,16 +47,18 @@ class SortedSample:
             raise ValueError("need a 1-d sample with at least 2 values")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample contains non-finite values")
-        # what overflows here leaves an inf or nan that the guard refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the values are sorted, so the least gap is 0 only on a tie
-            gap = np.min(np.diff(v))
-            if gap == 0.0:
-                v = _deround(v)
-                gap = np.min(np.diff(v))
         # Python floats overflow to inf with no warning
         spread = v.size * (float(v[-1]) - float(v[0]))
-        if not (math.isfinite(spread) and math.isfinite(1.0 / float(gap))):
+        # what overflows here leaves an inf or nan that the guard refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the values are sorted, so the least gap is 0 only on a tie; a
+            # spread out of scale stays so, as de-rounding moves ties outward
+            gap = float(np.min(np.diff(v)))
+            if gap == 0.0 and math.isfinite(spread):
+                v = _deround(v)
+                spread = v.size * (float(v[-1]) - float(v[0]))
+                gap = float(np.min(np.diff(v)))
+        if not (math.isfinite(spread) and math.isfinite(1.0 / gap)):
             top = np.finfo(float).max
             raise ValueError(
                 f"sample scale out of range: need n*(X_(n) - X_(1)) <= {top:.4g} and "

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from mshist import cli
 from mshist.cli import _build_parser, main
 from mshist.densities import get_density
 from mshist.io import read_histogram
@@ -156,6 +157,15 @@ class TestFit:
         assert run("fit", "--input", data, "--out", out, "--features", *CACHE) == 2
         assert capsys.readouterr().err.startswith("error: sample scale out of range")
         assert not out.exists()
+
+    def test_tied_sample_out_of_scale_exit_2_without_a_warning(self, tmp_path, capsys):
+        """The raw spread is refused before de-rounding, so stderr holds the
+        one error line and no de-rounding warning."""
+        data = tmp_path / "d.txt"
+        data.write_text("-1.7e308\n-1.7e308\n1.7e308\n")
+        assert run("fit", "--input", data, "--out", tmp_path / "fit.json", *CACHE) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sample scale out of range"), err
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run("fit", "--input", tmp_path / "nope.txt",
@@ -363,3 +373,37 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("plot-data", "--input", bad, "--out", tmp_path / "o.csv") == 2
+
+    @pytest.mark.parametrize("command", ["plot-data", "evaluate"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1, 2]", "expected a JSON object whose 'type' is one of "
+                    "['histogram', 'features', 'audit']"),
+         ('{"type": "features"}', "a features document needs the key 'features'"),
+         ('{"type": "histogram", "n": 9}', "a histogram document needs the key 'breaks'")],
+        ids=["list", "features-without-rows", "histogram-without-breaks"],
+    )
+    def test_document_not_an_object_of_a_known_type_exit_2(
+        self, workdir, capsys, command, text, message
+    ):
+        """A document is read as an object with a known type and that type's
+        keys, or refused as a data error naming the file."""
+        tmp, data = workdir
+        doc = tmp / "doc.json"
+        doc.write_text(text)
+        if command == "plot-data":
+            argv = ["plot-data", "--input", doc, "--out", tmp / "o.csv"]
+        else:
+            argv = ["evaluate", "--input", data, "--hist", doc, *CACHE2K]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {doc}: {message}\n"
+        assert not (tmp / "o.csv").exists()
+
+    def test_numeric_failure_exit_3(self, workdir, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("no convergence")
+
+        tmp, data = workdir
+        monkeypatch.setattr(cli, "essential_histogram", fail)
+        assert run("fit", "--input", data, "--out", tmp / "fit.json", *CACHE2K) == 3
+        assert capsys.readouterr().err == "error: numeric failure: no convergence\n"

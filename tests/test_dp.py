@@ -89,6 +89,10 @@ class TestHistogramModel:
         with pytest.raises(ValueError):
             HistogramModel(np.array([0.0, 1.0]), np.array([-1.0]), 10)
 
+    def test_counts_must_match_bins(self):
+        with pytest.raises(ValueError, match="counts must match bins"):
+            HistogramModel(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5]), 10, [10])
+
     @pytest.mark.parametrize(
         "breaks, heights",
         [([0.0, math.nan, 1.0], [0.5, 0.5]), ([0.0, 1.0], [math.nan]),

@@ -353,6 +353,15 @@ class TestFeatureSearch:
                 significant_feature_intervals(sample, alpha, None)
 
 
+def test_feature_interval_checks_direction_and_margin():
+    FeatureInterval((0.0, 1.0), "decrease", 1e-300, ())
+    with pytest.raises(ValueError, match="direction must be"):
+        FeatureInterval((0.0, 1.0), "up", 1.0, ())
+    for margin in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="margin must be strictly positive"):
+            FeatureInterval((0.0, 1.0), "increase", margin, ())
+
+
 class TestLowerBoundModes:
     def _feat(self, lo, hi, direction):
         return FeatureInterval((lo, hi), direction, 1.0, ())

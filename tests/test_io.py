@@ -193,6 +193,24 @@ class TestPlotData:
             assert (float(row["left"]), float(row["right"])) == f.hull
             assert row["direction"] == f.direction
 
+    def test_audit_csv(self, tables, tmp_path):
+        """One row per violation, then one per removable break."""
+        sample = get_density("harp").sampler(0, 500)
+        report = audit(sample, classical_histogram(sample, "sturges"), 0.1, tables(500))
+        path = tmp_path / "a.csv"
+        write_plot_data(audit_document(report, sample), path)
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        v, x = report.violations, sample.values
+        assert len(v) > 0 and len(report.removable) > 0
+        assert [r["kind"] for r in rows] == (
+            ["violation"] * len(v) + ["removable"] * len(report.removable)
+        )
+        for row, j, k in zip(rows, v.j, v.k):
+            assert (float(row["left"]), float(row["right"])) == (x[j - 1], x[k - 1])
+            assert row["multiplicity"] == ""
+        for row, (index, mult) in zip(rows[len(v):], report.removable):
+            assert (int(row["left"]), int(row["multiplicity"])) == (index, mult)
+
     def test_unknown_type(self, tmp_path):
         with pytest.raises(ValueError):
             write_plot_data({"type": "wat"}, tmp_path / "x.csv")

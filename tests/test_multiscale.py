@@ -10,8 +10,10 @@ from mshist import audit, essential_histogram, significant_feature_intervals
 from mshist.densities import get_density
 from mshist.intervals import count_groups, interval_arrays
 from mshist.multiscale import (
+    CACHE_ENV_VAR,
     DEFAULT_ALPHAS,
     QuantileTable,
+    default_cache_dir,
     load_table,
     log_likelihood_ratio,
     lookup_kappa,
@@ -59,6 +61,11 @@ class TestLogLikelihoodRatio:
         for p0 in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 log_likelihood_ratio(0.5, p0, 10)
+
+    def test_rejects_p_hat_outside_unit_interval(self):
+        for p_hat in (-0.1, 1.1, [0.5, 1.0 + 1e-12]):
+            with pytest.raises(ValueError, match="p_hat must lie in"):
+                log_likelihood_ratio(p_hat, 0.5, 10)
 
     def test_vectorized(self):
         p = np.array([0.1, 0.5, 0.9])
@@ -221,6 +228,21 @@ class TestQuantileTable:
             QuantileTable(10, (0.1, 0.5), (1.0, 2.0), 100, 0)
         with pytest.raises(ValueError):
             QuantileTable(10, (0.1, 1.5), (2.0, 1.0), 100, 0)
+
+    def test_reps_at_least_one(self):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            QuantileTable(10, (0.1, 0.5), (2.0, 1.0), 0, 0)
+
+    def test_default_cache_dir(self, tmp_path, monkeypatch):
+        """The environment variable when it is set and not empty, else the
+        user's cache directory."""
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "kappa"))
+        assert default_cache_dir() == tmp_path / "kappa"
+        monkeypatch.setenv(CACHE_ENV_VAR, "")
+        assert default_cache_dir() == tmp_path / ".cache" / "mshist"
+        monkeypatch.delenv(CACHE_ENV_VAR)
+        assert default_cache_dir() == tmp_path / ".cache" / "mshist"
 
     def test_roundtrip(self, tmp_path):
         t = QuantileTable(10, (0.1, 0.5), (2.0, 1.0), 100, 0)

@@ -33,6 +33,20 @@ def test_derounding_past_the_largest_float_is_refused(values):
         SortedSample(values)
 
 
+@pytest.mark.parametrize(
+    "values", [[-1.7e308, -1.7e308, 1.7e308], [0.0, 0.0, 1.7e308, 1.0]]
+)
+def test_spread_out_of_scale_is_refused_before_derounding(values, caplog):
+    """De-rounding only moves tied extremes outward, so a raw spread already
+    out of scale is refused before it: no de-rounding is logged, and the
+    message names no nan."""
+    with caplog.at_level(logging.WARNING, logger="mshist"):
+        with pytest.raises(ValueError, match="^sample scale out of range") as e:
+            SortedSample(values)
+    assert caplog.records == []
+    assert "nan" not in str(e.value)
+
+
 def test_ties_on_a_grid_are_derounded():
     s = SortedSample([1.0, 2.0, 2.0, 3.0])
     assert s.values.tolist() == [1.0, 1.75, 2.25, 3.0]

@@ -185,6 +185,27 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     assert out.stdout.strip() == "[]"
 
 
+def test_only_a_gaussian_mixture_cdf_loads_scipy_special():
+    """Building the catalogue, drawing from every density and the cdf of
+    each density that is not a Gaussian mixture leave ``scipy.special``
+    out; a Gaussian mixture's cdf brings it in."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "import sys, mshist; ds = mshist.catalog(); "
+        "[d.sampler(0, 50) for d in ds]; "
+        "rest = [d for d in ds if d.name not in ('claw', 'harp', 'bimodal')]; "
+        "[d.cdf(0.5) for d in rest]; "
+        "print(len(rest), 'scipy.special' in sys.modules); "
+        "mshist.get_density('harp').cdf(0.5); "
+        "print('scipy.special' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["5", "False", "True"]
+
+
 def test_fit_from_a_file_leaves_out_numpy_ma(tmp_path):
     """``numpy.ma`` costs about 10 ms to import; ``np.unique`` without
     optional outputs imports it, so the fit, the feature search and the
