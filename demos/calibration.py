@@ -9,6 +9,7 @@ analysis.
 import numpy as np
 
 import mshist
+from mshist.multiscale import DEFAULT_ALPHAS
 
 
 def exponential_statistics(n, reps, seed):
@@ -41,9 +42,9 @@ for dist, stats in (
 # so confidence sets shrink and histograms gain bins
 table = mshist.simulate_quantiles(n, reps=2000, seed=1)
 print("\nalpha -> kappa")
-for a, k in zip(table.alphas, table.kappas):
+for a, k in zip(DEFAULT_ALPHAS, table.kappas):
     print(f" {a:4g}   {k:8.4f}")
 
 sample = mshist.get_density("claw").sampler(seed=2, n=n)
 print("\nbins of the fit as alpha grows (monotone):")
-print([mshist.essential_histogram(sample, a, table).nbins for a in table.alphas])
+print([mshist.essential_histogram(sample, a, table).nbins for a in DEFAULT_ALPHAS])

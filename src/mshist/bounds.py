@@ -15,9 +15,9 @@ from :func:`whole_band`, without a table.  Every sample is in scale, as
 ``SortedSample`` guarantees, so no width, band or density here overflows.
 Every band table, the feature search's radius band included, is laid out
 by :func:`band_table` from per-count mass bounds.  The per-count mass
-roots depend on (n, kappa) alone and the row offsets on n alone, so both
-are solved once and cached; per sample a table costs only its widths and
-the per-row gathers and divisions.
+roots depend on (n, kappa) alone, so they are solved once and cached, and
+the row layout is the cached :func:`intervals.row_index`; per sample a
+table costs only its widths and the per-row gathers and divisions.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intervals import count_extremes, count_groups, interval_arrays, level_counts
+from .intervals import count_extremes, interval_arrays, level_counts, row_index
 from .multiscale import log_likelihood_ratio, penalty
 from .sample import SortedSample
 
@@ -101,28 +101,19 @@ def _count_roots(n: int, kappa: float):
     return q_lo, q_hi
 
 
-@lru_cache(maxsize=4)
-def _row_starts(n: int) -> np.ndarray:
-    """Row offsets of the system for n: rows ``start[i] .. start[i+1]`` have
-    right endpoint i.  Cached for the last four n, read-only."""
-    _, k, _ = interval_arrays(n)
-    start = np.searchsorted(k, np.arange(n + 2))
-    start.flags.writeable = False
-    return start
-
-
 def band_table(sample: SortedSample, q_lo, q_hi) -> ConstraintTable:
     """The system's density bands from the mass bounds ``(q_lo, q_hi)`` of
-    every count, in the order of ``count_groups(n)``: each bound divided by
-    the interval's width in ``sample``."""
-    n = sample.n
-    j, k, _ = interval_arrays(n)
-    _, group = count_groups(n)
+    every count, in the order of ``level_counts(n)``: each bound divided by
+    the interval's width in ``sample``, and the row offsets of
+    :func:`intervals.row_index`."""
+    j, k, _ = interval_arrays(sample.n)
+    group, start = row_index(sample.n)
     xp = np.concatenate((sample.values[:1], sample.values))  # xp[i] = X_(i)
     width = xp[k] - xp[j]
-    return ConstraintTable(
-        a=j, b=k, lo=q_lo[group] / width, hi=q_hi[group] / width, start=_row_starts(n)
-    )
+    lo, hi = q_lo[group], q_hi[group]
+    lo /= width  # in place: no table-sized temporary per bound
+    hi /= width
+    return ConstraintTable(a=j, b=k, lo=lo, hi=hi, start=start)
 
 
 def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:

@@ -49,7 +49,7 @@ def cmd_quantile(args) -> int:
     table = multiscale.simulate_quantiles(
         args.n, reps=args.reps, seed=args.seed, cache_dir=args.cache_dir
     )
-    for a, k in zip(table.alphas, table.kappas):
+    for a, k in zip(multiscale.DEFAULT_ALPHAS, table.kappas):
         print(f"alpha={a:<6g} kappa={k:.6f}")
     return EXIT_OK
 

@@ -206,9 +206,7 @@ def _from_breaks(sample: SortedSample, breaks: np.ndarray) -> HistogramModel:
     m_breaks = np.append(breaks[starts], breaks[-1])
     m_counts = np.add.reduceat(counts, starts)
     m_heights = m_counts / (n * np.diff(m_breaks))
-    return HistogramModel(
-        breaks=m_breaks, heights=m_heights, n=n, counts=m_counts.astype(np.int64)
-    )
+    return HistogramModel(m_breaks, m_heights, n, m_counts)
 
 
 def classical_histogram(sample: SortedSample, rule: str) -> HistogramModel:
@@ -259,17 +257,15 @@ class MetricSet:
     d_p: Dict[float, float]
 
 
-def _hist_raw_moment(fit: HistogramModel, r: int) -> float:
-    b = fit.breaks
-    return float(np.sum(fit.heights * (b[1:] ** (r + 1) - b[:-1] ** (r + 1)) / (r + 1)))
-
-
 def histogram_skewness(fit: HistogramModel) -> float:
-    return _skewness(*(_hist_raw_moment(fit, r) for r in (1, 2, 3)))
+    """From the moments about the first break, which no shift moves."""
+    b = fit.breaks - fit.breaks[0]
+    m = (np.sum(fit.heights * np.diff(b ** (r + 1)) / (r + 1)) for r in (1, 2, 3))
+    return _skewness(*map(float, m))
 
 
 def _skewness(m1, m2, m3) -> float:
-    """Skewness from the first three raw moments; 0 without spread."""
+    """Skewness from the first three moments about one point; 0 without spread."""
     v = m2 - m1**2
     if v <= 0:
         return 0.0

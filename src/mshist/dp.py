@@ -80,9 +80,10 @@ class HistogramModel:
 
     The first bin is closed on the left, all bins are right-closed.  Heights
     integrate to one.  The model holds read-only copies of the arrays it is
-    given, so neither it nor its caller can change the other's.  Fits from
-    ``essential_histogram`` have no equal-height neighbors: the model builder
-    merges them before construction.
+    given, so neither it nor its caller can change the other's.  ``counts``
+    are nonnegative integers, one per bin; ``cut_indices`` are integers rising
+    strictly from 0 to n.  Fits from ``essential_histogram`` have no
+    equal-height neighbors: the model builder merges them before construction.
     """
 
     breaks: np.ndarray
@@ -92,8 +93,15 @@ class HistogramModel:
     cut_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        breaks = np.array(self.breaks, dtype=float)
-        heights = np.array(self.heights, dtype=float)
+        for name in ("breaks", "heights"):
+            try:
+                a = np.array(getattr(self, name))
+            except ValueError:  # a ragged nesting
+                a = np.array(None)
+            if a.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must be an array of numbers")
+            object.__setattr__(self, name, a.astype(float, copy=False))
+        breaks, heights = self.breaks, self.heights
         # NaN fails every comparison below, so it must be caught first
         if not (np.all(np.isfinite(breaks)) and np.all(np.isfinite(heights))):
             raise ValueError("breaks and heights must be finite")
@@ -104,17 +112,27 @@ class HistogramModel:
         total = float(np.sum(heights * np.diff(breaks)))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"density must integrate to 1, got {total!r}")
-        counts = self.counts
+        counts, cuts = self.counts, self.cut_indices
         if counts is not None:
-            counts = np.array(counts, dtype=np.int64)
-            if counts.size != heights.size:
-                raise ValueError("counts must match bins")
+            counts = np.array(counts)
+            if not (counts.dtype.kind in "iu" and counts.shape == heights.shape
+                    and np.all(counts >= 0)):
+                raise ValueError("counts must match bins and be nonnegative integers")
+            counts = counts.astype(np.int64)
             counts.flags.writeable = False
+        if cuts is not None:
+            ints = isinstance(cuts, (list, tuple)) and all(
+                isinstance(c, int) and not isinstance(c, bool) for c in cuts
+            )
+            if not (ints and len(cuts) >= 2 and cuts[0] == 0 and cuts[-1] == self.n
+                    and all(a < b for a, b in zip(cuts, cuts[1:]))):
+                raise ValueError(
+                    f"cut_indices must be integers rising strictly from 0 to n={self.n}"
+                )
         for a in (breaks, heights):
             a.flags.writeable = False
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "heights", heights)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "cut_indices", None if cuts is None else tuple(cuts))
 
     def __eq__(self, other) -> bool:
         """Equal n, breaks, heights and counts; ``cut_indices`` play no part."""
@@ -335,9 +353,9 @@ def _model_from_cuts(sample: SortedSample, cuts: list[int]) -> HistogramModel:
     neighbors (pure representation cleanup, counts re-aggregated)."""
     x = sample.values
     n = sample.n
-    cuts = np.asarray(cuts)
-    counts = np.diff(cuts)
-    edges = np.concatenate((x[:1], x[cuts[1:] - 1]))
+    nodes = np.asarray(cuts)
+    counts = np.diff(nodes)
+    edges = np.concatenate((x[:1], x[nodes[1:] - 1]))
     heights = counts / (n * np.diff(edges))
     # merge runs of neighbors whose heights coincide
     h_prev, h = heights[:-1], heights[1:]
@@ -346,13 +364,7 @@ def _model_from_cuts(sample: SortedSample, cuts: list[int]) -> HistogramModel:
     m_counts = np.add.reduceat(counts, starts)
     m_edges = np.append(edges[starts], edges[-1])
     m_heights = m_counts / (n * np.diff(m_edges))
-    return HistogramModel(
-        breaks=m_edges,
-        heights=m_heights,
-        n=n,
-        counts=m_counts,
-        cut_indices=tuple(int(t) for t in cuts),
-    )
+    return HistogramModel(m_edges, m_heights, n, m_counts, cuts)
 
 
 def essential_histogram(

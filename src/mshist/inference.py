@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConstraintTable, band_table
-from .intervals import IntervalSpec, count_groups, interval_arrays
+from .intervals import IntervalSpec, interval_arrays, level_counts
 from .multiscale import QuantileTable, lookup_kappa, penalty
 from .sample import SortedSample
 
@@ -51,8 +51,7 @@ def _radii(sample: SortedSample, kappa: float) -> ConstraintTable:
     divides it by each interval's width.
     """
     n = sample.n
-    counts, _ = count_groups(n)
-    p = counts / n
+    p = level_counts(n) / n
     c = penalty(p) + kappa
     h = c * (np.sqrt(p * (1.0 - p) / n) + c / (2.0 * n))
     return band_table(sample, p - h, p + h)

@@ -229,15 +229,15 @@ def count_extremes(values) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def count_groups(n: int):
-    """The system for sample size n grouped by count ``k - j``.
+def row_index(n: int):
+    """The row index of the system for sample size n: ``(group, start)``.
 
-    Returns ``(counts, group)``: the distinct counts of
-    :func:`level_counts`, ascending, and the group index of every interval,
-    in system order, so that ``counts[group] == k - j``.  Every
-    per-interval quantity but the width depends on the count alone, so the
-    band table and the radii each evaluate it once per group.  The groups
-    are a lookup by count, so nothing is sorted.
+    ``group`` holds each interval's position in :func:`level_counts`, in
+    system order, so that ``level_counts(n)[group] == k - j``: every
+    per-interval quantity but the width depends on the count alone, so a
+    band table evaluates it once per count.  Rows ``start[i] .. start[i+1]``
+    have right endpoint i.  The groups are a lookup by count and the offsets
+    a search in the ascending k, so nothing is sorted.
 
     Cached for the last four n apart from :func:`interval_arrays`, which does
     not pay for it; arrays are read-only.
@@ -247,6 +247,7 @@ def count_groups(n: int):
     by_count = np.zeros(n + 1, dtype=np.intp)
     by_count[counts] = np.arange(counts.size)
     group = by_count[k - j]
-    group.flags.writeable = False
-    return counts, group
-
+    start = np.searchsorted(k, np.arange(n + 2))
+    for a in (group, start):
+        a.flags.writeable = False
+    return group, start

@@ -54,41 +54,47 @@ def histogram_document(fit: HistogramModel, alpha: float | None = None) -> dict:
 
 def histogram_from_document(doc: dict) -> HistogramModel:
     """The model of a histogram document: :func:`histogram_document`'s keys,
-    ``counts`` and ``cut_indices`` optional; cut indices must be integers
-    rising strictly from 0 to n.  A document with another ``type`` is refused."""
+    ``counts`` and ``cut_indices`` optional and checked by the model; n must
+    be an integer.  A document with another ``type`` is refused."""
     if doc.get("type", "histogram") != "histogram":
         raise ValueError(f"expected a 'histogram' document, got type {doc['type']!r}")
-    n = int(doc["n"])
-    cuts = doc.get("cut_indices")
-    if "cut_indices" in doc:
-        ints = isinstance(cuts, (list, tuple)) and all(
-            isinstance(c, int) and not isinstance(c, bool) for c in cuts
-        )
-        if not (ints and len(cuts) >= 2 and cuts[0] == 0 and cuts[-1] == n
-                and all(a < b for a, b in zip(cuts, cuts[1:]))):
-            raise ValueError(
-                f"cut_indices must be integers rising strictly from 0 to n={n}"
-            )
-        cuts = tuple(cuts)
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    # an explicit null is refused, as an empty list is
+    cuts = (doc["cut_indices"] or ()) if "cut_indices" in doc else None
     return HistogramModel(doc["breaks"], doc["heights"], n, doc.get("counts"), cuts)
 
 
-#: the keys that reading each type of document requires
+#: the keys that reading each type of document requires, and the keys that
+#: plot-data reads in each row of a list of rows
 _DOCUMENT_KEYS = {"histogram": ("n", "breaks", "heights"), "features": ("features",),
                   "audit": ("violations", "removable")}
+_ROW_KEYS = {"features": ("left", "right", "direction", "margin"),
+             "violations": ("left", "right"), "removable": ("index", "multiplicity")}
 
 
 def read_document(path) -> dict:
     """The JSON document in ``path``: an object whose ``type`` is histogram,
-    features or audit, holding the keys that type's readers require.
+    features or audit, holding the keys that type's readers and plot-data
+    read, down to each row; a histogram's fields are checked by its model.
     Anything else raises ValueError naming the file and what is wrong."""
-    doc = json.loads(Path(path).read_text())
-    kinds = list(_DOCUMENT_KEYS)
-    if not (isinstance(doc, dict) and doc.get("type") in kinds):
-        raise ValueError(f"{path}: expected a JSON object whose 'type' is one of {kinds}")
-    missing = [k for k in _DOCUMENT_KEYS[doc["type"]] if k not in doc]
-    if missing:
-        raise ValueError(f"{path}: a {doc['type']} document needs the key {missing[0]!r}")
+    try:
+        doc = json.loads(Path(path).read_text())
+        kinds = list(_DOCUMENT_KEYS)
+        if not (isinstance(doc, dict) and doc.get("type") in kinds):
+            raise ValueError(f"expected a JSON object whose 'type' is one of {kinds}")
+        for key in _DOCUMENT_KEYS[doc["type"]]:
+            if key not in doc:
+                raise ValueError(f"a {doc['type']} document needs the key {key!r}")
+            need, rows = _ROW_KEYS.get(key), doc[key]
+            if need and not (isinstance(rows, list) and all(
+                    isinstance(r, dict) and all(k in r for k in need) for r in rows)):
+                raise ValueError(f"{key!r} must be a list of objects with the keys {need}")
+        if doc["type"] == "histogram":
+            histogram_from_document(doc)
+    except ValueError as e:  # a JSON decoding error is one
+        raise ValueError(f"{path}: {e}") from None
     return doc
 
 
@@ -151,27 +157,25 @@ def histogram_steps(fit: HistogramModel) -> list[tuple[float, float]]:
 
 
 def write_plot_data(doc: dict, path) -> None:
-    """Step CSV for histogram documents, interval CSV for the others."""
+    """Step CSV for histogram documents, interval CSV for the others; every
+    row is built before ``path`` is opened, so a failure writes no file."""
+    kind = doc["type"]
+    if kind == "histogram":
+        steps = histogram_steps(histogram_from_document(doc))
+        rows = [("x", "y")] + [(repr(x), repr(y)) for x, y in steps]
+    elif kind == "features":
+        rows = [("left", "right", "direction", "margin")] + [
+            (repr(f["left"]), repr(f["right"]), f["direction"], repr(f["margin"]))
+            for f in doc["features"]
+        ]
+    elif kind == "audit":
+        rows = [("kind", "left", "right", "multiplicity")] + [
+            ("violation", repr(v["left"]), repr(v["right"]), "") for v in doc["violations"]
+        ] + [("removable", r["index"], "", r["multiplicity"]) for r in doc["removable"]]
+    else:
+        raise ValueError(f"unknown document type {kind!r}")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if doc["type"] == "histogram":
-            w.writerow(["x", "y"])
-            for x, y in histogram_steps(histogram_from_document(doc)):
-                w.writerow([repr(x), repr(y)])
-        elif doc["type"] == "features":
-            w.writerow(["left", "right", "direction", "margin"])
-            for f in doc["features"]:
-                w.writerow(
-                    [repr(f["left"]), repr(f["right"]), f["direction"], repr(f["margin"])]
-                )
-        elif doc["type"] == "audit":
-            w.writerow(["kind", "left", "right", "multiplicity"])
-            for v in doc["violations"]:
-                w.writerow(["violation", repr(v["left"]), repr(v["right"]), ""])
-            for r in doc["removable"]:
-                w.writerow(["removable", r["index"], "", r["multiplicity"]])
-        else:
-            raise ValueError(f"unknown document type {doc.get('type')!r}")
+        csv.writer(fh).writerows(rows)
 
 
 def write_benchmark_csv(rows: Sequence[dict], path) -> None:

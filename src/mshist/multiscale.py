@@ -113,25 +113,21 @@ def simulate_statistics(n: int, reps: int, seed: int = 0) -> np.ndarray:
 class QuantileTable:
     """Calibrated thresholds of the global statistic for one sample size.
 
-    ``kappas[i]`` is the empirical (1 - alphas[i])-quantile over ``reps``
-    Monte-Carlo replications; nonincreasing along the ascending alpha grid.
+    ``kappas[i]`` is the empirical (1 - DEFAULT_ALPHAS[i])-quantile over
+    ``reps`` Monte-Carlo replications, nonincreasing along that shared grid.
     """
 
     n: int
-    alphas: tuple[float, ...]
     kappas: tuple[float, ...]
     reps: int
     seed: int
 
     def __post_init__(self):
-        a = np.asarray(self.alphas)
-        if a.size == 0 or np.any(a <= 0) or np.any(a >= 1) or np.any(np.diff(a) <= 0):
-            raise ValueError("alphas must be strictly increasing inside (0, 1)")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         k = np.asarray(self.kappas)
-        if k.size != a.size or np.any(np.diff(k) > 1e-12):
-            raise ValueError("kappas must match alphas and be nonincreasing")
+        if k.size != len(DEFAULT_ALPHAS) or np.any(np.diff(k) > 1e-12):
+            raise ValueError("kappas must match DEFAULT_ALPHAS and be nonincreasing")
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +135,7 @@ class QuantileTable:
             "n": self.n,
             "reps": self.reps,
             "seed": self.seed,
-            "alphas": list(self.alphas),
+            "alphas": list(DEFAULT_ALPHAS),
             "kappas": list(self.kappas),
         }
 
@@ -149,9 +145,10 @@ class QuantileTable:
             raise ValueError(
                 f"table format version {d.get('version')!r}, expected {TABLE_VERSION}"
             )
+        if d["alphas"] != list(DEFAULT_ALPHAS):
+            raise ValueError(f"alpha grid {d['alphas']!r}, expected {list(DEFAULT_ALPHAS)}")
         return cls(
             n=int(d["n"]),
-            alphas=tuple(float(a) for a in d["alphas"]),
             kappas=tuple(float(k) for k in d["kappas"]),
             reps=int(d["reps"]),
             seed=int(d["seed"]),
@@ -209,9 +206,7 @@ def simulate_quantiles(
     n_capped = min(n, TABLE_N_CAP)
     t = simulate_statistics(n_capped, reps, seed)
     kappas = tuple(float(np.quantile(t, 1.0 - a)) for a in DEFAULT_ALPHAS)
-    table = QuantileTable(
-        n=n_capped, alphas=DEFAULT_ALPHAS, kappas=kappas, reps=reps, seed=seed
-    )
+    table = QuantileTable(n=n_capped, kappas=kappas, reps=reps, seed=seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -254,9 +249,9 @@ def lookup_kappa(table: QuantileTable | None, alpha: float, n: int) -> float | N
         raise ValueError(
             f"table was simulated for n={table.n}, but the request needs n={n_capped}"
         )
-    i = bisect_right(table.alphas, alpha) - 1
+    i = bisect_right(DEFAULT_ALPHAS, alpha) - 1
     if i < 0:
         raise ValueError(
-            f"alpha={alpha} is below the grid, which starts at {table.alphas[0]}"
+            f"alpha={alpha} is below the grid, which starts at {DEFAULT_ALPHAS[0]}"
         )
     return float(table.kappas[i])

@@ -25,6 +25,13 @@ def table_for(n: int):
     return simulate_quantiles(n, reps=reps, seed=SEED, cache_dir=TABLES_DIR)
 
 
+def kappa_table(n: int, kappa: float):
+    """A table for n that serves ``kappa`` at every level of the grid."""
+    from mshist.multiscale import DEFAULT_ALPHAS, QuantileTable
+
+    return QuantileTable(n, (kappa,) * len(DEFAULT_ALPHAS), reps=100, seed=0)
+
+
 @pytest.fixture(scope="session")
 def tables():
     return table_for

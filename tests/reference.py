@@ -33,7 +33,7 @@ from mshist.densities import get_density
 from mshist.dp import HistogramModel, _admits, _backtrack, _bellman_pruned, _model_from_cuts
 from mshist.evaluate import MERGE_WINDOW, AuditReport
 from mshist.inference import FeatureInterval, _radii
-from mshist.intervals import IntervalSpec, count_groups, interval_arrays
+from mshist.intervals import IntervalSpec, interval_arrays, level_counts, row_index
 from mshist.multiscale import QuantileTable, log_likelihood_ratio, lookup_kappa, penalty
 from mshist.sample import SortedSample
 
@@ -54,7 +54,8 @@ def count_extremes_reference(values) -> np.ndarray:
     system intervals, as a ``(2, counts)`` array."""
     x = np.asarray(values, dtype=float)
     j, k, _ = interval_arrays(x.size)
-    counts, group = count_groups(x.size)
+    counts = level_counts(x.size)
+    group, _ = row_index(x.size)
     diff = x[k - 1] - x[j - 1]
     out = np.stack((np.full(counts.size, np.inf), np.full(counts.size, -np.inf)))
     np.minimum.at(out[0], group, diff)

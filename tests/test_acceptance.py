@@ -13,7 +13,6 @@ from mshist.dp import essential_histogram
 from mshist.evaluate import audit
 from mshist.intervals import interval_arrays
 from mshist.multiscale import (
-    QuantileTable,
     lookup_kappa,
     multiscale_statistic,
     penalty,
@@ -21,7 +20,7 @@ from mshist.multiscale import (
 )
 from mshist.sample import SortedSample
 
-from conftest import SEED, table_for
+from conftest import SEED, kappa_table, table_for
 from reference import brute_force_histogram, proposition1_check, unpruned_histogram
 
 DENSITY_CYCLE = ("uniform", "claw", "exponential")
@@ -73,9 +72,7 @@ def test_criterion_02_conservative_pruning():
         sample = d.sampler(_seeded(21, i), n)
         # any threshold works for solver equivalence; vary it across runs
         kap = float(rng.uniform(0.3, 2.5))
-        table = QuantileTable(
-            n=n, alphas=(0.1,), kappas=(kap,), reps=100, seed=0
-        )
+        table = kappa_table(n, kap)
         a = essential_histogram(sample, 0.1, table)
         b = unpruned_histogram(sample, 0.1, table)
         if a.cut_indices != b.cut_indices or not np.array_equal(

@@ -15,7 +15,7 @@ from mshist.bounds import (
     widen,
 )
 from mshist.densities import get_density
-from mshist.intervals import count_groups, interval_arrays
+from mshist.intervals import interval_arrays, level_counts, row_index
 from mshist.multiscale import log_likelihood_ratio, penalty
 from mshist.sample import SortedSample
 
@@ -114,7 +114,8 @@ def inline_table(sample, kappa):
     """lo, hi and start of the band table, solved in full on every call."""
     n = sample.n
     j, k, _ = interval_arrays(n)
-    counts, group = count_groups(n)
+    counts = level_counts(n)
+    group, _ = row_index(n)
     x = sample.values
     q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
     empty = np.isnan(q_lo)

@@ -1,10 +1,13 @@
 import csv
 import json
 import logging
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
+import mshist
 from mshist import cli
 from mshist.cli import _build_parser, main
 from mshist.densities import get_density
@@ -364,6 +367,22 @@ class TestSimulateAndPlot:
         assert len(rows) == len(feats)
 
 
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["mshist", "mshist.cli"])
+    def test_module_exits_with_the_code_of_main(self, module, monkeypatch, capsys):
+        """``python -m mshist`` and ``python -m mshist.cli`` run ``main`` on
+        the command line and exit with its code."""
+        # a fresh copy runs as __main__, so runpy finds no imported one to warn
+        # of; the package's attribute and sys.modules get this one back after
+        monkeypatch.delitem(sys.modules, "mshist.cli")
+        monkeypatch.setattr(mshist, "cli", cli)
+        monkeypatch.setattr(sys, "argv", [module, "quantile", "--n", "500", *CACHE])
+        with pytest.raises(SystemExit) as exit:
+            runpy.run_module(module, run_name="__main__")
+        assert exit.value.code == 0
+        assert capsys.readouterr().out.count("kappa=") == 8
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run("fit") == 1  # missing required flags
@@ -380,24 +399,48 @@ class TestExitCodes:
         [("[1, 2]", "expected a JSON object whose 'type' is one of "
                     "['histogram', 'features', 'audit']"),
          ('{"type": "features"}', "a features document needs the key 'features'"),
-         ('{"type": "histogram", "n": 9}', "a histogram document needs the key 'breaks'")],
-        ids=["list", "features-without-rows", "histogram-without-breaks"],
+         ('{"type": "histogram", "n": 9}', "a histogram document needs the key 'breaks'"),
+         ("{bad", "Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+         ('{"type": "audit", "violations": 5, "removable": []}',
+          "'violations' must be a list of objects with the keys ('left', 'right')"),
+         ('{"type": "features", "features": '
+          '[{"left": 0, "right": 1, "direction": "increase"}]}',
+          "'features' must be a list of objects with the keys "
+          "('left', 'right', 'direction', 'margin')"),
+         ('{"type": "histogram", "n": null, "breaks": [0, 1], "heights": [1]}',
+          "n must be an integer, got None"),
+         ('{"type": "histogram", "n": 9.5, "breaks": [0, 1], "heights": [1]}',
+          "n must be an integer, got 9.5"),
+         ('{"type": "histogram", "n": true, "breaks": [0, 1], "heights": [1]}',
+          "n must be an integer, got True"),
+         ('{"type": "histogram", "n": 9, "breaks": {"a": 1}, "heights": [1]}',
+          "breaks must be an array of numbers"),
+         ('{"type": "histogram", "n": 2, "breaks": [0, 1, 2], "heights": [0.5, 0.5], '
+          '"counts": [1.9, 0.1]}', "counts must match bins and be nonnegative integers"),
+         ('{"type": "histogram", "n": 2, "breaks": [0, 1, 2], "heights": [0.5, 0.5], '
+          '"counts": [3, -1]}', "counts must match bins and be nonnegative integers")],
+        ids=["list", "features-without-rows", "histogram-without-breaks", "not-json",
+             "violations-not-rows", "row-without-margin", "null-n", "fractional-n",
+             "boolean-n", "breaks-not-numbers", "fractional-counts", "negative-counts"],
     )
     def test_document_not_an_object_of_a_known_type_exit_2(
         self, workdir, capsys, command, text, message
     ):
-        """A document is read as an object with a known type and that type's
-        keys, or refused as a data error naming the file."""
+        """A document is read as JSON, an object with a known type, that
+        type's keys and rows, and a histogram's fields as its model takes
+        them, or refused as one data error naming the file, before any
+        output is written."""
         tmp, data = workdir
-        doc = tmp / "doc.json"
+        doc, out = tmp / "doc.json", tmp / "o.csv"
         doc.write_text(text)
         if command == "plot-data":
-            argv = ["plot-data", "--input", doc, "--out", tmp / "o.csv"]
+            argv = ["plot-data", "--input", doc, "--out", out]
         else:
-            argv = ["evaluate", "--input", data, "--hist", doc, *CACHE2K]
+            argv = ["evaluate", "--input", data, "--hist", doc, "--out", out, *CACHE2K]
         assert run(*argv) == 2
         assert capsys.readouterr().err == f"error: {doc}: {message}\n"
-        assert not (tmp / "o.csv").exists()
+        assert not out.exists()
 
     def test_numeric_failure_exit_3(self, workdir, capsys, monkeypatch):
         def fail(*args, **kwargs):

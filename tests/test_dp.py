@@ -14,9 +14,9 @@ from mshist.dp import (
     _sweep,
     essential_histogram,
 )
-from mshist.intervals import IntervalSpec, count_groups, interval_arrays
+from mshist.intervals import IntervalSpec, interval_arrays, row_index
 from mshist.io import histogram_document, histogram_from_document
-from mshist.multiscale import QuantileTable, lookup_kappa
+from mshist.multiscale import lookup_kappa
 from mshist.sample import SortedSample
 
 from reference import (
@@ -32,11 +32,7 @@ from reference import (
     unpruned_histogram,
 )
 
-ALPHAS = (0.05, 0.1, 0.3, 0.5, 0.9)
-
-
-def synthetic_table(n, kappas=(2.0, 1.6, 1.0, 0.6, 0.1)):
-    return QuantileTable(n=n, alphas=ALPHAS, kappas=kappas, reps=100, seed=0)
+from conftest import kappa_table
 
 
 def gapped_sample(seed, n=100):
@@ -92,6 +88,34 @@ class TestHistogramModel:
     def test_counts_must_match_bins(self):
         with pytest.raises(ValueError, match="counts must match bins"):
             HistogramModel(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5]), 10, [10])
+
+    @pytest.mark.parametrize("counts", [[2.7, -1], [2, -1], [1.9, 3.2], [True, False]])
+    def test_counts_are_nonnegative_integers(self, counts):
+        """A model holds no count that its own document reader would refuse
+        or truncate."""
+        b, h = [0.0, 1.0, 2.0], [0.5, 0.5]
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            HistogramModel(b, h, 4, counts)
+        assert HistogramModel(b, h, 4, [4, 0]).counts.tolist() == [4, 0]
+
+    @pytest.mark.parametrize(
+        "cuts", [(0, 5, 3), (0, 2), (1, 4), (0, 2, 2, 4), (0, 2.0, 4), (0, True, 4), (0,)]
+    )
+    def test_cut_indices_rise_from_zero_to_n(self, cuts):
+        b, h = [0.0, 1.0, 2.0], [0.5, 0.5]
+        with pytest.raises(ValueError, match="cut_indices must be integers rising"):
+            HistogramModel(b, h, 4, [2, 2], cuts)
+        assert HistogramModel(b, h, 4, [2, 2], [0, 2, 4]).cut_indices == (0, 2, 4)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("breaks", {"a": 1}), ("breaks", ["0", "1"]), ("breaks", [[0.0], [1.0, 2.0]]),
+         ("heights", "tall"), ("heights", [True])],
+    )
+    def test_non_numeric_field_is_named(self, field, bad):
+        fields = {"breaks": [0.0, 1.0], "heights": [1.0], field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be an array of numbers"):
+            HistogramModel(fields["breaks"], fields["heights"], 4)
 
     @pytest.mark.parametrize(
         "breaks, heights",
@@ -227,9 +251,17 @@ class TestSegmentCost:
 
 
 class TestEssentialHistogram:
+    def test_stalled_round_is_a_numeric_failure(self, tables, monkeypatch):
+        """A round that reaches no node raises instead of looping."""
+        from mshist import dp
+
+        monkeypatch.setattr(dp, "_sweep", lambda *args: np.empty(0, dtype=np.int64))
+        with pytest.raises(RuntimeError, match="dynamic program stalled"):
+            essential_histogram(get_density("claw").sampler(0, 1000), 0.1, tables(1000))
+
     def test_single_bin_below_system_threshold(self):
         sample = SortedSample([0.1, 0.4, 0.5, 0.9])
-        fit = essential_histogram(sample, 0.1, synthetic_table(4))
+        fit = essential_histogram(sample, 0.1, kappa_table(4, 1.6))
         assert fit.nbins == 1
         assert fit.breaks.tolist() == [0.1, 0.9]
         assert fit.heights[0] == pytest.approx(1.0 / 0.8)
@@ -271,7 +303,8 @@ class TestEssentialHistogram:
         for seed in range(5):
             sample = get_density("claw").sampler(seed, 500)
             bins = [
-                essential_histogram(sample, a, tables(500)).nbins for a in ALPHAS
+                essential_histogram(sample, a, tables(500)).nbins
+                for a in (0.05, 0.1, 0.3, 0.5, 0.9)
             ]
             assert bins == sorted(bins)
 
@@ -290,7 +323,7 @@ class TestEssentialHistogram:
         # round 4 starts from nodes 24-29 and 44-55; the blocks from 24-29
         # are all dead at node 44, but node 55 still reaches n in one block
         sample = gapped_sample(4)
-        table = QuantileTable(n=100, alphas=(0.1,), kappas=(0.5,), reps=100, seed=0)
+        table = kappa_table(100, 0.5)
         fit = essential_histogram(sample, 0.1, table)
         assert fit.cut_indices == (0, 34, 39, 55, 100)
         assert fit.cut_indices == unpruned_histogram(sample, 0.1, table).cut_indices
@@ -451,7 +484,6 @@ class TestEssentialHistogram:
         array, row offset or band table; a multi-bin fit builds the table
         once."""
         from mshist import dp
-        from mshist.bounds import _row_starts
 
         built = []
 
@@ -460,9 +492,9 @@ class TestEssentialHistogram:
             return constraint_table(*args)
 
         monkeypatch.setattr(dp, "constraint_table", counting)
-        caches = (interval_arrays, count_groups, _row_starts)
+        caches = (interval_arrays, row_index)
         n = 4111  # a size no other test uses
-        table = synthetic_table(n)
+        table = kappa_table(n, 1.6)
         before = [cache.cache_info() for cache in caches]
         fit = essential_histogram(get_density("uniform").sampler(0, n), 0.1, table)
         assert fit.nbins == 1
@@ -531,7 +563,7 @@ class TestBruteForce:
     def test_guard(self):
         sample = SortedSample(np.linspace(0.0, 1.0, 17))
         with pytest.raises(ValueError):
-            brute_force_histogram(sample, 0.1, synthetic_table(17))
+            brute_force_histogram(sample, 0.1, kappa_table(17, 1.6))
 
     def test_matches_dp(self, tables):
         from mshist.densities import get_density

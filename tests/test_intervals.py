@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from mshist import intervals
-from mshist.bounds import _count_roots, _row_starts, constraint_table
+from mshist.bounds import _count_roots, constraint_table
 from mshist.intervals import (
     IntervalList,
     IntervalSpec,
     _extent,
     count_extremes,
-    count_groups,
     interval_arrays,
     level_counts,
     levels,
     max_scale,
+    row_index,
 )
 from mshist.sample import SortedSample
 
@@ -134,6 +134,11 @@ class TestIntervalList:
         with pytest.raises(AttributeError):
             got.extra = 1
 
+    def test_repr_shows_the_columns(self):
+        assert repr(self.columns()) == (
+            "IntervalList(j=array([1, 3, 4]), k=array([5, 9, 6]), scale=array([2, 3, 4]))"
+        )
+
 
 def test_arrays_read_only():
     """Read-only for every n, the empty system included."""
@@ -191,7 +196,7 @@ def test_levels_materialize_to_the_system(n):
     assert np.array_equal(lev, np.array(ls, dtype=np.int64)[order])
     for a in (j, k, lev):
         assert a.dtype == np.int64 and not a.flags.writeable
-    assert np.array_equal(_row_starts(n), np.searchsorted(ks, np.arange(n + 2), sorter=order))
+    assert np.array_equal(row_index(n)[1], np.searchsorted(ks, np.arange(n + 2), sorter=order))
     # every count belongs to exactly one level, and counts fall with scale
     counts = [q * lev.step for lev in system for q in reversed(lev.lags)]
     assert counts == sorted(set(counts), reverse=True)
@@ -199,13 +204,17 @@ def test_levels_materialize_to_the_system(n):
 
 
 @pytest.mark.parametrize("n", [8, 9, 60, 1000, 10000, 30000, 100000])
-def test_count_groups(n):
+def test_row_index(n):
+    """Each row's position in ``level_counts``, the distinct counts in
+    ascending order, and the offsets of the rows of each right end."""
     j, k, _ = interval_arrays(n)
-    counts, group = count_groups(n)
+    counts = level_counts(n)
+    group, start = row_index(n)
     assert np.array_equal(counts, np.unique(k - j))
     assert np.array_equal(counts[group], k - j)
+    assert np.array_equal(start, np.searchsorted(k, np.arange(n + 2)))
     assert counts.dtype == np.int64 and group.dtype == np.intp
-    for a in (counts, group):
+    for a in (counts, group, start):
         assert not a.flags.writeable
     assert (counts.size == 0) == (n < 9)
 
@@ -220,11 +229,10 @@ def tied_exponential(n):
 @pytest.mark.parametrize("n", [8, 9, 10, 60, 1000, 4099, 30000, 100000])
 def test_count_extremes_are_the_per_count_extremes(n):
     """Per count, the least and the largest X_(k) - X_(j) over the system
-    intervals, in the order of ``level_counts``, which are the grouping's
-    counts; ties and a constant stretch included.  At n = 30000 the step-1
-    level is reduced in blocks of two rows, at 1e5 of one row."""
+    intervals, in the order of ``level_counts``; ties and a constant stretch
+    included.  At n = 30000 the step-1 level is reduced in blocks of two
+    rows, at 1e5 of one row."""
     x = tied_exponential(n)
-    assert level_counts(n) is count_groups(n)[0]
     got = count_extremes(x)
     assert got.shape == (2, level_counts(n).size)
     assert np.array_equal(got, count_extremes_reference(x))
@@ -258,9 +266,9 @@ def test_level_buffer_holds_one_block(n):
 
 
 def test_layout_sorts_nothing(monkeypatch):
-    """The system, its count groups and its row offsets are laid out by
-    counting: a fresh n builds with numpy's sorts unavailable."""
-    layout = (interval_arrays, count_groups, _row_starts)
+    """The system and its row index are laid out by counting: a fresh n
+    builds with numpy's sorts unavailable."""
+    layout = (interval_arrays, row_index)
     for cache in layout:
         cache.cache_clear()
 
@@ -271,32 +279,23 @@ def test_layout_sorts_nothing(monkeypatch):
         monkeypatch.setattr(np, name, no_sort)
     n = 4099
     j, k, _ = interval_arrays(n)
-    counts, group = count_groups(n)
-    start = _row_starts(n)
+    group, start = row_index(n)
     assert all(cache.cache_info().misses == 1 for cache in layout)
-    assert np.array_equal(counts[group], k - j) and start[-1] == j.size
+    assert np.array_equal(level_counts(n)[group], k - j) and start[-1] == j.size
 
 
 def test_band_tables_share_the_cached_grouping():
     sample = SortedSample(np.linspace(0.0, 1.0, 777))
     constraint_table(sample, 1.0)
-    misses = count_groups.cache_info().misses
+    misses = row_index.cache_info().misses
     constraint_table(sample, 0.5)
-    assert count_groups.cache_info().misses == misses
+    assert row_index.cache_info().misses == misses
 
 
 def test_per_n_caches_are_bounded():
-    """The system's caches, the extent of its level arrays, and the band
-    table's per-(n, kappa) roots and per-n row offsets."""
-    caches = (
-        interval_arrays,
-        count_groups,
-        levels,
-        level_counts,
-        _extent,
-        _count_roots,
-        _row_starts,
-    )
+    """The system's caches, its row index, the extent of its level arrays,
+    and the band table's per-(n, kappa) roots."""
+    caches = (interval_arrays, row_index, levels, level_counts, _extent, _count_roots)
     bound = interval_arrays.cache_info().maxsize
     assert all(cache.cache_info().maxsize == bound for cache in caches)
     assert bound is not None and bound <= 4

@@ -8,7 +8,7 @@ import pytest
 
 from mshist import audit, essential_histogram, significant_feature_intervals
 from mshist.densities import get_density
-from mshist.intervals import count_groups, interval_arrays
+from mshist.intervals import interval_arrays, row_index
 from mshist.multiscale import (
     CACHE_ENV_VAR,
     DEFAULT_ALPHAS,
@@ -27,6 +27,10 @@ from mshist.sample import SortedSample
 
 from conftest import SEED, TABLES_DIR, committed_reps
 from reference import build_interval_system, multiscale_statistic_full
+
+#: one kappa per grid level, nonincreasing
+KAPPAS = tuple(np.linspace(3, 1, len(DEFAULT_ALPHAS)))
+PERFBENCH_TABLES = TABLES_DIR.parent / "perfbench" / "tables"
 
 
 def loglr_oracle(p_hat, p0, n):
@@ -161,7 +165,7 @@ class TestStatistics:
         got = multiscale_statistic(sample, cdf=cdf)
         assert got == multiscale_statistic_full(sample, cdf=cdf)
         j, k, _ = interval_arrays(n)
-        _, group = count_groups(n)
+        group, _ = row_index(n)
         f = cdf(sample.values)
         p0 = f[k - 1] - f[j - 1]
         last = np.zeros(group.max() + 1, dtype=np.int64)
@@ -202,7 +206,7 @@ class TestStatistics:
 
     def test_calibration_builds_no_per_interval_arrays(self):
         def misses():
-            return [c.cache_info().misses for c in (interval_arrays, count_groups)]
+            return [c.cache_info().misses for c in (interval_arrays, row_index)]
 
         before = misses()
         simulate_statistics(4099, 3, seed=1)  # a size no other test uses
@@ -222,16 +226,14 @@ class TestQuantileTable:
         assert list(t.kappas) == sorted(t.kappas, reverse=True)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuantileTable(10, (0.5, 0.1), (1.0, 2.0), 100, 0)
-        with pytest.raises(ValueError):
-            QuantileTable(10, (0.1, 0.5), (1.0, 2.0), 100, 0)
-        with pytest.raises(ValueError):
-            QuantileTable(10, (0.1, 1.5), (2.0, 1.0), 100, 0)
+        """One kappa per grid level, nonincreasing along the grid."""
+        for kappas in ((2.0, 1.0), KAPPAS[::-1], KAPPAS + (0.5,)):
+            with pytest.raises(ValueError, match="kappas must match DEFAULT_ALPHAS"):
+                QuantileTable(10, kappas, 100, 0)
 
     def test_reps_at_least_one(self):
         with pytest.raises(ValueError, match="reps must be >= 1"):
-            QuantileTable(10, (0.1, 0.5), (2.0, 1.0), 0, 0)
+            QuantileTable(10, KAPPAS, 0, 0)
 
     def test_default_cache_dir(self, tmp_path, monkeypatch):
         """The environment variable when it is set and not empty, else the
@@ -245,16 +247,34 @@ class TestQuantileTable:
         assert default_cache_dir() == tmp_path / ".cache" / "mshist"
 
     def test_roundtrip(self, tmp_path):
-        t = QuantileTable(10, (0.1, 0.5), (2.0, 1.0), 100, 0)
+        t = QuantileTable(10, KAPPAS, 100, 0)
         assert QuantileTable.from_dict(t.to_dict()) == t
         (tmp_path / "t.json").write_text(json.dumps(t.to_dict()))
         assert load_table(tmp_path / "t.json") == t
 
     def test_rejects_other_format_version(self):
-        d = QuantileTable(10, (0.1, 0.5), (2.0, 1.0), 100, 0).to_dict()
+        d = QuantileTable(10, KAPPAS, 100, 0).to_dict()
         for version in (0, 2, None):
             with pytest.raises(ValueError):
                 QuantileTable.from_dict({**d, "version": version})
+
+    def test_rejects_another_alpha_grid(self):
+        """Every table holds one kappa per ``DEFAULT_ALPHAS`` level; a file on
+        another grid is refused with both grids named."""
+        d = QuantileTable(10, KAPPAS, 100, 0).to_dict()
+        assert d["alphas"] == list(DEFAULT_ALPHAS)
+        for alphas in ([0.1, 0.5], d["alphas"][:-1] + [0.95]):
+            with pytest.raises(ValueError) as err:
+                QuantileTable.from_dict({**d, "alphas": alphas})
+            assert str(alphas) in str(err.value)
+            assert str(list(DEFAULT_ALPHAS)) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "path", sorted(TABLES_DIR.glob("*.json")) + sorted(PERFBENCH_TABLES.glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_committed_tables_reserialise_byte_for_byte(self, path):
+        assert json.dumps(load_table(path).to_dict()) == path.read_text()
 
     def test_cache_hit_is_exact(self, tmp_path, caplog):
         """The miss is announced by one warning naming the cache file; the
@@ -275,7 +295,7 @@ class TestQuantileTable:
 
     def test_cache_file_is_write_once(self, tmp_path):
         path = table_path(20, 150, 9, tmp_path)
-        kept = QuantileTable(20, DEFAULT_ALPHAS, tuple(np.linspace(3, 1, 8)), 150, 9)
+        kept = QuantileTable(20, KAPPAS, 150, 9)
         path.write_text(json.dumps(kept.to_dict()))
         before = path.read_bytes()
         assert simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path) == kept
@@ -313,8 +333,7 @@ class TestQuantileTable:
     def test_quantiles_match_simulated_statistics(self, tmp_path):
         t = simulate_quantiles(25, reps=200, seed=4, cache_dir=tmp_path)
         stats = simulate_statistics(25, 200, seed=4)
-        assert t.alphas == DEFAULT_ALPHAS
-        for a, k in zip(t.alphas, t.kappas):
+        for a, k in zip(DEFAULT_ALPHAS, t.kappas):
             assert k == pytest.approx(np.quantile(stats, 1 - a))
 
     @pytest.mark.parametrize("n", [9, 60, 500, 1000, 3000])
@@ -332,12 +351,12 @@ class TestLookup:
         kappa, never an interpolated smaller one; a level above the grid
         takes the largest grid level's."""
         t = tables(500)
-        kappa = dict(zip(t.alphas, t.kappas))
+        kappa = dict(zip(DEFAULT_ALPHAS, t.kappas))
         assert lookup_kappa(t, 0.1, 500) == kappa[0.1]
         assert lookup_kappa(t, 0.15, 500) == lookup_kappa(t, 0.19999, 500) == kappa[0.1]
         assert lookup_kappa(t, 0.95, 500) == kappa[0.9]
         t = tables(1000)
-        assert lookup_kappa(t, 0.8, 1000) == dict(zip(t.alphas, t.kappas))[0.7]
+        assert lookup_kappa(t, 0.8, 1000) == dict(zip(DEFAULT_ALPHAS, t.kappas))[0.7]
 
     def test_served_kappa_holds_the_level(self, tables):
         """Off the grid, the statistic exceeds the served kappa no more
@@ -401,5 +420,5 @@ class TestLookup:
                 call()
 
     def test_large_n_served_by_capped_table(self):
-        t = QuantileTable(10_000, DEFAULT_ALPHAS, tuple(np.linspace(3, 1, 8)), 100, 0)
+        t = QuantileTable(10_000, KAPPAS, 100, 0)
         assert lookup_kappa(t, 0.1, 50_000) == lookup_kappa(t, 0.1, 10_000)

@@ -1,17 +1,23 @@
 """Property tests over the input domain, each against an oracle in
 ``reference``.  Derandomized and with no example database, so a run is
-reproducible and writes no file."""
+reproducible and leaves no file behind."""
+import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mshist import (SortedSample, audit, classical_histogram, essential_histogram,
-                    significant_feature_intervals)
+                    lower_bound_modes, significant_feature_intervals)
+from mshist.densities import CLASSICAL_RULES
 from mshist.intervals import count_extremes
+from mshist.io import (feature_document, histogram_document, histogram_from_document,
+                       write_json)
 
 from conftest import level_block, table_for
-from reference import count_extremes_reference
+from reference import count_extremes_reference, read_features
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -88,3 +94,27 @@ def test_rescaled_analysis_is_exact_or_refused(n, shape, seed, e):
             assert str(err).startswith("sample scale out of range"), err
             return
         assert _analysis(sample, table) == want
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from((20, 50, 60, 100, 150, 200)),
+    shape=st.sampled_from(SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_documents_round_trip(n, shape, seed):
+    """The essential fit and the three classical histograms come back equal,
+    cut indices included, from their documents through JSON text, and the
+    features from their document's file."""
+    sample = SortedSample(shaped_sample(shape, n, seed))
+    table = table_for(n)
+    fits = [essential_histogram(sample, 0.1, table)]
+    fits += [classical_histogram(sample, rule) for rule in CLASSICAL_RULES]
+    for fit in fits:
+        back = histogram_from_document(json.loads(json.dumps(histogram_document(fit, 0.1))))
+        assert back == fit and back.cut_indices == fit.cut_indices
+    feats = significant_feature_intervals(sample, 0.1, table)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.json"
+        write_json(feature_document(feats, 0.1, lower_bound_modes(feats)), path)
+        assert read_features(path) == feats
