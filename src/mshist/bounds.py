@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intervals import count_extremes, interval_arrays, level_counts, row_index
-from .multiscale import log_likelihood_ratio, penalty
+from .intervals import count_extremes, interval_arrays, row_index
+from .multiscale import count_lattice, log_likelihood_ratio, penalty
 from .sample import SortedSample
 
 #: relative slack for band membership tests (avoids boundary flapping)
@@ -87,13 +87,13 @@ class ConstraintTable:
 @lru_cache(maxsize=4)
 def _count_roots(n: int, kappa: float):
     """Mass roots ``(q_lo, q_hi)`` of every count of the system for sample
-    size n, in the order of ``level_counts(n)``, with the unsatisfiable
-    counts mapped to the empty band (+inf, -inf).
+    size n, around the masses of :func:`multiscale.count_lattice`, with the
+    unsatisfiable counts mapped to the empty band (+inf, -inf).
 
     They depend on (n, kappa) alone, not on the sample, so they are solved
     once per pair; cached for the last four pairs, arrays read-only.
     """
-    q_lo, q_hi = mass_roots_batch(level_counts(n) / n, kappa, n)
+    q_lo, q_hi = mass_roots_batch(count_lattice(n)[0], kappa, n)
     empty = np.isnan(q_lo)
     q_lo[empty], q_hi[empty] = np.inf, -np.inf
     for a in (q_lo, q_hi):

@@ -70,9 +70,6 @@ from .bounds import ConstraintTable, block_band, constraint_table, in_band, whol
 from .multiscale import QuantileTable, lookup_kappa
 from .sample import SortedSample
 
-#: relative tolerance for merging equal-height neighbor bins
-MERGE_RTOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class HistogramModel:
@@ -82,8 +79,9 @@ class HistogramModel:
     integrate to one.  The model holds read-only copies of the arrays it is
     given, so neither it nor its caller can change the other's.  ``counts``
     are nonnegative integers, one per bin; ``cut_indices`` are integers rising
-    strictly from 0 to n.  Fits from ``essential_histogram`` have no
-    equal-height neighbors: the model builder merges them before construction.
+    strictly from 0 to n, one per break, and step by the counts when both are
+    given.  A fit from ``essential_histogram`` has one bin per block of the
+    dynamic program, so ``nbins == len(cut_indices) - 1``.
     """
 
     breaks: np.ndarray
@@ -124,10 +122,12 @@ class HistogramModel:
             ints = isinstance(cuts, (list, tuple)) and all(
                 isinstance(c, int) and not isinstance(c, bool) for c in cuts
             )
-            if not (ints and len(cuts) >= 2 and cuts[0] == 0 and cuts[-1] == self.n
-                    and all(a < b for a, b in zip(cuts, cuts[1:]))):
+            if not (ints and len(cuts) == breaks.size and cuts[0] == 0
+                    and cuts[-1] == self.n and all(a < b for a, b in zip(cuts, cuts[1:]))
+                    and (counts is None or np.array_equal(counts, np.diff(cuts)))):
                 raise ValueError(
-                    f"cut_indices must be integers rising strictly from 0 to n={self.n}"
+                    f"cut_indices must be integers rising strictly from 0 to n={self.n}, "
+                    "one per break and stepping by the counts"
                 )
         for a in (breaks, heights):
             a.flags.writeable = False
@@ -349,22 +349,12 @@ def _backtrack(pred: np.ndarray, n: int) -> list[int]:
 
 
 def _model_from_cuts(sample: SortedSample, cuts: list[int]) -> HistogramModel:
-    """Histogram from segmentation nodes [0, t1, ..., n]; merges equal-height
-    neighbors (pure representation cleanup, counts re-aggregated)."""
-    x = sample.values
-    n = sample.n
-    nodes = np.asarray(cuts)
-    counts = np.diff(nodes)
-    edges = np.concatenate((x[:1], x[nodes[1:] - 1]))
-    heights = counts / (n * np.diff(edges))
-    # merge runs of neighbors whose heights coincide
-    h_prev, h = heights[:-1], heights[1:]
-    same = np.abs(h - h_prev) <= MERGE_RTOL * np.maximum(h, h_prev)
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    m_counts = np.add.reduceat(counts, starts)
-    m_edges = np.append(edges[starts], edges[-1])
-    m_heights = m_counts / (n * np.diff(m_edges))
-    return HistogramModel(m_edges, m_heights, n, m_counts, cuts)
+    """Histogram from segmentation nodes [0, t1, ..., n], one bin per block:
+    block (t, i] spans [X_(t), X_(i)], with t = 0 at X_(1)."""
+    x, n = sample.values, sample.n
+    counts = np.diff(cuts)
+    edges = np.concatenate((x[:1], x[np.asarray(cuts[1:]) - 1]))
+    return HistogramModel(edges, counts / (n * np.diff(edges)), n, counts, cuts)
 
 
 def essential_histogram(

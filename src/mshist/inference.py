@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConstraintTable, band_table
-from .intervals import IntervalSpec, interval_arrays, level_counts
-from .multiscale import QuantileTable, lookup_kappa, penalty
+from .intervals import IntervalSpec, interval_arrays
+from .multiscale import QuantileTable, count_lattice, lookup_kappa
 from .sample import SortedSample
 
 
@@ -45,14 +45,14 @@ def _radii(sample: SortedSample, kappa: float) -> ConstraintTable:
     """The radius band of every system interval: its empirical average
     density plus or minus half its simultaneous confidence radius.
 
-    With p a count's empirical mass and c = penalty(p) + kappa, the half
-    radius in mass is h = c * (sqrt(p*(1-p)/n) + c/(2n)); the mass band
-    [p - h, p + h] of every count goes to :func:`bounds.band_table`, which
-    divides it by each interval's width.
+    With c = penalty(p) + kappa, where p and penalty(p) are a count's mass
+    and penalty from :func:`multiscale.count_lattice`, the half radius in
+    mass is h = c * (sqrt(p*(1-p)/n) + c/(2n)); :func:`bounds.band_table`
+    divides the mass band [p - h, p + h] of every count by each width.
     """
     n = sample.n
-    p = level_counts(n) / n
-    c = penalty(p) + kappa
+    p, pen = count_lattice(n)
+    c = pen + kappa
     h = c * (np.sqrt(p * (1.0 - p) / n) + c / (2.0 * n))
     return band_table(sample, p - h, p + h)
 

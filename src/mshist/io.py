@@ -99,7 +99,12 @@ def read_document(path) -> dict:
 
 
 def read_histogram(path) -> HistogramModel:
-    return histogram_from_document(read_document(path))
+    """The model of the histogram document in ``path``, refusing others by name."""
+    doc = read_document(path)
+    try:
+        return histogram_from_document(doc)
+    except ValueError as e:  # a document of another type
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_json(doc: dict, path) -> None:

@@ -56,11 +56,11 @@ def penalty(p_hat):
 
 
 @lru_cache(maxsize=4)
-def _lattice(n: int):
-    """The empirical masses of the counts of the system for sample size n,
-    in the order of :func:`intervals.level_counts`, with their penalties.
-    Cached for the last four n; arrays are read-only.
-    """
+def count_lattice(n: int):
+    """``(p_hat, penalty)`` of every count of the system for sample size n,
+    in the order of :func:`intervals.level_counts`: the statistic, the mass
+    roots and the radii all read them here.  Cached for the last four n;
+    arrays are read-only."""
     if not levels(n):
         raise ValueError(f"interval system empty for n={n}; sample too small")
     p_hat = level_counts(n) / n
@@ -82,7 +82,7 @@ def multiscale_statistic(sample: SortedSample, *, cdf) -> float:
     lattice, the same reading the fit's one-bin test takes of the widths.
     """
     n = sample.n
-    p_hat, pen = _lattice(n)
+    p_hat, pen = count_lattice(n)
     values = np.asarray(cdf(sample.values), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("cdf returned non-finite values")

@@ -225,11 +225,12 @@ class TestEvaluate:
             capsys.readouterr()
             assert run("evaluate", "--input", data, "--hist", doc, *CACHE2K) == 2
             err = capsys.readouterr().err
-            assert err == f"error: expected a 'histogram' document, got type {kind!r}\n"
+            assert err == f"error: {doc}: expected a 'histogram' document, got type {kind!r}\n"
 
     @pytest.mark.parametrize(
         "cuts", [[0, 450.0, 900], [1, 450, 900], [0, 450, 899], [0, 450, 450, 900],
-                 [0, 600, 450, 900], [0, True, 900], [0], "0,900", {"0": 900}, None],
+                 [0, 600, 450, 900], [0, True, 900], [0], [0, 900], "0,900", {"0": 900},
+                 None],
     )
     def test_malformed_cut_indices_exit_2(self, workdir, capsys, cuts):
         tmp, data = workdir

@@ -99,13 +99,18 @@ class TestHistogramModel:
         assert HistogramModel(b, h, 4, [4, 0]).counts.tolist() == [4, 0]
 
     @pytest.mark.parametrize(
-        "cuts", [(0, 5, 3), (0, 2), (1, 4), (0, 2, 2, 4), (0, 2.0, 4), (0, True, 4), (0,)]
+        "cuts",
+        # the last two: too few cuts for the breaks, and cuts that do not
+        # step by the counts, which cuts need not do where no counts are given
+        [(0, 5, 3), (0, 2), (1, 4), (0, 2, 2, 4), (0, 2.0, 4), (0, True, 4), (0,),
+         (0, 4), (0, 1, 4)],
     )
     def test_cut_indices_rise_from_zero_to_n(self, cuts):
         b, h = [0.0, 1.0, 2.0], [0.5, 0.5]
         with pytest.raises(ValueError, match="cut_indices must be integers rising"):
             HistogramModel(b, h, 4, [2, 2], cuts)
         assert HistogramModel(b, h, 4, [2, 2], [0, 2, 4]).cut_indices == (0, 2, 4)
+        assert HistogramModel(b, h, 4, None, [0, 1, 4]).cut_indices == (0, 1, 4)
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -288,13 +293,14 @@ class TestEssentialHistogram:
         fit = essential_histogram(sample, 0.1, tables(500))
         assert np.all(np.diff(fit.heights) != 0.0)
 
-    def test_model_merges_equal_height_neighbors(self):
-        # unit spacing: bins (4, 7], (7, 10], (10, 12] all have height 1/12
+    def test_model_keeps_equal_height_neighbors(self):
+        """One bin per block: unit spacing gives bins (4, 7], (7, 10] and
+        (10, 12] one height, 1/12, and none of them is merged."""
         sample = SortedSample(np.arange(12.0))
         model = _model_from_cuts(sample, [0, 4, 7, 10, 12])
-        assert model.counts.tolist() == [4, 8]
-        assert model.breaks.tolist() == [0.0, 3.0, 11.0]
-        assert model.heights.tolist() == [4 / 36, 8 / 96]
+        assert model.counts.tolist() == [4, 3, 3, 2]
+        assert model.breaks.tolist() == [0.0, 3.0, 6.0, 9.0, 11.0]
+        assert model.heights.tolist() == [4 / 36, 1 / 12, 1 / 12, 1 / 12]
         assert model.cut_indices == (0, 4, 7, 10, 12)
 
     def test_alpha_monotone_bins(self, tables):

@@ -105,11 +105,15 @@ def test_rescaled_analysis_is_exact_or_refused(n, shape, seed, e):
 def test_documents_round_trip(n, shape, seed):
     """The essential fit and the three classical histograms come back equal,
     cut indices included, from their documents through JSON text, and the
-    features from their document's file."""
+    features from their document's file.  The essential fit has one bin per
+    block, even where ties give neighbours one height, and audits clean."""
     sample = SortedSample(shaped_sample(shape, n, seed))
     table = table_for(n)
-    fits = [essential_histogram(sample, 0.1, table)]
-    fits += [classical_histogram(sample, rule) for rule in CLASSICAL_RULES]
+    fit = essential_histogram(sample, 0.1, table)
+    assert fit.nbins == len(fit.cut_indices) - 1
+    assert np.array_equal(fit.counts, np.diff(fit.cut_indices))
+    assert audit(sample, fit, 0.1, table).clean
+    fits = [fit] + [classical_histogram(sample, rule) for rule in CLASSICAL_RULES]
     for fit in fits:
         back = histogram_from_document(json.loads(json.dumps(histogram_document(fit, 0.1))))
         assert back == fit and back.cut_indices == fit.cut_indices
