@@ -7,15 +7,15 @@ The left side is strictly convex in q with its minimum at q = p, so the
 feasible set is a single mass interval whose endpoints are the two roots of
 a smooth scalar equation; dividing by the interval width turns it into a
 density band.  The fit and the audit both read their bands from
-:func:`constraint_table`, widened by the membership slack :func:`widen`
-as it is built, and test membership with the plain :func:`in_band`; the
-fit's stop tests and the audit's merge test take the band of a block from
-:func:`block_band`, and the fit's first stop test takes that of (0, n]
-from :func:`whole_band`, without a table.  Every sample is in scale, as
-``SortedSample`` guarantees, so no width, band or density here overflows.
-Every band table, the feature search's radius band included, is laid out
-by :func:`band_table` from per-count mass bounds.  The per-count mass
-roots depend on (n, kappa) alone, so they are solved once and cached, and
+:func:`constraint_table` and test membership with the plain
+:func:`in_band`; the fit's stop tests and the audit's merge test take the
+band of a block from :func:`block_band`, and the fit's first stop test
+takes that of (0, n] from :func:`whole_band`, without a table.  Every
+sample is in scale, as ``SortedSample`` guarantees, so no width, band or
+density here overflows.  Every band table, the feature search's radius
+band included, is laid out by :func:`band_table` from per-count mass
+bounds.  The per-count mass roots depend on (n, kappa) alone, so they are
+solved once, widened by the membership slack ``BAND_SLACK`` and cached, and
 the row layout is the cached :func:`intervals.row_index`; per sample a
 table costs only its widths and the per-row gathers and divisions.
 """
@@ -34,18 +34,10 @@ from .sample import SortedSample
 BAND_SLACK = 1e-9
 
 
-def widen(lo, hi):
-    """The band [lo, hi] widened by the relative BAND_SLACK, as
-    :func:`constraint_table` and :func:`whole_band` return it.  Each bound is
-    scaled by a positive constant, which commutes with the max/min that
-    combine bands, so bands may be widened before or after they are
-    combined, and maps +-inf to itself.  Vectorized."""
-    return lo * (1.0 - BAND_SLACK), hi * (1.0 + BAND_SLACK)
-
-
 def in_band(mu, lo, hi):
     """Whether density ``mu`` lies in the band [lo, hi], which carries the
-    membership slack already (see :func:`widen`).
+    membership slack already: the mass roots of :func:`constraint_table`
+    are widened once, when they are solved.
 
     An empty band (lo = +inf, hi = -inf) admits nothing.  Vectorized.
     """
@@ -87,14 +79,16 @@ class ConstraintTable:
 @lru_cache(maxsize=4)
 def _count_roots(n: int, kappa: float):
     """Mass roots ``(q_lo, q_hi)`` of every count of the system for sample
-    size n, around the masses of :func:`multiscale.count_lattice`, with the
-    unsatisfiable counts mapped to the empty band (+inf, -inf).
+    size n, around the masses of :func:`multiscale.count_lattice`, times
+    (1 -+ BAND_SLACK), with the unsatisfiable counts mapped to the empty
+    band (+inf, -inf).
 
     They depend on (n, kappa) alone, not on the sample, so they are solved
     once per pair; cached for the last four pairs, arrays read-only.
     """
     q_lo, q_hi = mass_roots_batch(count_lattice(n)[0], kappa, n)
     empty = np.isnan(q_lo)
+    q_lo, q_hi = q_lo * (1.0 - BAND_SLACK), q_hi * (1.0 + BAND_SLACK)
     q_lo[empty], q_hi[empty] = np.inf, -np.inf
     for a in (q_lo, q_hi):
         a.flags.writeable = False
@@ -118,21 +112,18 @@ def band_table(sample: SortedSample, q_lo, q_hi) -> ConstraintTable:
 
 def constraint_table(sample: SortedSample, kappa: float) -> ConstraintTable:
     """Feasible density band of every system interval at threshold
-    ``kappa``, widened in place by :func:`widen`'s relative 1e-9."""
-    table = band_table(sample, *_count_roots(sample.n, float(kappa)))
-    np.multiply(table.lo, 1.0 - BAND_SLACK, out=table.lo)
-    np.multiply(table.hi, 1.0 + BAND_SLACK, out=table.hi)
-    return table
+    ``kappa``, with the membership slack of the widened mass roots."""
+    return band_table(sample, *_count_roots(sample.n, float(kappa)))
 
 
 def whole_band(sample: SortedSample, kappa: float):
-    """Band (lo, hi) of the block (0, n], widened by :func:`widen`, with no
-    band table: a count's intervals share their mass roots and division is
-    monotone in the divisor, so the tightest of their bands is ``q_lo`` over
-    their least width and ``q_hi`` over their largest, bit for bit."""
+    """Band (lo, hi) of the block (0, n], with no band table: a count's
+    intervals share their mass roots and division is monotone in the
+    divisor, so the tightest of their bands is ``q_lo`` over their least
+    width and ``q_hi`` over their largest, bit for bit."""
     q_lo, q_hi = _count_roots(sample.n, float(kappa))
     least, most = count_extremes(sample.values)
-    return widen(np.max(q_lo / least), np.min(q_hi / most))
+    return np.max(q_lo / least), np.min(q_hi / most)
 
 
 def block_band(table: ConstraintTable, t, i):

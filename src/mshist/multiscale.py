@@ -114,7 +114,8 @@ class QuantileTable:
     """Calibrated thresholds of the global statistic for one sample size.
 
     ``kappas[i]`` is the empirical (1 - DEFAULT_ALPHAS[i])-quantile over
-    ``reps`` Monte-Carlo replications, nonincreasing along that shared grid.
+    ``reps`` Monte-Carlo replications, finite and nonincreasing along that
+    shared grid.
     """
 
     n: int
@@ -125,7 +126,9 @@ class QuantileTable:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        k = np.asarray(self.kappas)
+        k = np.asarray(self.kappas, dtype=float)
+        if not np.all(np.isfinite(k)):
+            raise ValueError(f"kappas must be finite, got {list(self.kappas)}")
         if k.size != len(DEFAULT_ALPHAS) or np.any(np.diff(k) > 1e-12):
             raise ValueError("kappas must match DEFAULT_ALPHAS and be nonincreasing")
 
@@ -140,19 +143,29 @@ class QuantileTable:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "QuantileTable":
+    def from_dict(cls, d) -> "QuantileTable":
+        """The table of a :meth:`to_dict` object: this format version and
+        alpha grid, integer n, reps and seed, and a list of kappas, which
+        the table checks.  Anything else raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a table is a JSON object, got {type(d).__name__}")
         if d.get("version") != TABLE_VERSION:
             raise ValueError(
                 f"table format version {d.get('version')!r}, expected {TABLE_VERSION}"
             )
+        missing = [key for key in ("n", "reps", "seed", "alphas", "kappas") if key not in d]
+        if missing:
+            raise ValueError(f"a table needs the keys {missing}")
         if d["alphas"] != list(DEFAULT_ALPHAS):
             raise ValueError(f"alpha grid {d['alphas']!r}, expected {list(DEFAULT_ALPHAS)}")
-        return cls(
-            n=int(d["n"]),
-            kappas=tuple(float(k) for k in d["kappas"]),
-            reps=int(d["reps"]),
-            seed=int(d["seed"]),
-        )
+        for key in ("n", "reps", "seed"):
+            if not isinstance(d[key], int) or isinstance(d[key], bool):
+                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+        if not (isinstance(d["kappas"], list) and all(
+                isinstance(k, (int, float)) and not isinstance(k, bool) for k in d["kappas"])):
+            raise ValueError(f"kappas must be a list of numbers, got {d['kappas']!r}")
+        return cls(n=d["n"], kappas=tuple(map(float, d["kappas"])), reps=d["reps"],
+                   seed=d["seed"])
 
 
 def default_cache_dir() -> Path:
@@ -224,7 +237,12 @@ def simulate_quantiles(
 
 
 def load_table(path) -> QuantileTable:
-    return QuantileTable.from_dict(json.loads(Path(path).read_text()))
+    """The table in the JSON file ``path``; a file that is not JSON, or that
+    :meth:`QuantileTable.from_dict` refuses, raises ValueError naming it."""
+    try:
+        return QuantileTable.from_dict(json.loads(Path(path).read_text()))
+    except ValueError as e:  # a JSON decoding error is one
+        raise ValueError(f"{path}: {e}") from None
 
 
 def lookup_kappa(table: QuantileTable | None, alpha: float, n: int) -> float | None:

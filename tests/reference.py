@@ -13,8 +13,8 @@ feature search on a binary indexed (Fenwick) tree, its scan for the
 inclusion-minimal hulls as a quadratic pair scan with a linear
 inclusion-minimal filter, the multiscale statistic evaluated on every
 system interval, the deterministic check of the paper's Proposition 1,
-and the reader of features documents.  The oracle solves its own bands, so
-it shares only the membership slack :func:`mshist.bounds.widen` and the
+and the reader of features documents.  The oracle solves its own bands and
+widens them by ``BAND_SLACK`` itself (:func:`widen`), so it shares only the
 membership test :func:`mshist.bounds.in_band` with the fit.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq
 
-from mshist.bounds import ConstraintTable, constraint_table, in_band, widen
+from mshist.bounds import BAND_SLACK, ConstraintTable, constraint_table, in_band
 from mshist.densities import get_density
 from mshist.dp import HistogramModel, _admits, _backtrack, _bellman_pruned, _model_from_cuts
 from mshist.evaluate import MERGE_WINDOW, AuditReport
@@ -65,6 +65,13 @@ def count_extremes_reference(values) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # scalar bands
+
+
+def widen(lo, hi):
+    """The band [lo, hi] widened by the relative BAND_SLACK, which the
+    library applies to each count's mass roots.  Each bound is scaled by a
+    positive constant, so +-inf maps to itself.  Vectorized."""
+    return lo * (1.0 - BAND_SLACK), hi * (1.0 + BAND_SLACK)
 
 
 @dataclass(frozen=True)

@@ -253,3 +253,32 @@ def test_criterion_10_performance():
         dt <= 5.0,
         f"claw n=3000 fit in {dt:.2f}s (<=5s, calibration cached), {fit.nbins} bins",
     )
+
+
+def test_power_at_the_detection_boundary():
+    """A bump of width w at 0.5 carrying excess mass eps = 3*sqrt(2w*log(1/w)/n)
+    over the uniform law, at the multiscale detection boundary (Duembgen &
+    Walther 2008), shows as an interior local maximum of the fit in at least
+    half of 200 samples at every w: power at a fixed constant hardly depends
+    on the scale.  Rates at the time of writing: 0.795, 0.885, 0.850 and
+    0.625, so 0.5 lies about 3.5 standard errors below the lowest."""
+    n = 3000
+    table = table_for(n)
+    rates = []
+    for w in (0.003, 0.01, 0.03, 0.1):
+        eps = 3.0 * math.sqrt(2.0 * w * math.log(1.0 / w) / n)
+        shown = 0
+        for r in range(200):
+            rng = np.random.default_rng(r)
+            bump = rng.random(n) < eps
+            in_bump = rng.uniform(0.5 - w / 2, 0.5 + w / 2, n)
+            x = np.where(bump, in_bump, rng.random(n))
+            h = essential_histogram(SortedSample(x), 0.1, table).heights
+            shown += bool(np.any((h[1:-1] > h[:-2]) & (h[1:-1] > h[2:])))
+        rates.append(shown / 200)
+    _report(
+        "power at the detection boundary (c = 3, n = 3000, alpha = 0.1)",
+        min(rates) >= 0.5,
+        "rates for w = 0.003, 0.01, 0.03, 0.1: "
+        + ", ".join(f"{p:.3f}" for p in rates) + " (each >= 0.5)",
+    )

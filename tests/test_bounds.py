@@ -5,21 +5,19 @@ import pytest
 
 from mshist import bounds
 from mshist.bounds import (
-    BAND_SLACK,
     band_table,
     block_band,
     constraint_table,
     in_band,
     mass_roots_batch,
     whole_band,
-    widen,
 )
 from mshist.densities import get_density
 from mshist.intervals import interval_arrays, level_counts, row_index
 from mshist.multiscale import log_likelihood_ratio, penalty
 from mshist.sample import SortedSample
 
-from reference import build_interval_system, constraint_interval, mass_roots, table_band
+from reference import build_interval_system, constraint_interval, mass_roots, table_band, widen
 
 
 def gap_oracle(q, p_hat, kappa, n):
@@ -110,19 +108,26 @@ class TestConstraintInterval:
         np.testing.assert_allclose(t.hi, [b.upper for b in bands], rtol=1e-8)
 
 
-def inline_table(sample, kappa):
-    """lo, hi and start of the band table, solved in full on every call."""
-    n = sample.n
-    j, k, _ = interval_arrays(n)
-    counts = level_counts(n)
-    group, _ = row_index(n)
-    x = sample.values
-    q_lo, q_hi = mass_roots_batch(counts / n, kappa, n)
+def raw_roots(n, kappa):
+    """Each count's mass roots, unwidened, with the unsatisfiable counts
+    mapped to (+inf, -inf)."""
+    q_lo, q_hi = mass_roots_batch(level_counts(n) / n, kappa, n)
     empty = np.isnan(q_lo)
     q_lo[empty], q_hi[empty] = np.inf, -np.inf
+    return q_lo, q_hi
+
+
+def inline_table(sample, kappa):
+    """lo, hi and start of the band table, solved in full on every call:
+    each count's roots widened by the slack, then divided by each width."""
+    n = sample.n
+    j, k, _ = interval_arrays(n)
+    group, _ = row_index(n)
+    x = sample.values
+    q_lo, q_hi = widen(*raw_roots(n, kappa))
     width = x[k - 1] - x[j - 1]
     start = np.searchsorted(k, np.arange(n + 2))
-    return q_lo[group] / width, q_hi[group] / width, start, empty.any()
+    return q_lo[group] / width, q_hi[group] / width, start, np.isinf(q_lo).any()
 
 
 class TestCachedRoots:
@@ -154,7 +159,6 @@ class TestCachedRoots:
             for sample in samples:
                 lo, hi, start, some_empty = inline_table(sample, kappa)
                 assert some_empty == (kappa < 0)
-                lo, hi = widen(lo, hi)
                 t = constraint_table(sample, kappa)
                 assert np.array_equal(t.lo, lo)
                 assert np.array_equal(t.hi, hi)
@@ -178,18 +182,20 @@ class TestFeasibleBand:
         assert not in_band(1.5, np.inf, -np.inf)
 
     def test_membership_slack(self):
-        """Each bound of the table is the raw bound, the mass root over the
-        width, times (1 -+ BAND_SLACK), so a density 5e-10 outside the raw
-        band is in and one 1e-3 outside is not; empty bands stay empty."""
+        """Each bound of the table is its count's mass root times
+        (1 -+ BAND_SLACK), over the width, so a density 5e-10 outside the
+        raw band is in and one 1e-3 outside is not; empty bands stay empty."""
         sample = SortedSample(np.random.default_rng(6).random(200))
         for kappa in (1.0, -2.3):
-            raw = band_table(sample, *bounds._count_roots(200, kappa))
+            q_lo, q_hi = raw_roots(200, kappa)
+            raw = band_table(sample, q_lo, q_hi)
+            wide = band_table(sample, *widen(q_lo, q_hi))
             t = constraint_table(sample, kappa)
-            assert np.array_equal(t.lo, raw.lo * (1.0 - BAND_SLACK))
-            assert np.array_equal(t.hi, raw.hi * (1.0 + BAND_SLACK))
+            assert np.array_equal(t.lo, wide.lo)
+            assert np.array_equal(t.hi, wide.hi)
             full = raw.lo <= raw.hi
             assert np.all(in_band(raw.lo[full] * (1.0 - 5e-10), t.lo[full], t.hi[full]))
-            assert np.all(in_band(raw.hi[full] * (1.0 + 1e-9), t.lo[full], t.hi[full]))
+            assert np.all(in_band(raw.hi[full] * (1.0 + 5e-10), t.lo[full], t.hi[full]))
             assert not np.any(in_band(raw.lo * 0.999, t.lo, t.hi))
             assert not np.any(in_band(raw.hi * 1.001, t.lo, t.hi))
             assert np.array_equal(~full, t.lo > t.hi) and full.any()

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 import runpy
 import sys
 
@@ -441,6 +442,37 @@ class TestExitCodes:
             argv = ["evaluate", "--input", data, "--hist", doc, "--out", out, *CACHE2K]
         assert run(*argv) == 2
         assert capsys.readouterr().err == f"error: {doc}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: json.dumps({**d, "kappas": d["kappas"][:2] + [math.nan] + d["kappas"][3:]}),
+          "kappas must be finite"),
+         (lambda d: json.dumps({**d, "kappas": d["kappas"][:7] + [-math.inf]}),
+          "kappas must be finite"),
+         (lambda d: json.dumps({**d, "kappas": [math.inf] + d["kappas"][1:]}),
+          "kappas must be finite"),
+         (lambda d: "[1, 2]", "a table is a JSON object, got list"),
+         (lambda d: json.dumps({k: v for k, v in d.items() if k != "kappas"}),
+          "a table needs the keys ['kappas']"),
+         (lambda d: "{bad", "Expecting property name enclosed in double quotes"),
+         (lambda d: json.dumps({**d, "n": 1000.9}), "n must be an integer, got 1000.9")],
+        ids=["nan-at-0.1", "-inf-at-0.9", "inf-at-0.01", "list", "no-kappas", "not-json",
+             "fractional-n"],
+    )
+    def test_corrupt_table_exit_2(self, tmp_path, capsys, edit, message):
+        """A corrupt copy of the committed n = 1000 table in the cache is one
+        data error naming its file, and the fit writes no document."""
+        committed = mshist.table_path(1000, 5000, 20250823, TABLES_DIR)
+        path = mshist.table_path(1000, 5000, 20250823, tmp_path)
+        path.write_text(edit(json.loads(committed.read_text())))
+        data, out = tmp_path / "claw.txt", tmp_path / "fit.json"
+        np.savetxt(data, get_density("claw").sampler(0, 1000).values)
+        argv = ["fit", "--input", data, "--out", out, "--cache-dir", tmp_path,
+                "--reps", "5000", "--seed", "20250823"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_numeric_failure_exit_3(self, workdir, capsys, monkeypatch):

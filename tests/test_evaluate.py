@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mshist.bounds import constraint_table, in_band, widen
+from mshist.bounds import constraint_table, in_band
 from mshist.densities import classical_histogram, get_density
 from mshist.dp import HistogramModel, essential_histogram
 from mshist.evaluate import (
@@ -22,6 +22,7 @@ from reference import (
     mass_roots,
     removable_reference,
     violation_reference,
+    widen,
 )
 
 

@@ -269,6 +269,59 @@ class TestQuantileTable:
             assert str(alphas) in str(err.value)
             assert str(list(DEFAULT_ALPHAS)) in str(err.value)
 
+    @pytest.mark.parametrize("i, bad", [(2, math.nan), (7, -math.inf), (0, math.inf)])
+    def test_rejects_non_finite_kappas(self, i, bad):
+        """NaN passes the order check, and -inf at the last level or +inf at
+        the first keeps the kappas nonincreasing; each is refused."""
+        kappas = list(KAPPAS)
+        kappas[i] = bad
+        with pytest.raises(ValueError, match="kappas must be finite"):
+            QuantileTable(10, tuple(kappas), 100, 0)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: [1, 2], "a table is a JSON object, got list"),
+         (lambda d: {k: v for k, v in d.items() if k not in ("reps", "kappas")},
+          "a table needs the keys ['reps', 'kappas']"),
+         (lambda d: {**d, "n": 1000.9}, "n must be an integer, got 1000.9"),
+         (lambda d: {**d, "reps": True}, "reps must be an integer, got True"),
+         (lambda d: {**d, "seed": "0"}, "seed must be an integer, got '0'"),
+         (lambda d: {**d, "kappas": None}, "kappas must be a list of numbers, got None"),
+         (lambda d: {**d, "kappas": ["3"] + d["kappas"][1:]},
+          "kappas must be a list of numbers, got ['3', "),
+         (lambda d: {**d, "kappas": d["kappas"][:-1] + [False]},
+          "kappas must be a list of numbers, got ["),
+         (lambda d: {**d, "kappas": [math.nan] + d["kappas"][1:]},
+          "kappas must be finite, got [nan, ")],
+        ids=["list", "missing-keys", "fractional-n", "boolean-reps", "string-seed",
+             "null-kappas", "string-kappa", "boolean-kappa", "nan-kappa"],
+    )
+    def test_from_dict_refuses_malformed(self, tmp_path, edit, message):
+        """Only an object with the table's keys, integer n, reps and seed and
+        finite numbers for kappas is a table; every refusal of a file names
+        it, as does a file that is not JSON."""
+        d = edit(QuantileTable(10, KAPPAS, 100, 0).to_dict())
+        with pytest.raises(ValueError) as err:
+            QuantileTable.from_dict(d)
+        assert str(err.value).startswith(message)
+        path = tmp_path / "t.json"
+        for text in (json.dumps(d), "{bad"):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                load_table(path)
+            assert str(err.value).startswith(f"{path}: ")
+
+    def test_corrupt_cache_file_is_refused_and_kept(self, tmp_path):
+        path = table_path(20, 150, 9, tmp_path)
+        d = QuantileTable(20, KAPPAS, 150, 9).to_dict()
+        d["kappas"][2] = math.nan
+        path.write_text(json.dumps(d))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"^{path}: kappas must be finite"):
+            simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize(
         "path", sorted(TABLES_DIR.glob("*.json")) + sorted(PERFBENCH_TABLES.glob("*.json")),
         ids=lambda p: p.name,

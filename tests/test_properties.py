@@ -12,12 +12,14 @@ import pytest
 from mshist import (SortedSample, audit, classical_histogram, essential_histogram,
                     lower_bound_modes, significant_feature_intervals)
 from mshist.densities import CLASSICAL_RULES
+from mshist.dp import _backtrack, _bellman_pruned
 from mshist.intervals import count_extremes
 from mshist.io import (feature_document, histogram_document, histogram_from_document,
                        write_json)
 
-from conftest import level_block, table_for
-from reference import count_extremes_reference, read_features
+from conftest import kappa_table, level_block, table_for
+from reference import (_bellman_unpruned, count_extremes_reference, feature_intervals_tree,
+                       read_features, removable_reference, violation_reference)
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -122,3 +124,56 @@ def test_documents_round_trip(n, shape, seed):
         path = Path(tmp) / "features.json"
         write_json(feature_document(feats, 0.1, lower_bound_modes(feats)), path)
         assert read_features(path) == feats
+
+
+#: thresholds of the differential properties: a negative one narrows every
+#: band, and all lie above -2.185, minus the least penalty, so no band is empty
+KAPPAS = (-1.0, 0.4, 1.2, 2.0)
+
+differential = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+small_samples = dict(
+    n=st.integers(9, 200),
+    shape=st.sampled_from(SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    kappa=st.sampled_from(KAPPAS),
+)
+
+
+@differential
+@given(**small_samples)
+def test_pruned_solver_is_the_plain_recursion(n, shape, seed, kappa):
+    """At node n the pruned rounds and the recursion over all predecessors
+    agree on the cut indices, the fewest blocks and the cost, bit for bit."""
+    sample = SortedSample(shaped_sample(shape, n, seed))
+    K, V, pred = _bellman_pruned(sample, kappa)
+    K_ref, V_ref, pred_ref = _bellman_unpruned(sample, kappa)
+    assert _backtrack(pred, n) == _backtrack(pred_ref, n)
+    assert (K[n], V[n]) == (K_ref[n], V_ref[n])
+
+
+@differential
+@given(**small_samples)
+def test_feature_scan_is_the_tree_search(n, shape, seed, kappa):
+    """The forward scan certifies the hulls of the Fenwick tree search, with
+    its directions, margins and witnesses."""
+    sample = SortedSample(shaped_sample(shape, n, seed))
+    table = kappa_table(n, kappa)
+    assert significant_feature_intervals(sample, 0.1, table) == feature_intervals_tree(
+        sample, 0.1, table)
+
+
+@differential
+@given(**small_samples)
+def test_audit_is_the_reference_audit(n, shape, seed, kappa):
+    """The audit of the essential fit and of the three classical histograms
+    flags the intervals and the removable breaks of the reference's one
+    interval and one window at a time; the essential fit audits clean."""
+    sample = SortedSample(shaped_sample(shape, n, seed))
+    table = kappa_table(n, kappa)
+    fits = [essential_histogram(sample, 0.1, table)]
+    fits += [classical_histogram(sample, rule) for rule in CLASSICAL_RULES]
+    reports = [audit(sample, est, 0.1, table) for est in fits]
+    for est, report in zip(fits, reports):
+        assert report.violations == violation_reference(sample, est, 0.1, table)
+        assert report.removable == removable_reference(sample, est, 0.1, table)
+    assert reports[0].clean
