@@ -7,7 +7,6 @@ omits is statistically insignificant at the chosen level.
 """
 from .bounds import constraint_table
 from .densities import (
-    MetricSet,
     ReferenceDensity,
     benchmark_rows,
     catalog,
@@ -45,7 +44,6 @@ __all__ = [
     "HistogramModel",
     "IntervalList",
     "IntervalSpec",
-    "MetricSet",
     "QuantileTable",
     "ReferenceDensity",
     "SortedSample",

@@ -116,8 +116,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    doc = io.read_document(args.input)
-    io.write_plot_data(doc, args.out)
+    doc, fit = io.read_document(args.input)
+    io.write_plot_data(doc, args.out, fit)
     print(f"{doc['type']} -> {args.out}")
     return EXIT_OK
 

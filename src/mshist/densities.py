@@ -7,7 +7,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -244,19 +244,6 @@ def classical_histogram(sample: SortedSample, rule: str) -> HistogramModel:
 # metrics
 
 
-@dataclass(frozen=True)
-class MetricSet:
-    """Evaluation metrics of one fitted histogram against a known density."""
-
-    mise_component: float
-    kolmogorov: float
-    skewness: float
-    modes: int
-    troughs: int
-    n_bins: int
-    d_p: Dict[float, float]
-
-
 def histogram_skewness(fit: HistogramModel) -> float:
     """From the moments about the first break, which no shift moves."""
     b = fit.breaks - fit.breaks[0]
@@ -317,10 +304,12 @@ def standardized_mass_error(
     return float(np.max(np.abs(mass - p)) / math.sqrt(p * (1.0 - p)))
 
 
-def metrics(fit: HistogramModel, truth: ReferenceDensity) -> MetricSet:
-    """Evaluate one fit against the truth: integrated squared error,
-    sup-CDF distance, shape statistics, and standardized interval-mass
-    errors at the masses of DEFAULT_P_GRID."""
+def metrics(fit: HistogramModel, truth: ReferenceDensity) -> dict:
+    """Evaluate one fit against the truth, keyed by the metric columns of
+    ``BENCHMARK_COLUMNS`` in their order: the fit's bins and extrema,
+    integrated squared error, sup-CDF distance, skewness, and the
+    standardized interval-mass error ``d_<p>`` at each mass of
+    DEFAULT_P_GRID."""
     b = fit.breaks
     w = np.diff(b)
     F = np.asarray(truth.cdf(b), dtype=float)
@@ -334,16 +323,9 @@ def metrics(fit: HistogramModel, truth: ReferenceDensity) -> MetricSet:
     ks = float(np.max(np.abs(np.asarray(truth.cdf(xs)) - fit.cdf(xs))))
     ks = max(ks, float(F[0]), float(1.0 - F[-1]))
     modes, troughs = count_extrema(fit.heights)
-    d_p = {p: standardized_mass_error(fit, truth, p) for p in DEFAULT_P_GRID}
-    return MetricSet(
-        mise_component=mise,
-        kolmogorov=ks,
-        skewness=float(histogram_skewness(fit)),
-        modes=modes,
-        troughs=troughs,
-        n_bins=fit.nbins,
-        d_p=d_p,
-    )
+    return {"n_bins": fit.nbins, "modes": modes, "troughs": troughs, "mise_sq": mise,
+            "kolmogorov": ks, "skewness": float(histogram_skewness(fit)),
+            **{f"d_{p}": standardized_mass_error(fit, truth, p) for p in DEFAULT_P_GRID}}
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +388,6 @@ def benchmark_rows(
             t0 = time.perf_counter()
             fit = fitter(sample)
             ms = (time.perf_counter() - t0) * 1000.0
-            m = metrics(fit, density)
-            cells = (
-                density.name, method, alpha, n, rep,
-                m.n_bins, m.modes, m.troughs, m.mise_component, m.kolmogorov,
-                m.skewness, *(m.d_p[p] for p in DEFAULT_P_GRID), ms,
-            )
-            rows.append(dict(zip(BENCHMARK_COLUMNS, cells, strict=True)))
+            rows.append({"density": density.name, "method": method, "alpha": alpha,
+                         "n": n, "rep": rep, **metrics(fit, density), "runtime_ms": ms})
     return rows

@@ -74,11 +74,12 @@ _ROW_KEYS = {"features": ("left", "right", "direction", "margin"),
              "violations": ("left", "right"), "removable": ("index", "multiplicity")}
 
 
-def read_document(path) -> dict:
-    """The JSON document in ``path``: an object whose ``type`` is histogram,
-    features or audit, holding the keys that type's readers and plot-data
-    read, down to each row; a histogram's fields are checked by its model.
-    Anything else raises ValueError naming the file and what is wrong."""
+def read_document(path) -> tuple[dict, HistogramModel | None]:
+    """The JSON document in ``path`` and, for a histogram document, its
+    model, which checks the histogram's fields; the document must be an
+    object whose ``type`` is histogram, features or audit, holding the keys
+    that type's readers and plot-data read, down to each row.  Anything
+    else raises ValueError naming the file and what is wrong."""
     try:
         doc = json.loads(Path(path).read_text())
         kinds = list(_DOCUMENT_KEYS)
@@ -91,20 +92,18 @@ def read_document(path) -> dict:
             if need and not (isinstance(rows, list) and all(
                     isinstance(r, dict) and all(k in r for k in need) for r in rows)):
                 raise ValueError(f"{key!r} must be a list of objects with the keys {need}")
-        if doc["type"] == "histogram":
-            histogram_from_document(doc)
+        fit = histogram_from_document(doc) if doc["type"] == "histogram" else None
     except ValueError as e:  # a JSON decoding error is one
         raise ValueError(f"{path}: {e}") from None
-    return doc
+    return doc, fit
 
 
 def read_histogram(path) -> HistogramModel:
     """The model of the histogram document in ``path``, refusing others by name."""
-    doc = read_document(path)
-    try:
-        return histogram_from_document(doc)
-    except ValueError as e:  # a document of another type
-        raise ValueError(f"{path}: {e}") from None
+    doc, fit = read_document(path)
+    if fit is None:
+        raise ValueError(f"{path}: expected a 'histogram' document, got type {doc['type']!r}")
+    return fit
 
 
 def write_json(doc: dict, path) -> None:
@@ -161,12 +160,14 @@ def histogram_steps(fit: HistogramModel) -> list[tuple[float, float]]:
     return list(zip(fit.breaks.repeat(2)[1:-1].tolist(), fit.heights.repeat(2).tolist()))
 
 
-def write_plot_data(doc: dict, path) -> None:
+def write_plot_data(doc: dict, path, fit: HistogramModel | None = None) -> None:
     """Step CSV for histogram documents, interval CSV for the others; every
-    row is built before ``path`` is opened, so a failure writes no file."""
+    row is built before ``path`` is opened, so a failure writes no file.
+    A histogram document's model is built from it unless ``fit``, the model
+    :func:`read_document` returned with it, is given."""
     kind = doc["type"]
     if kind == "histogram":
-        steps = histogram_steps(histogram_from_document(doc))
+        steps = histogram_steps(histogram_from_document(doc) if fit is None else fit)
         rows = [("x", "y")] + [(repr(x), repr(y)) for x, y in steps]
     elif kind == "features":
         rows = [("left", "right", "direction", "margin")] + [

@@ -149,7 +149,7 @@ class QuantileTable:
         the table checks.  Anything else raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"a table is a JSON object, got {type(d).__name__}")
-        if d.get("version") != TABLE_VERSION:
+        if type(d.get("version")) is not int or d["version"] != TABLE_VERSION:
             raise ValueError(
                 f"table format version {d.get('version')!r}, expected {TABLE_VERSION}"
             )
@@ -198,17 +198,26 @@ def simulate_quantiles(
 
     Tables are cached as write-once JSON files keyed by (capped n, reps,
     seed, format version): an existing file is returned as it is and never
-    replaced, not even by a concurrent writer; a miss is announced as a
-    WARNING on the ``mshist`` logger before the replications run.  Too few
-    replications or n < 9 (an empty interval system) raise ValueError first.
+    replaced, not even by a concurrent writer; a file holding a table of
+    another (capped n, reps, seed) than its name keys is refused, naming the
+    file, and kept.  A miss is announced as a WARNING on the ``mshist``
+    logger before the replications run.  Too few replications or n < 9 (an
+    empty interval system) raise ValueError first.
     """
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}")
     if not levels(n):
         raise ValueError(f"interval system empty for n={n}; cannot calibrate")
     path = table_path(n, reps, seed, cache_dir)
+    n_capped = min(n, TABLE_N_CAP)
     if path.exists():
-        return load_table(path)
+        table = load_table(path)
+        if (table.n, table.reps, table.seed) != (n_capped, reps, seed):
+            raise ValueError(
+                f"{path}: holds the table for n={table.n}, reps={table.reps}, "
+                f"seed={table.seed}, not n={n_capped}, reps={reps}, seed={seed}"
+            )
+        return table
     # imported here so that ``import mshist`` does not load logging
     import logging
 
@@ -216,7 +225,6 @@ def simulate_quantiles(
         f"no calibrated thresholds at {path}; "
         f"simulating now ({reps} replications) -- this can take a while"
     )
-    n_capped = min(n, TABLE_N_CAP)
     t = simulate_statistics(n_capped, reps, seed)
     kappas = tuple(float(np.quantile(t, 1.0 - a)) for a in DEFAULT_ALPHAS)
     table = QuantileTable(n=n_capped, kappas=kappas, reps=reps, seed=seed)

@@ -110,6 +110,24 @@ class TestFit:
         ]
         assert bins == sorted(bins)
 
+    def test_alpha_list_with_features_names_four_files(self, workdir, tables):
+        """Each alpha of a list gets its own fit and features documents, and
+        each features document holds the features certified at its alpha."""
+        from mshist.inference import significant_feature_intervals
+        from mshist.io import read_sample
+
+        tmp, data = workdir
+        assert run("fit", "--input", data, "--alpha", "0.05,0.1", "--features",
+                   "--out", tmp / "fit.json", *CACHE2K) == 0
+        names = {f"fit_alpha{a}{kind}.json" for a in ("0.05", "0.1")
+                 for kind in ("", ".features")}
+        assert names <= {p.name for p in tmp.iterdir()}
+        sample = read_sample(data)
+        for alpha in (0.05, 0.1):
+            want = significant_feature_intervals(sample, alpha, tables(900))
+            assert want
+            assert read_features(tmp / f"fit_alpha{alpha:g}.features.json") == want
+
     def test_tiny_sample_single_bin(self, tmp_path, capsys):
         data = tmp_path / "d.txt"
         data.write_text("0.1\n0.4\n0.6\n0.9\n")
@@ -244,6 +262,28 @@ class TestEvaluate:
         capsys.readouterr()
         assert run("evaluate", "--input", data, "--hist", hp, *CACHE2K) == 2
         assert "cut_indices" in capsys.readouterr().err
+
+    def test_commands_build_the_model_once(self, workdir, monkeypatch):
+        """evaluate --hist and plot-data each build the histogram document's
+        model once, in the reader that checks it."""
+        from mshist import io
+
+        tmp, data = workdir
+        out = tmp / "fit.json"
+        assert run("fit", "--input", data, "--out", out, *CACHE2K) == 0
+        built = []
+        build = io.histogram_from_document
+
+        def counted(doc):
+            built.append(doc["type"])
+            return build(doc)
+
+        monkeypatch.setattr(io, "histogram_from_document", counted)
+        for argv in (["evaluate", "--input", data, "--hist", out, *CACHE2K],
+                     ["plot-data", "--input", out, "--out", tmp / "fit.csv"]):
+            built.clear()
+            assert run(*argv) == 0
+            assert built == ["histogram"], argv[0]
 
     def test_small_sample_gets_the_empty_report(self, tmp_path, capsys, caplog):
         """A sample too small for the system is audited against no interval:
@@ -468,6 +508,28 @@ class TestExitCodes:
         path.write_text(edit(json.loads(committed.read_text())))
         data, out = tmp_path / "claw.txt", tmp_path / "fit.json"
         np.savetxt(data, get_density("claw").sampler(0, 1000).values)
+        argv = ["fit", "--input", data, "--out", out, "--cache-dir", tmp_path,
+                "--reps", "5000", "--seed", "20250823"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"reps": 123, "seed": 7}, "holds the table for n=500, reps=123, seed=7, not n=500, "),
+         ({"n": 1000}, "holds the table for n=1000, reps=5000, seed=20250823, not n=500, "),
+         ({"version": True}, "table format version True, expected 1")],
+        ids=["reps-and-seed", "n", "boolean-version"],
+    )
+    def test_table_of_another_key_exit_2(self, tmp_path, capsys, edit, message):
+        """A cached file holding another table than its name keys is one data
+        error naming the file, and the fit writes no document."""
+        committed = mshist.table_path(500, 5000, 20250823, TABLES_DIR)
+        path = mshist.table_path(500, 5000, 20250823, tmp_path)
+        path.write_text(json.dumps({**json.loads(committed.read_text()), **edit}))
+        data, out = tmp_path / "harp.txt", tmp_path / "fit.json"
+        np.savetxt(data, get_density("harp").sampler(0, 500).values)
         argv = ["fit", "--input", data, "--out", out, "--cache-dir", tmp_path,
                 "--reps", "5000", "--seed", "20250823"]
         assert run(*argv) == 2

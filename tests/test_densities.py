@@ -160,10 +160,19 @@ class TestMetrics:
         step = by_name["step"]
         own = HistogramModel(np.array([0.0, 0.5, 1.0]), np.array([1.5, 0.5]), 2)
         m = metrics(own, step)
-        assert m.mise_component == pytest.approx(0.0, abs=1e-12)
-        assert m.kolmogorov == pytest.approx(0.0, abs=1e-12)
-        assert all(v == pytest.approx(0.0, abs=1e-3) for v in m.d_p.values())
-        assert set(m.d_p) == set(DEFAULT_P_GRID)
+        assert m["mise_sq"] == pytest.approx(0.0, abs=1e-12)
+        assert m["kolmogorov"] == pytest.approx(0.0, abs=1e-12)
+        assert all(m[f"d_{p}"] == pytest.approx(0.0, abs=1e-3) for p in DEFAULT_P_GRID)
+
+    def test_keys_are_the_benchmark_columns(self, tables):
+        """One name per metric: the essential fit and every classical rule
+        are scored under the CSV's metric columns, in the CSV's order."""
+        claw = get_density("claw")
+        sample = claw.sampler(0, 500)
+        fits = [essential_histogram(sample, 0.1, tables(500))]
+        fits += [classical_histogram(sample, rule) for rule in densities.CLASSICAL_RULES]
+        for fit in fits:
+            assert tuple(metrics(fit, claw)) == BENCHMARK_COLUMNS[5:-1]
 
     def test_mise_matches_quadrature(self, by_name):
         """Over every bin and both tails, where the fit is zero; the Cauchy
@@ -178,7 +187,7 @@ class TestMetrics:
                 quad(lambda x: (float(truth.pdf(x)) - h) ** 2, lo, hi)[0]
                 for lo, hi, h in zip(b[:-1], b[1:], fit.heights)
             )
-            assert metrics(fit, truth).mise_component == pytest.approx(num, rel=1e-6)
+            assert metrics(fit, truth)["mise_sq"] == pytest.approx(num, rel=1e-6)
 
     def test_kolmogorov_matches_direct_scan(self, by_name):
         exp = by_name["exponential"]
@@ -186,7 +195,7 @@ class TestMetrics:
         m = metrics(fit, exp)
         xs = np.linspace(-1, 30, 200001)
         direct = np.max(np.abs(np.asarray(exp.cdf(xs)) - fit.cdf(xs)))
-        assert m.kolmogorov == pytest.approx(float(direct), abs=1e-4)
+        assert m["kolmogorov"] == pytest.approx(float(direct), abs=1e-4)
 
     def test_extrema_counting(self):
         assert count_extrema(np.array([1.0, 3.0, 2.0, 4.0, 1.0])) == (2, 1)
@@ -301,20 +310,13 @@ class TestBenchmark:
         fits = [essential_histogram(sample, a, tables(300)) for a in alphas[:2]]
         fits.append(classical_histogram(sample, "scott_area"))
         for r, method, alpha, fit in zip(rows[3:], methods, alphas, fits):
-            m = metrics(fit, claw)
             expected = {
                 "density": "claw",
                 "method": method,
                 "alpha": alpha,
                 "n": 300,
                 "rep": 1,
-                "n_bins": m.n_bins,
-                "modes": m.modes,
-                "troughs": m.troughs,
-                "mise_sq": m.mise_component,
-                "kolmogorov": m.kolmogorov,
-                "skewness": m.skewness,
-                **{f"d_{p}": d for p, d in m.d_p.items()},
+                **metrics(fit, claw),
             }
             np.testing.assert_equal({k: r[k] for k in BENCHMARK_COLUMNS[:-1]}, expected)
 
@@ -347,5 +349,5 @@ class TestBenchmark:
             sample = step.sampler(seed, 3000)
             essential = metrics(essential_histogram(sample, 0.1, tables(3000)), step)
             sturges = metrics(classical_histogram(sample, "sturges"), step)
-            assert sturges.n_bins == 13
-            assert essential.d_p[0.01] < sturges.d_p[0.01], seed
+            assert sturges["n_bins"] == 13
+            assert essential["d_0.01"] < sturges["d_0.01"], seed

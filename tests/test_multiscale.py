@@ -12,6 +12,7 @@ from mshist.intervals import interval_arrays, row_index
 from mshist.multiscale import (
     CACHE_ENV_VAR,
     DEFAULT_ALPHAS,
+    TABLE_N_CAP,
     QuantileTable,
     default_cache_dir,
     load_table,
@@ -321,6 +322,45 @@ class TestQuantileTable:
             simulate_quantiles(20, reps=150, seed=9, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_is_the_integer_one(self, version):
+        """``True == 1`` and ``1.0 == 1``, but neither is format version 1."""
+        d = QuantileTable(10, KAPPAS, 100, 0).to_dict()
+        with pytest.raises(ValueError, match=f"^table format version {version!r}, expected 1"):
+            QuantileTable.from_dict({**d, "version": version})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"reps": 123, "seed": 7},
+          "holds the table for n=500, reps=123, seed=7, not n=500, reps=5000, seed=20250823"),
+         ({"n": 1000},
+          "holds the table for n=1000, reps=5000, seed=20250823, not n=500, reps=5000, "),
+         ({"version": True}, "table format version True, expected 1")],
+        ids=["reps-and-seed", "n", "boolean-version"],
+    )
+    def test_cache_hit_is_the_table_its_name_keys(self, tmp_path, edit, message):
+        """A cached file is served only if it holds the table its name keys,
+        in format version 1; a refusal names the file, and the file is kept,
+        because the cache is write-once."""
+        reps = committed_reps(500)
+        path = table_path(500, reps, SEED, tmp_path)
+        d = json.loads(table_path(500, reps, SEED, TABLES_DIR).read_text())
+        path.write_text(json.dumps({**d, **edit}))
+        before = path.read_bytes()
+        with pytest.raises(ValueError) as err:
+            simulate_quantiles(500, reps=reps, seed=SEED, cache_dir=tmp_path)
+        assert str(err.value).startswith(f"{path}: {message}")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+    def test_capped_cache_hit_keys_the_capped_n(self, tmp_path):
+        """Sizes above the cap are served by the capped table's file, which
+        holds the capped n."""
+        path = table_path(50_000, 150, 9, tmp_path)
+        kept = QuantileTable(TABLE_N_CAP, KAPPAS, 150, 9)
+        path.write_text(json.dumps(kept.to_dict()))
+        assert simulate_quantiles(50_000, reps=150, seed=9, cache_dir=tmp_path) == kept
 
     @pytest.mark.parametrize(
         "path", sorted(TABLES_DIR.glob("*.json")) + sorted(PERFBENCH_TABLES.glob("*.json")),
