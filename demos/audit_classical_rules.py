@@ -6,8 +6,6 @@ untenable; a "removable" change-point is a bin boundary whose neighborhood
 could be merged without violating anything, i.e. structure the data never
 asked for.
 """
-import numpy as np
-
 import mshist
 
 n = 1500

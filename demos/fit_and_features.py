@@ -5,8 +5,6 @@ and +3, fit at level alpha = 0.1, and then ask which increases and decreases
 of the underlying density are statistically certain.  All statements below
 hold simultaneously with confidence at least 90%.
 """
-import numpy as np
-
 import mshist
 
 # calibrate (cached after the first run) and fit

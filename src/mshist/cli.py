@@ -64,6 +64,12 @@ def _out_path(base: str, alpha: float, many: bool, suffix: str = "") -> Path:
 
 
 def cmd_fit(args) -> int:
+    names = [f"{alpha:g}" for alpha in args.alpha]
+    alike = [repr(a) for a, name in zip(args.alpha, names) if names.count(name) > 1]
+    if alike:
+        print(f"error: --alpha values {', '.join(alike)} print alike, so their documents "
+              "would share one file", file=sys.stderr)
+        return EXIT_USAGE
     sample = io.read_sample(args.input)
     table = _table(sample.n, args, "returning a single-bin histogram")
     many = len(args.alpha) > 1

@@ -25,8 +25,8 @@ step covers it whole.  Its invariants:
   and the dead candidates are a prefix of the sorted active nodes: the live
   ones are a suffix;
 - a round stops when no live candidate is left, or no open column right of
-  the sweep.  Candidates right of the sweep are live: K is not monotone in
-  the node index, so they may reach further than those already dead.
+  the sweep.  Candidates right of it are live: the block count is not
+  monotone along the nodes, so they may reach further than the dead ones.
 
 A step's table rows (a, b] bind the live nodes t <= a, so the bands they
 add change along the nodes only at the held nodes, the last live node at or
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConstraintTable, block_band, constraint_table, in_band, whole_band
-from .multiscale import QuantileTable, lookup_kappa
+from .multiscale import QuantileTable, as_integer, lookup_kappa
 from .sample import SortedSample
 
 
@@ -77,11 +77,12 @@ class HistogramModel:
 
     The first bin is closed on the left, all bins are right-closed.  Heights
     integrate to one.  The model holds read-only copies of the arrays it is
-    given, so neither it nor its caller can change the other's.  ``counts``
-    are nonnegative integers, one per bin; ``cut_indices`` are integers rising
-    strictly from 0 to n, one per break, and step by the counts when both are
-    given.  A fit from ``essential_histogram`` has one bin per block of the
-    dynamic program, so ``nbins == len(cut_indices) - 1``.
+    given, so neither it nor its caller can change the other's; ``n`` is
+    held as a Python int.  ``counts`` are nonnegative integers, one per bin;
+    ``cut_indices`` are integers rising strictly from 0 to n, one per break,
+    and step by the counts when both are given.  A fit from
+    ``essential_histogram`` has one bin per block of the dynamic program, so
+    ``nbins == len(cut_indices) - 1``.
     """
 
     breaks: np.ndarray
@@ -91,6 +92,7 @@ class HistogramModel:
     cut_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_integer("n", self.n))
         for name in ("breaks", "heights"):
             try:
                 a = np.array(getattr(self, name))
@@ -203,25 +205,23 @@ def _admits(edge, n, t, i, lo, hi):
     return (w > 0.0) & in_band(mu, lo, hi)
 
 
-def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
-    """One round: every node not reached yet that a feasible block from an
-    active node reaches gets K = k, its cost and its predecessor.  Returns
-    those nodes, ascending.
+def _sweep(table: ConstraintTable, edge, V, pred, active):
+    """One round: every node not reached yet (cost +inf) that a feasible
+    block from an active node reaches gets its cost and its predecessor.
+    Returns those nodes, ascending: the next round's start nodes.
 
     Each open column takes its cheapest block over the live candidates with
     no band, and only that winner is tested against the band; a column
     whose winner fails takes the cheapest over its feasible blocks.  Exact,
     ties included: see the module docstring."""
     n = edge.size - 1
-    big = n + 2
     # index in ``active`` of the last active node at or left of each node
     last = np.cumsum(np.bincount(active, minlength=n + 1)) - 1
     # the open columns, not reached yet: a round reaches only swept ones
-    unreached = np.flatnonzero(K == big)
+    unreached = np.flatnonzero(V == np.inf)
     dead = 0  # active[:dead] are dead, active[dead:] live
     lo_t = np.full(active.size, -np.inf)  # band of (t, i0 - 1]
     hi_t = np.full(active.size, np.inf)
-    reached = []
     i0 = 1
     while dead < active.size:
         live = active[dead:]
@@ -285,58 +285,51 @@ def _sweep(table: ConstraintTable, edge, K, V, pred, active, k: int):
                 best[fb] = c[np.arange(fb.size), pos[fb]]
             hit = best < np.inf
             got = todo[hit]
-            K[got] = k
             V[got] = best[hit]
             pred[got] = lv[pos[hit]]
-            reached.append(got)
         np.fmax(L[-1, first], lo_c, out=lo_c)
         np.fmin(H[-1, first], hi_c, out=hi_c)
         # an empty band stays empty as i grows (L never falls, H never
         # rises) and empties every longer block too: the dead are a prefix
         dead += int(np.count_nonzero(lo_c > hi_c))
         i0 = i1
-    return np.concatenate(reached) if reached else np.empty(0, dtype=np.int64)
+    return unreached[V[unreached] < np.inf]
 
 
 def _bellman_pruned(sample: SortedSample, kappa: float):
-    """K (fewest blocks), V (cost) and pred (predecessor) of every node, by
-    rounds at threshold ``kappa``; identical at node n to the plain
-    recursion over all predecessors (kept in tests/reference.py).  Each
-    round first tests its blocks (t, n] and sweeps only if none fits.  A
-    one-bin fit sets only nodes 0 and n and leaves the rest of the arrays
-    uninitialised; otherwise the nodes that only the last round would
-    reach are left unset."""
+    """V (cost of the best fewest-blocks path) and pred (its predecessor)
+    of every node, by rounds at threshold ``kappa``; identical at node n to
+    the plain recursion over all predecessors (kept in tests/reference.py),
+    and a node's block count is its backtracked path's length.  Each round
+    first tests its blocks (t, n] and sweeps only if none fits.  A one-bin
+    fit sets only nodes 0 and n; otherwise the nodes that only the last
+    round would reach keep V = +inf and pred = -1."""
     x = sample.values
     n = sample.n
-    big = n + 2
     # touched only when one bin fails: a one-bin fit fills no per-node array
-    K = np.empty(n + 1, dtype=np.int64)
     V = np.empty(n + 1)
     pred = np.empty(n + 1, dtype=np.int64)
-    K[0] = 0
     V[0] = 0.0
     # block (t, i] spans [edge[t], edge[i]] and holds i - t points; t = 0
     # is the virtual left edge at X_(1)
     edge = np.concatenate((x[:1], x))
     active = np.zeros(1, dtype=np.int64)
     lo, hi = whole_band(sample, kappa)  # of (0, n], with no band table
-    k = 1
     while True:
         ok = _admits(edge, n, active, n, lo, hi)
         cost = np.where(ok, _block_cost(edge, V, n, active, n), np.inf)
         pos = int(np.argmin(cost))
         if cost[pos] < np.inf:
-            K[n], V[n], pred[n] = k, cost[pos], active[pos]
-            return K, V, pred
-        if k == 1:
-            K[1:], V[1:], pred[:] = big, np.inf, -1
+            V[n], pred[n] = cost[pos], active[pos]
+            return V, pred
+        if active[0] == 0:  # round 1 starts from node 0 alone
+            V[1:], pred[:] = np.inf, -1
             table = constraint_table(sample, kappa)
             lo_n, hi_n = block_band(table, np.arange(n + 1), n)  # (t, n]
-        active = _sweep(table, edge, K, V, pred, active, k)
+        active = _sweep(table, edge, V, pred, active)
         if not active.size:
             raise RuntimeError("dynamic program stalled; constraint table inconsistent")
         lo, hi = lo_n[active], hi_n[active]
-        k += 1
 
 
 def _backtrack(pred: np.ndarray, n: int) -> list[int]:
@@ -370,5 +363,5 @@ def essential_histogram(
     kappa = lookup_kappa(table, alpha, n)
     if kappa is None:
         return _model_from_cuts(sample, [0, n])
-    _, _, pred = _bellman_pruned(sample, kappa)
+    _, pred = _bellman_pruned(sample, kappa)
     return _model_from_cuts(sample, _backtrack(pred, n))

@@ -5,12 +5,12 @@ the estimator where the estimator's value fails the local likelihood-ratio
 test (features the estimator missed), and change-points whose neighborhoods
 could be merged into one feasible block (structure the data do not support).
 
-Every band the audit tests is indexed by order statistics, so the breaks are
-placed among the sample once per audit and both diagnostics read that map:
-``below[e]`` and ``upto[e]`` count the sample points below break e and up to
-it, and ``piece[i]`` is the piece just right of X_(i+1), 0 left of the support
-and nbins + 1 right of it.  A system row (a, b] lies in the piece p of X_(a)
-when ``b <= upto[p]``, or always past the support; a merge window of segments
+Every band the audit tests is indexed by order statistics, so each
+diagnostic places the breaks it reads among the sample: ``below[e]`` and
+``upto[e]`` count the sample points below break e and up to it, and
+``piece[i]`` is the piece just right of X_(i+1), 0 left of the support and
+nbins + 1 right of it.  A system row (a, b] lies in the piece p of X_(a) when
+``b <= upto[p]``, or always past the support; a merge window of segments
 first..last is the sample range (below[first], upto[last + 1]].
 """
 from __future__ import annotations
@@ -45,21 +45,19 @@ class AuditReport:
         return not self.violations and not self.removable
 
 
-def _prologue(sample: SortedSample, estimator: HistogramModel, alpha, table):
-    """``(kappa, band table, (below, upto, piece))`` for both halves, or None
-    when the interval system is empty; ``table`` is not read then."""
+def _bands(sample: SortedSample, alpha, table):
+    """``(kappa, band table)`` at level alpha, or ``(None, None)`` when the
+    interval system is empty; ``table`` is not read then."""
     kappa = lookup_kappa(table, alpha, sample.n)
-    if kappa is None:
-        return None
+    return kappa, None if kappa is None else constraint_table(sample, kappa)
+
+
+def _violations(sample, estimator, ctab) -> IntervalList:
+    if ctab is None:
+        return IntervalList()
     x, e = sample.values, estimator.breaks
-    below, upto = (np.searchsorted(x, e, side=s) for s in ("left", "right"))
-    piece = np.searchsorted(e, x, side="right")
-    return kappa, constraint_table(sample, kappa), (below, upto, piece)
-
-
-def _violations(sample, estimator, ctab, where) -> IntervalList:
-    _, upto, piece = where
-    p = piece[ctab.a - 1]
+    upto = np.searchsorted(x, e, side="right")
+    p = np.searchsorted(e, x, side="right")[ctab.a - 1]
     inside = ctab.b <= np.append(upto, sample.n)[p]
     height = np.concatenate(([0.0], estimator.heights, [0.0]))[p]
     viol = inside & ~in_band(height, ctab.lo, ctab.hi)
@@ -67,15 +65,18 @@ def _violations(sample, estimator, ctab, where) -> IntervalList:
     return IntervalList(ctab.a[viol], ctab.b[viol], scale[viol])
 
 
-def _removable(sample, estimator, ctab, where) -> tuple[tuple[int, int], ...]:
-    below, upto, _ = where
+def _removable(sample, estimator, ctab) -> tuple[tuple[int, int], ...]:
+    if ctab is None:
+        return ()
+    x, e = sample.values, estimator.breaks
+    below, upto = (np.searchsorted(x, e, side=s) for s in ("left", "right"))
     nb = estimator.nbins
     # every run of segments first..last, 2..MERGE_WINDOW long
     first = np.repeat(np.arange(nb), MERGE_WINDOW - 1)
     last = first + np.tile(np.arange(1, MERGE_WINDOW), nb)
     keep = last < nb
     first, last = first[keep], last[keep]
-    lo_v, hi_v = estimator.breaks[first], estimator.breaks[last + 1]
+    lo_v, hi_v = e[first], e[last + 1]
     # the first segment is closed on the left
     count = upto[last + 1] - np.where(first == 0, below[0], upto[first])
     mu = count / (sample.n * (hi_v - lo_v))
@@ -102,8 +103,7 @@ def violation_intervals(
     The bands and their slack are the ones the fit obeys, so a zero-height
     piece over sample points, for instance, is always flagged.
     """
-    setup = _prologue(sample, estimator, alpha, table)
-    return IntervalList() if setup is None else _violations(sample, estimator, *setup[1:])
+    return _violations(sample, estimator, _bands(sample, alpha, table)[1])
 
 
 def removable_changepoints(
@@ -121,8 +121,7 @@ def removable_changepoints(
     (a model's ``counts`` play no part).  Returned as a tuple of (breakpoint
     index into estimator.breaks, multiplicity) pairs.
     """
-    setup = _prologue(sample, estimator, alpha, table)
-    return () if setup is None else _removable(sample, estimator, *setup[1:])
+    return _removable(sample, estimator, _bands(sample, alpha, table)[1])
 
 
 def audit(
@@ -132,16 +131,12 @@ def audit(
     table: QuantileTable,
 ) -> AuditReport:
     """Full audit: violation intervals plus removable change-points, from
-    one band table and one placement of the breaks.  A sample too small for
-    the interval system gets the empty report with ``kappa`` None; ``table``
-    is not read then."""
-    setup = _prologue(sample, estimator, alpha, table)
-    if setup is None:
-        return AuditReport(violations=IntervalList(), removable=(), alpha=alpha, kappa=None)
-    kappa, *rest = setup
+    one band table.  A sample too small for the interval system gets the
+    empty report with ``kappa`` None; ``table`` is not read then."""
+    kappa, ctab = _bands(sample, alpha, table)
     return AuditReport(
-        violations=_violations(sample, estimator, *rest),
-        removable=_removable(sample, estimator, *rest),
+        violations=_violations(sample, estimator, ctab),
+        removable=_removable(sample, estimator, ctab),
         alpha=alpha,
         kappa=kappa,
     )

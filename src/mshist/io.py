@@ -54,16 +54,13 @@ def histogram_document(fit: HistogramModel, alpha: float | None = None) -> dict:
 
 def histogram_from_document(doc: dict) -> HistogramModel:
     """The model of a histogram document: :func:`histogram_document`'s keys,
-    ``counts`` and ``cut_indices`` optional and checked by the model; n must
-    be an integer.  A document with another ``type`` is refused."""
+    ``counts`` and ``cut_indices`` optional, all checked by the model.  A
+    document with another ``type`` is refused."""
     if doc.get("type", "histogram") != "histogram":
         raise ValueError(f"expected a 'histogram' document, got type {doc['type']!r}")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
     # an explicit null is refused, as an empty list is
     cuts = (doc["cut_indices"] or ()) if "cut_indices" in doc else None
-    return HistogramModel(doc["breaks"], doc["heights"], n, doc.get("counts"), cuts)
+    return HistogramModel(doc["breaks"], doc["heights"], doc["n"], doc.get("counts"), cuts)
 
 
 #: the keys that reading each type of document requires, and the keys that

@@ -3,6 +3,7 @@ Monte-Carlo calibration of their global quantile."""
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from bisect import bisect_right
@@ -23,6 +24,18 @@ TABLE_VERSION = 1
 #: every sample size at or above this is served by one shared table
 TABLE_N_CAP = 10_000
 CACHE_ENV_VAR = "MSHIST_CACHE_DIR"
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as a Python int (``operator.index``), so a document holding
+    it is JSON; a boolean or any other non-integer raises ValueError naming
+    the field ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def log_likelihood_ratio(p_hat, p0, n):
@@ -115,7 +128,7 @@ class QuantileTable:
 
     ``kappas[i]`` is the empirical (1 - DEFAULT_ALPHAS[i])-quantile over
     ``reps`` Monte-Carlo replications, finite and nonincreasing along that
-    shared grid.
+    shared grid.  ``n``, ``reps`` and ``seed`` are held as Python ints.
     """
 
     n: int
@@ -124,6 +137,8 @@ class QuantileTable:
     seed: int
 
     def __post_init__(self):
+        for key in ("n", "reps", "seed"):
+            object.__setattr__(self, key, as_integer(key, getattr(self, key)))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         k = np.asarray(self.kappas, dtype=float)
@@ -145,8 +160,8 @@ class QuantileTable:
     @classmethod
     def from_dict(cls, d) -> "QuantileTable":
         """The table of a :meth:`to_dict` object: this format version and
-        alpha grid, integer n, reps and seed, and a list of kappas, which
-        the table checks.  Anything else raises ValueError."""
+        alpha grid, n, reps, seed and a list of kappas, which the table
+        checks.  Anything else raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"a table is a JSON object, got {type(d).__name__}")
         if type(d.get("version")) is not int or d["version"] != TABLE_VERSION:
@@ -158,9 +173,6 @@ class QuantileTable:
             raise ValueError(f"a table needs the keys {missing}")
         if d["alphas"] != list(DEFAULT_ALPHAS):
             raise ValueError(f"alpha grid {d['alphas']!r}, expected {list(DEFAULT_ALPHAS)}")
-        for key in ("n", "reps", "seed"):
-            if not isinstance(d[key], int) or isinstance(d[key], bool):
-                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
         if not (isinstance(d["kappas"], list) and all(
                 isinstance(k, (int, float)) and not isinstance(k, bool) for k in d["kappas"])):
             raise ValueError(f"kappas must be a list of numbers, got {d['kappas']!r}")

@@ -227,7 +227,7 @@ def table_histogram(
     edge = np.concatenate((sample.values[:1], sample.values))
     if _admits(edge, n, 0, n, *table_band(constraint_table(sample, kappa))):
         return _model_from_cuts(sample, [0, n])
-    _, _, pred = _bellman_pruned(sample, kappa)
+    _, pred = _bellman_pruned(sample, kappa)
     return _model_from_cuts(sample, _backtrack(pred, n))
 
 

@@ -128,6 +128,23 @@ class TestFit:
             assert want
             assert read_features(tmp / f"fit_alpha{alpha:g}.features.json") == want
 
+    @pytest.mark.parametrize(
+        "alphas, alike",
+        [("0.1,0.1000001", "0.1, 0.1000001"), ("0.1,0.1", "0.1, 0.1"),
+         ("0.1,0.05,0.1", "0.1, 0.1")],
+    )
+    def test_alphas_that_print_alike_exit_1(self, workdir, capsys, alphas, alike):
+        """Each alpha's documents are named by the alpha as printed, so a
+        list of two that print alike is refused before any fit, and no
+        document is written."""
+        tmp, data = workdir
+        assert run("fit", "--input", data, "--alpha", alphas, "--features",
+                   "--out", tmp / "fit.json", *CACHE2K) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --alpha values {alike} print alike, so their documents "
+                       "would share one file\n")
+        assert sorted(p.name for p in tmp.iterdir()) == ["data.txt"]
+
     def test_tiny_sample_single_bin(self, tmp_path, capsys):
         data = tmp_path / "d.txt"
         data.write_text("0.1\n0.4\n0.6\n0.9\n")

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,25 +57,35 @@ def bumps_sample(n):
     ]))
 
 
+def blocks(pred, nodes):
+    """Block count of each node's backtracked path: the pruned solver keeps
+    no count, and a node's fewest blocks is its best path's length."""
+    return np.array([len(_backtrack(pred, int(i))) - 1 for i in nodes])
+
+
 def assert_set_nodes_match(sample, kappa):
-    """K, V and pred of the pruned solver equal the plain recursion's on
-    every node the pruned one sets, not only on n; a one-bin fit sets only
-    nodes 0 and n."""
+    """The block counts, V and pred of the pruned solver equal the plain
+    recursion's on every node the pruned one sets, not only on n; a one-bin
+    fit sets only nodes 0 and n, and any other fit leaves V = +inf on the
+    nodes it does not set."""
     n = sample.n
-    K, V, pred = _bellman_pruned(sample, kappa)
+    V, pred = _bellman_pruned(sample, kappa)
     K_ref, V_ref, pred_ref = _bellman_unpruned(sample, kappa)
-    set_ = np.array([0, n]) if K[n] == 1 else np.flatnonzero(K < n + 2)
+    set_ = np.array([0, n]) if pred[n] == 0 else np.flatnonzero(V < np.inf)
     assert set_[-1] == n
-    assert np.array_equal(K[set_], K_ref[set_])
+    assert np.array_equal(blocks(pred, set_), K_ref[set_])
     assert np.array_equal(V[set_], V_ref[set_])
     assert np.array_equal(pred[set_], pred_ref[set_])
 
 
 def solve(solver, sample, kappa):
-    """Fit, V[n] and K[n] of one Bellman solver at threshold kappa."""
-    K, V, pred = solver(sample, kappa)
+    """Fit, V[n] and fewest blocks of one Bellman solver at threshold kappa:
+    K[n] of the plain recursion, the backtracked path's length of the pruned
+    solver, which keeps no count."""
+    *K, V, pred = solver(sample, kappa)  # only the plain recursion returns K
     n = sample.n
-    return _model_from_cuts(sample, _backtrack(pred, n)), V[n], K[n]
+    cuts = _backtrack(pred, n)
+    return _model_from_cuts(sample, cuts), V[n], K[0][n] if K else len(cuts) - 1
 
 
 class TestHistogramModel:
@@ -84,6 +96,21 @@ class TestHistogramModel:
             HistogramModel(np.array([1.0, 0.0]), np.array([1.0]), 10)
         with pytest.raises(ValueError):
             HistogramModel(np.array([0.0, 1.0]), np.array([-1.0]), 10)
+
+    @pytest.mark.parametrize("n", [2.5, True, None, "7", np.float64(2.0), np.True_])
+    def test_n_is_an_integer(self, n):
+        """A model holds no n that its own document reader would refuse."""
+        message = re.escape(f"n must be an integer, got {n!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HistogramModel([0.0, 1.0], [1.0], n)
+
+    def test_numpy_integer_n_is_a_python_int(self):
+        """An n of a numpy integer type is held as a Python int, so the
+        model's document is JSON and reads back to the model."""
+        m = HistogramModel([0.0, 1.0], [1.0], np.int64(7), np.array([7]), (0, 7))
+        assert type(m.n) is int and m.n == 7
+        doc = json.loads(json.dumps(histogram_document(m)))
+        assert histogram_from_document(doc) == m
 
     def test_counts_must_match_bins(self):
         with pytest.raises(ValueError, match="counts must match bins"):
@@ -379,17 +406,17 @@ class TestEssentialHistogram:
         """No sweep sets node n: each round's stop test rejected every block
         (t, n] from the round's start nodes, and the sweep reads the same
         bands, so the stop test is the only place where n is reached.  Every
-        round but the last sweeps once."""
+        round but the last sweeps once: one sweep per block but the last."""
         from mshist import dp
 
         sweep = dp._sweep
         rounds = []
 
-        def checked(table, edge, K, V, pred, active, k):
-            reached = sweep(table, edge, K, V, pred, active, k)
+        def checked(table, edge, V, pred, active):
+            reached = sweep(table, edge, V, pred, active)
             n = edge.size - 1
-            assert (K[n], V[n], pred[n]) == (n + 2, np.inf, -1)
-            rounds.append(k)
+            assert (V[n], pred[n]) == (np.inf, -1)
+            rounds.append(active)
             return reached
 
         monkeypatch.setattr(dp, "_sweep", checked)
@@ -401,8 +428,8 @@ class TestEssentialHistogram:
         cases += [(bumps_sample(1500), kappa) for kappa in (0.5, 1.2)]
         for sample, kappa in cases:
             del rounds[:]
-            K, _, _ = dp._bellman_pruned(sample, kappa)
-            assert rounds == list(range(1, K[sample.n]))
+            _, pred = dp._bellman_pruned(sample, kappa)
+            assert len(rounds) == blocks(pred, [sample.n])[0] - 1
 
     def test_the_sweep_reads_the_table_constraint_table_built(self, monkeypatch):
         """A multi-bin fit builds one band table: the sweep and the bands of
@@ -429,9 +456,10 @@ class TestEssentialHistogram:
         monkeypatch.setattr(dp, "_sweep", sweep)
         for sample in (get_density("claw").sampler(0, 1500), gapped_sample(0)):
             del built[:], read[:]
-            K, _, _ = dp._bellman_pruned(sample, 1.0)
-            assert K[sample.n] > 2 and len(built) == 1
-            assert len(read) == K[sample.n]  # (t, n] once, then one per sweep
+            _, pred = dp._bellman_pruned(sample, 1.0)
+            k = blocks(pred, [sample.n])[0]
+            assert k > 2 and len(built) == 1
+            assert len(read) == k  # (t, n] once, then one per sweep
             for table in read:
                 assert table.lo is built[0].lo and table.hi is built[0].hi
 

@@ -13,6 +13,7 @@ from mshist.io import (
     audit_document,
     feature_document,
     histogram_document,
+    histogram_from_document,
     histogram_steps,
     read_histogram,
     read_sample,
@@ -85,6 +86,15 @@ class TestDocuments:
         write_json(histogram_document(m, 0.1), path)
         assert read_histogram(path) == m
         assert json.loads(path.read_text())["alpha"] == 0.1
+
+    @pytest.mark.parametrize("kind", ["features", "audit", None])
+    def test_reader_refuses_a_document_of_another_type(self, kind):
+        """A document whose ``type`` is not histogram is refused by that
+        type, even when it holds a histogram's keys."""
+        doc = {"type": kind, "n": 1, "breaks": [0.0, 1.0], "heights": [1.0]}
+        with pytest.raises(ValueError, match=f"^expected a 'histogram' document, got "
+                                             f"type {kind!r}$"):
+            histogram_from_document(doc)
 
     def test_feature_roundtrip(self, tables, tmp_path):
         sample = get_density("bimodal").sampler(7, 900)

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -231,6 +232,25 @@ class TestQuantileTable:
         for kappas in ((2.0, 1.0), KAPPAS[::-1], KAPPAS + (0.5,)):
             with pytest.raises(ValueError, match="kappas must match DEFAULT_ALPHAS"):
                 QuantileTable(10, kappas, 100, 0)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("reps", 2.5), ("n", 1000.0), ("reps", True), ("seed", None), ("n", "10"),
+         ("seed", np.float64(0.0))],
+    )
+    def test_n_reps_and_seed_are_integers(self, field, bad):
+        """A table holds no n, reps or seed that its own reader would refuse."""
+        args = {"n": 10, "kappas": KAPPAS, "reps": 100, "seed": 0, field: bad}
+        message = re.escape(f"{field} must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuantileTable(**args)
+
+    def test_numpy_integers_are_python_ints(self):
+        """n, reps and seed of a numpy integer type are held as Python ints,
+        so the table's object is JSON and reads back to the table."""
+        t = QuantileTable(np.int64(10), KAPPAS, np.int32(100), np.uint64(3))
+        assert [type(v) for v in (t.n, t.reps, t.seed)] == [int] * 3
+        assert QuantileTable.from_dict(json.loads(json.dumps(t.to_dict()))) == t
 
     def test_reps_at_least_one(self):
         with pytest.raises(ValueError, match="reps must be >= 1"):

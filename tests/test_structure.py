@@ -1,6 +1,7 @@
 """Package structure: modules reach each other only through public names,
-the reference implementations stay out of the public API, the demos and the
-README examples call only what the public API and the CLI take, and
+import no name they do not read and parse at the oldest Python the package
+admits, the reference implementations stay out of the public API, the demos
+and the README examples call only what the public API and the CLI take, and
 importing the package stays light."""
 import ast
 import inspect
@@ -21,6 +22,7 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def _private(name: str) -> bool:
@@ -65,6 +67,49 @@ def test_checker_flags_private_access():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_cross_module_private_names(path):
     assert private_uses(path.read_text()) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads; ``__future__`` imports
+    and the names of ``mshist.__all__``, which the package re-exports, are
+    exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read and name not in mshist.__all__]
+
+
+def test_checker_flags_unused_imports():
+    assert unused_imports("import numpy as np\nimport os.path\nos.sep") == ["np"]
+    source = "from __future__ import annotations\nfrom .dp import x, y\ny"
+    assert unused_imports(source) == ["x"]
+    assert unused_imports("from .sample import SortedSample") == []  # in __all__
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_modules_parse_at_the_minimum_python():
+    """Every module parses with the grammar of the oldest Python that
+    ``pyproject.toml`` admits; that grammar refuses, say, an ``except*``
+    clause, which Python 3.11 brought."""
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    text = PYPROJECT.read_text()
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups())
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(major, minor))
 
 
 def test_reference_names_not_exported():
