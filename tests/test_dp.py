@@ -430,6 +430,8 @@ class TestEssentialHistogram:
             del rounds[:]
             _, pred = dp._bellman_pruned(sample, kappa)
             assert len(rounds) == blocks(pred, [sample.n])[0] - 1
+            # only round 1 starts from node 0, which keys its branch
+            assert [a[0] == 0 for a in rounds] == [i == 0 for i in range(len(rounds))]
 
     def test_the_sweep_reads_the_table_constraint_table_built(self, monkeypatch):
         """A multi-bin fit builds one band table: the sweep and the bands of
